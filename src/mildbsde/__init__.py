@@ -40,7 +40,6 @@ from .solver import (
     general_solve,
     global_solve,
     local_solve,
-    picard_map,
     residual,
     select_local_radius_and_delta,
     unshift_solution,

@@ -67,8 +67,6 @@ class ReactionDiffusionSpec:
     terminal_noise: float = 0.1
     alpha: float = 0.25
     horizon: float = 1.0
-    paths_hint: int = 4000
-    steps_hint: int = 80
     fit_trials: int = 2000
     fit_seed: int = 2024
 
@@ -200,8 +198,6 @@ class SpinSpec:
     coefficients: np.ndarray | None = None  # a_j, length 2n+1
     terminal_amp: float = 0.12
     horizon: float = 1.0
-    paths_hint: int = 10000
-    steps_hint: int = 100
     padding: str = "zero"
 
     def __post_init__(self):

@@ -8,16 +8,18 @@ The solved object is the integral equation
 with A diagonal dissipative, f0 dissipative with polynomial growth on the
 alpha interpolation space, and f1 bounded Lipschitz.  The construction mirrors
 the analytic existence proof so that its quantitative ingredients can be
-measured:
+measured.  It has three layers:
 
-* a Picard iteration on a terminal window whose length comes from the
-  operator constants (contraction factor 1/2 in theory),
-* right-to-left pasting of windows, with the radius of the invariant ball for
-  later windows supplied by a fitted blow-up envelope,
-* an outer fixed point for the (y, z)-coupled driver, contracting in an
-  exp(beta t)-weighted norm with beta = 4 K^2 + 1,
-* an exponential change of variables removing a positive monotonicity
-  constant from f0 before anything else runs.
+* ``local_solve``: a Picard iteration on one window whose length comes from
+  the operator constants (contraction factor 1/2 in theory),
+* ``global_solve``: right-to-left pasting of windows for one frozen driver
+  path, with the radius of the invariant ball for later windows supplied by a
+  fitted blow-up envelope,
+* ``general_solve``: the only solve driver.  It applies the exponential change
+  of variables removing a positive monotonicity constant from f0, estimates
+  the operator constants, refines the grid when a window is shorter than one
+  step, and runs the outer fixed point for the (y, z)-coupled driver,
+  contracting in an exp(beta t)-weighted norm with beta = 4 K^2 + 1.
 
 Bochner integrals against the semigroup are exact per component for the
 piecewise-constant interpolant of the integrand, so no singular quadrature is
@@ -72,7 +74,6 @@ __all__ = [
     "apriori_h_bound",
     "blowup_bound",
     "select_local_radius_and_delta",
-    "picard_map",
     "local_solve",
     "global_solve",
     "general_solve",
@@ -236,7 +237,6 @@ class SolverConfig:
     auto_shift: bool = True
     auto_refine_grid: bool = True
     constants_trials: int = 192
-    compute_residual: bool = True
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -479,18 +479,15 @@ def select_local_radius_and_delta(
 # Picard machinery
 
 
-class _Propagator:
-    """Per-step semigroup decays and exact one-step kernel integrals for a grid."""
-
-    def __init__(self, op: DiagonalOperator, grid: TimeGrid):
-        self.decay, self.kernel_int = _step_factors(op, grid.deltas)  # (L, N) each
-
-
 def _ball_check(problem: BsdeProblem, u: np.ndarray, radius: float) -> float:
-    """Largest alpha norm among the supplied states; raises when it leaves the ball."""
+    """Largest alpha norm among the supplied states; raises when it leaves the ball.
+
+    The relative allowance matches the terminal-bound check: states that
+    ``_project_to_ball`` rescaled onto the radius can land a few ulp outside it.
+    """
     norms = h_alpha_norm_batch(problem.operator, problem.alpha, u)
     worst = float(norms.max()) if norms.size else 0.0
-    if worst > radius:
+    if worst > radius * (1.0 + 1e-9):
         raise RadiusExceeded(
             f"radius exceeded: drift evaluated at alpha norm {worst:g} > ball {radius:g} "
             "(window too long)"
@@ -500,7 +497,7 @@ def _ball_check(problem: BsdeProblem, u: np.ndarray, radius: float) -> float:
 
 def _picard_targets(
     problem: BsdeProblem,
-    prop: _Propagator,
+    factors: tuple[np.ndarray, np.ndarray],
     times: np.ndarray,
     start: int,
     end: int,
@@ -516,6 +513,7 @@ def _picard_targets(
     accumulated by one backward recursion (exact for the piecewise-constant
     interpolant of the integrand).  ``u = None`` means drift-free.
     """
+    decay, kernel_int = factors
     width = end - start
     targets = np.empty((width + 1,) + terminal_values.shape)
     targets[width] = terminal_values
@@ -531,7 +529,7 @@ def _picard_targets(
             f_val = f0(float(times[l]), u[j])
         if f1_path is not None:
             f_val = f_val + f1_path[l]
-        acc = prop.kernel_int[l] * f_val + prop.decay[l] * acc
+        acc = kernel_int[l] * f_val + decay[l] * acc
         targets[j] = acc
     return targets
 
@@ -573,46 +571,14 @@ def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
     return count
 
 
-def picard_map(
-    problem: BsdeProblem,
-    ensemble: WienerEnsemble,
-    basis: RegressionBasis,
-    start: int,
-    end: int,
-    terminal_values: np.ndarray,
-    u: np.ndarray | None,
-    f1_path: np.ndarray | None = None,
-    radius: float = math.inf,
-    with_z: bool = True,
-) -> SolutionPair:
-    """One application of the window map: regression of the propagated terminal
-    plus the exactly integrated drift of the frozen input process.
-
-    ``u`` holds the input process on window nodes (W+1, M, N); its drift is
-    evaluated on left nodes only.  The returned y matches ``terminal_values``
-    exactly at the window end.  ``with_z`` recovers the integrand of the
-    stochastic integral on the window's steps.
-    """
-    prop = _Propagator(problem.operator, ensemble.grid)
-    targets = _picard_targets(
-        problem, prop, ensemble.grid.times, start, end, terminal_values, u, f1_path, radius
-    )
-    y, _ = _regress_window(ensemble, basis, start, end, targets)
-    z = None
-    if with_z:
-        z = _recover_z(problem, ensemble, basis, prop, start, end, y)
-    window_grid = TimeGrid(ensemble.grid.times[start : end + 1] - ensemble.grid.times[start])
-    return SolutionPair(grid=window_grid, y=y, z=z)
-
-
-def _recover_z(problem, ensemble, basis, prop, start, end, y) -> np.ndarray:
+def _recover_z(ensemble, basis, decay, start, end, y) -> np.ndarray:
     """Martingale-representation estimate of Z on [start, end): regression of
     the semigroup-weighted next value against the step's increments."""
     m, n = y.shape[1], y.shape[2]
     z = np.empty((end - start, m, n, ensemble.n_noise))
     for j in range(end - start):
         l = start + j
-        next_val = prop.decay[l] * y[j + 1]
+        next_val = decay[l] * y[j + 1]
         z[j] = martingale_z_estimate(ensemble, basis, l, next_val)
     return z
 
@@ -628,6 +594,7 @@ def local_solve(
     problem: BsdeProblem,
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
+    factors: tuple[np.ndarray, np.ndarray],
     start: int,
     end: int,
     terminal_values: np.ndarray,
@@ -640,13 +607,14 @@ def local_solve(
 ) -> LocalSolveResult:
     """Fixed point of the window map by Picard iteration.
 
-    Starts from the drift-free solution (conditional expectation of the
-    propagated terminal) or from zero, and stops when the sup-over-nodes
-    ensemble-L2 alpha-norm distance of successive iterates drops below tol.
-    Distances and their ratios are recorded; two consecutive ratios above one
-    raise ``PicardDivergence`` (the caller may then halve the window).
+    ``factors`` are the grid's per-step decays and kernel integrals, as
+    ``spectral._step_factors`` returns them.  Starts from the drift-free
+    solution (conditional expectation of the propagated terminal) or from
+    zero, and stops when the sup-over-nodes ensemble-L2 alpha-norm distance of
+    successive iterates drops below tol.  Distances and their ratios are
+    recorded; two consecutive ratios above one raise ``PicardDivergence`` (the
+    caller may then halve the window).
     """
-    prop = _Propagator(problem.operator, ensemble.grid)
     times = ensemble.grid.times
     op, alpha = problem.operator, problem.alpha
     width = end - start
@@ -658,18 +626,18 @@ def local_solve(
         u[width] = terminal_values
     else:
         targets = _picard_targets(
-            problem, prop, times, start, end, terminal_values, None, f1_path, radius
+            problem, factors, times, start, end, terminal_values, None, f1_path, radius
         )
         u, flagged = _regress_window(ensemble, basis, start, end, targets)
         rank_flags += flagged
         clipped += _project_to_ball(problem, u, radius)
 
     distances: list[float] = []
-    factors: list[float] = []
+    factors_seen: list[float] = []
     bad_streak = 0
     for it in range(1, max_iter + 1):
         targets = _picard_targets(
-            problem, prop, times, start, end, terminal_values, u, f1_path, radius
+            problem, factors, times, start, end, terminal_values, u, f1_path, radius
         )
         y, flagged = _regress_window(ensemble, basis, start, end, targets)
         rank_flags += flagged
@@ -680,7 +648,7 @@ def local_solve(
         dist = float(np.sqrt(np.mean(node_norms ** 2, axis=1)).max())
         if distances:
             factor = dist / distances[-1] if distances[-1] > 0 else 0.0
-            factors.append(factor)
+            factors_seen.append(factor)
             bad_streak = bad_streak + 1 if factor > 1.0 else 0
             if bad_streak >= 2:
                 raise PicardDivergence(
@@ -689,7 +657,7 @@ def local_solve(
         distances.append(dist)
         u = y
         if dist == 0.0 or (dist < tol and it >= min_iter):
-            stats = WindowStats(start, end, radius, it, distances, factors,
+            stats = WindowStats(start, end, radius, it, distances, factors_seen,
                                 ball_clipped=clipped)
             return LocalSolveResult(y=u, stats=stats, rank_flags=rank_flags)
     raise PicardDivergence(
@@ -710,150 +678,77 @@ def _auto_tol(terminal_values: np.ndarray) -> float:
     return max(3.0 * se, 1e-12 * max(scale, 1.0), 1e-14)
 
 
-class _NeedsFinerGrid(Exception):
-    def __init__(self, factor: int):
-        self.factor = factor
+def _window_steps(delta: float, dt: float, n_steps: int, config: SolverConfig) -> int:
+    """Whole grid steps in a window of length delta, capped by the override.
 
-
-def _estimator_rng(seed: int) -> np.random.Generator:
-    # distinct stream from the path blocks, which use spawn keys 0..n_blocks-1
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2 ** 20,)))
+    Raises ``GridTooCoarse`` with the refinement factor when the window is
+    shorter than one step.
+    """
+    if config.window_override is not None:
+        delta = min(delta, config.window_override)
+    if delta < dt:
+        factor = max(2, math.ceil(dt / delta))
+        raise GridTooCoarse(
+            f"window length below one grid step; rerun with at least {factor}x steps",
+            factor=factor,
+        )
+    if math.isinf(delta):
+        return n_steps
+    return min(n_steps, max(1, int(math.floor(delta / dt + 1e-12))))
 
 
 def global_solve(
     problem: BsdeProblem,
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
-    config: SolverConfig | None = None,
+    config: SolverConfig,
+    consts: EmpiricalConstants,
+    factors: tuple[np.ndarray, np.ndarray],
+    terminal_values: np.ndarray,
+    radius: float,
+    first_steps: int,
+    tol: float,
+    report: SolverReport,
     f1_path: np.ndarray | None = None,
-) -> tuple[SolutionPair, SolverReport]:
-    """Solve the equation with a path-frozen (or absent) driver on [0, T].
+) -> SolutionPair:
+    """Right-to-left window sweep on [0, T] for one frozen driver path.
 
-    The first window ends at T with the declared terminal bound; its solution
-    fits the blow-up constant C_2, which supplies the radius
-    R_2 = 2 M_alpha C_2 / delta_1^(theta-alpha) and the constant window length
-    delta_2 = delta_3 = ... for all remaining windows.  Windows are pasted
-    right to left; the pasted values agree at the joins by construction.  A
-    positive monotonicity constant is removed by the exponential shift first
-    and the returned solution is shifted back.
+    ``general_solve`` supplies the per-grid inputs: step factors, terminal
+    values, the first window's ball radius and step count, and the Picard
+    tolerance.  The first window ends at T; its solution fits the blow-up
+    constant C_2, which supplies the radius R_2 = 2 M_alpha C_2 /
+    delta_1^(theta-alpha) and the constant window length delta_2 = delta_3 =
+    ... for all remaining windows.  Pasted values agree at the joins by
+    construction.  A window whose Picard iteration diverges or leaves the ball
+    is halved.  Window statistics, C_2 and the paste selection are written to
+    ``report``; ``problem.f1`` is ignored, the driver enters through
+    ``f1_path``.
     """
-    config = config or SolverConfig()
-    if problem.f1 is not None and f1_path is None:
-        raise SolverError("y/z-dependent driver: use general_solve or pass f1_path")
-    if config.require_validated and not problem.validated:
-        raise SolverError(
-            "problem has not passed hypothesis validation; run validate_problem "
-            "or set require_validated=False"
-        )
-    t0 = time.perf_counter()
-    base_steps = ensemble.grid.n_steps
-    for attempt in range(3):
-        try:
-            solution, report = _global_solve_once(problem, ensemble, basis, config, f1_path)
-            report.grid_refined = ensemble.grid.n_steps // base_steps
-            report.runtime_seconds = time.perf_counter() - t0
-            return solution, report
-        except _NeedsFinerGrid as need:
-            if not config.auto_refine_grid:
-                raise GridTooCoarse(
-                    "window length below one grid step; rerun with at least "
-                    f"{need.factor}x steps",
-                    factor=need.factor,
-                )
-            grid = TimeGrid.uniform(ensemble.grid.horizon, ensemble.grid.n_steps * need.factor)
-            log.info("refining grid x%d and resampling (seed %d)", need.factor, ensemble.seed)
-            ensemble = sample_ensemble(grid, ensemble.n_noise, ensemble.n_paths, ensemble.seed)
-            if f1_path is not None:
-                f1_path = np.repeat(f1_path, need.factor, axis=0)
-    raise GridTooCoarse("grid refinement did not reach the required window resolution")
-
-
-def _global_solve_once(problem, ensemble, basis, config, f1_path):
-    report = SolverReport(
-        alpha=problem.alpha,
-        theta=problem.theta,
-        seed=ensemble.seed,
-        n_paths=ensemble.n_paths,
-        n_steps=ensemble.grid.n_steps,
-        n_noise=ensemble.n_noise,
-    )
-    lam = problem.f0.monotonicity
-    work = problem
-    if config.auto_shift and lam > 0.0:
-        work = exponential_shift(problem, lam)
-        work.validated = problem.validated
-        report.lambda_shift = lam
-        if f1_path is not None:
-            f1_path = f1_path * np.exp(lam * ensemble.grid.times[:-1])[:, None, None]
-    else:
-        lam = 0.0
-
-    op, alpha = work.operator, work.alpha
+    op, alpha, theta = problem.operator, problem.alpha, problem.theta
     grid = ensemble.grid
     times = grid.times
     n_steps = grid.n_steps
     dt = float(times[1] - times[0])
-    if not np.allclose(grid.deltas, dt, rtol=1e-9):
-        raise SolverError("window scheduling requires a uniform time grid")
-
-    rng = _estimator_rng(ensemble.seed)
-    raw = estimate_constants(
-        op, alpha, work.horizon, theta=work.theta if work.theta > alpha else None,
-        rng=rng, trials=config.constants_trials,
-    )
-    consts = raw.scaled(config.safety_margin)
-    report.constants = {"raw": raw.to_dict(), "scaled": consts.to_dict()}
-
-    if ensemble.n_noise != problem.noise_dim:
-        raise SolverError(
-            f"ensemble carries {ensemble.n_noise} noise coordinates, problem declares "
-            f"{problem.noise_dim}"
-        )
-    terminal_values = np.asarray(work.terminal(ensemble), dtype=float)
-    if terminal_values.shape != (ensemble.n_paths, op.dimension):
-        raise SolverError("terminal map returned the wrong shape")
-    term_norms = h_alpha_norm_batch(op, alpha, terminal_values)
-    if math.isfinite(work.terminal_bound) and float(term_norms.max()) > work.terminal_bound * (
-        1.0 + 1e-9
-    ):
-        raise SolverError(
-            f"terminal alpha norm {term_norms.max():g} exceeds the declared bound "
-            f"{work.terminal_bound:g} on some path"
-        )
-
-    sel1 = select_local_radius_and_delta(work, work.terminal_bound, consts)
-    report.selection = sel1.to_dict()
-    delta1 = sel1.delta
-    if config.window_override is not None:
-        delta1 = min(delta1, config.window_override)
-    if delta1 < dt:
-        raise _NeedsFinerGrid(max(2, math.ceil(dt / delta1)))
-    n1 = n_steps if math.isinf(delta1) else min(
-        n_steps, max(1, int(math.floor(delta1 / dt + 1e-12)))
-    )
-
-    tol = config.tol if config.tol is not None else _auto_tol(terminal_values)
 
     y_full = np.empty((n_steps + 1,) + terminal_values.shape)
     y_full[n_steps] = terminal_values
     windows: list[WindowStats] = []
+    messages: list[str] = []
     rank_flags = 0
+    paste: dict = {}
+    c2 = math.nan
+    window_count = 1
 
     end = n_steps
-    term_vals = terminal_values
-    radius = sel1.radius
-    n2 = None
-    c2 = math.nan
-    delta1_actual = None
+    steps_per_window = first_steps
     while end > 0:
-        first = delta1_actual is None
-        steps = n1 if first else n2
-        steps = min(steps, end)
+        first = end == n_steps
+        steps = min(steps_per_window, end)
         halvings = 0
         while True:
             try:
                 result = local_solve(
-                    work, ensemble, basis, end - steps, end, term_vals, radius,
+                    problem, ensemble, basis, factors, end - steps, end, y_full[end], radius,
                     tol=tol, max_iter=config.max_iter, min_iter=config.min_iter,
                     f1_path=f1_path,
                 )
@@ -861,61 +756,42 @@ def _global_solve_once(problem, ensemble, basis, config, f1_path):
             except (PicardDivergence, RadiusExceeded) as err:
                 halvings += 1
                 steps //= 2
-                report.messages.append(f"window ending at node {end}: {err}; halving")
+                messages.append(f"window ending at node {end}: {err}; halving")
                 if steps < 1:
                     raise
         result.stats.halvings = halvings
         windows.append(result.stats)
         rank_flags += result.rank_flags
         y_full[end - steps : end + 1] = result.y
-        term_vals = y_full[end - steps]
         end -= steps
 
         if first:
-            delta1_actual = steps * dt
+            delta1 = steps * dt
             window_nodes = slice(end, n_steps + 1)
-            theta_gap = work.theta - alpha
-            theta_norms = h_alpha_norm_batch(op, work.theta, y_full[window_nodes]) \
-                if work.theta > 0 else np.linalg.norm(y_full[window_nodes], axis=-1)
+            theta_gap = theta - alpha
+            theta_norms = h_alpha_norm_batch(op, theta, y_full[window_nodes]) \
+                if theta > 0 else np.linalg.norm(y_full[window_nodes], axis=-1)
             weights = (times[-1] - times[window_nodes]) ** theta_gap
             c2 = float((theta_norms.max(axis=1) * weights).max())
-            report.c2_fit = c2
             if end > 0:
-                bound2 = c2 / delta1_actual ** theta_gap if theta_gap > 0 else c2
-                sel2 = select_local_radius_and_delta(work, bound2, consts)
-                report.selection_paste = sel2.to_dict()
+                bound2 = c2 / delta1 ** theta_gap if theta_gap > 0 else c2
+                sel2 = select_local_radius_and_delta(problem, bound2, consts)
+                paste = sel2.to_dict()
                 radius = sel2.radius
-                delta2 = sel2.delta
-                if config.window_override is not None:
-                    delta2 = min(delta2, config.window_override)
-                if delta2 < dt:
-                    raise _NeedsFinerGrid(max(2, math.ceil(dt / delta2)))
-                n2 = n_steps if math.isinf(delta2) else min(
-                    n_steps, max(1, int(math.floor(delta2 / dt + 1e-12)))
-                )
+                steps_per_window = _window_steps(sel2.delta, dt, n_steps, config)
+                window_count = 1 + math.ceil(end / steps_per_window)
 
     report.windows = windows
+    report.messages = messages
     report.picard_factors = [f for w in windows for f in w.factors]
     report.rank_deficient_count = rank_flags
     report.delta_schedule = [(w.end_index - w.start_index) * dt for w in windows]
-    if n2 is not None:
-        remaining = n_steps - int(round(delta1_actual / dt))
-        report.window_count_formula = 1 + math.ceil(remaining / n2) if remaining > 0 else 1
-    else:
-        report.window_count_formula = 1
+    report.c2_fit = c2
+    report.selection_paste = paste
+    report.window_count_formula = window_count
 
-    prop = _Propagator(op, grid)
-    z_full = _recover_z(work, ensemble, basis, prop, 0, n_steps, y_full)
-    shifted_solution = SolutionPair(grid=grid, y=y_full, z=z_full)
-
-    _record_bound_checks(work, report, shifted_solution)
-    solution = unshift_solution(shifted_solution, lam)
-    if config.compute_residual:
-        unshifted_f1_path = None
-        if f1_path is not None:
-            unshifted_f1_path = f1_path * np.exp(-lam * times[:-1])[:, None, None]
-        report.residual_value = residual(problem, solution, ensemble, f1_path=unshifted_f1_path)
-    return solution, report
+    z_full = _recover_z(ensemble, basis, factors[0], 0, n_steps, y_full)
+    return SolutionPair(grid=grid, y=y_full, z=z_full)
 
 
 def _record_bound_checks(work: BsdeProblem, report: SolverReport, sol: SolutionPair) -> None:
@@ -947,7 +823,12 @@ def _record_bound_checks(work: BsdeProblem, report: SolverReport, sol: SolutionP
 
 
 # ---------------------------------------------------------------------------
-# outer fixed point for the coupled driver
+# the solve driver: per-solve work, grid refinement, outer fixed point
+
+
+def _estimator_rng(seed: int) -> np.random.Generator:
+    # distinct stream from the path blocks, which use spawn keys 0..n_blocks-1
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2 ** 20,)))
 
 
 def _weighted_distance(grid: TimeGrid, beta: float, dy: np.ndarray, dz: np.ndarray) -> float:
@@ -964,116 +845,151 @@ def general_solve(
     basis: RegressionBasis,
     config: SolverConfig | None = None,
 ) -> tuple[SolutionPair, SolverReport]:
-    """Solve the (y, z)-coupled equation by the weighted outer fixed point.
+    """Solve the equation on [0, T]: the one solve driver.
 
-    Each outer step freezes f1 along the current iterate's paths and calls
-    ``global_solve``; distances between successive (Y, Z) are measured in the
-    exp(beta t)-weighted ensemble norm with beta = 4 K^2 + 1, under which the
-    squared distances contract by 1/2 in theory.  A driver independent of
-    (y, z) (K = 0) finishes in a single outer iteration.
+    Once per solve: the validation gate, the exponential shift that removes a
+    positive monotonicity constant from f0, and the empirical operator
+    constants.  Once per grid: step factors, terminal values and their bound
+    check, the Picard tolerance and the first window selection.  A window
+    shorter than one grid step restarts on a grid refined by an integer factor
+    and resampled from the same seed, up to three grids in all.
+
+    The (y, z)-coupled driver f1 is handled by the weighted outer fixed point:
+    each outer step freezes f1 along the current iterate's paths and runs the
+    window sweep ``global_solve``.  Distances between successive (Y, Z) are
+    measured in the exp(beta t)-weighted ensemble norm with beta = 4 K^2 + 1,
+    under which the squared distances contract by 1/2 in theory.  Without f1
+    the loop ends after one sweep; a driver independent of (y, z) (K = 0)
+    ends it after one outer step.  The returned solution is shifted back.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
-    if problem.f1 is None:
-        solution, report = global_solve(problem, ensemble, basis, config)
-        report.runtime_seconds = time.perf_counter() - t0
-        return solution, report
     if config.require_validated and not problem.validated:
         raise SolverError(
             "problem has not passed hypothesis validation; run validate_problem "
             "or set require_validated=False"
         )
-
+    if ensemble.n_noise != problem.noise_dim:
+        raise SolverError(
+            f"ensemble carries {ensemble.n_noise} noise coordinates, problem declares "
+            f"{problem.noise_dim}"
+        )
+    mu = problem.f0.monotonicity
+    lam = mu if config.auto_shift and mu > 0.0 else 0.0
+    work = exponential_shift(problem, lam)
+    # The sweep sees f1 only as a frozen path, so window selection and the
+    # a-priori bound C1 use driver bound 0.  C1 is a solve.csv column: using
+    # the true bound changes the byte-identical output of every f1 problem.
+    frozen = replace(work, f1=None)
+    f1 = work.f1
     k_lip = problem.driver_lipschitz
     beta = 4.0 * k_lip ** 2 + 1.0
-    lam = problem.f0.monotonicity
-    work = problem
-    if config.auto_shift and lam > 0.0:
-        work = exponential_shift(problem, lam)
-        work.validated = problem.validated
-    else:
-        lam = 0.0
+    op, alpha = work.operator, work.alpha
 
-    # the outer iterate arrays live on one fixed grid, so refinement requests
-    # from the window formulas are handled here by restarting on a finer grid
-    inner_config = replace(
-        config, auto_shift=False, compute_residual=False, auto_refine_grid=False
+    raw = estimate_constants(
+        op, alpha, work.horizon, theta=work.theta if work.theta > alpha else None,
+        rng=_estimator_rng(ensemble.seed), trials=config.constants_trials,
     )
-    f1 = work.f1
+    consts = raw.scaled(config.safety_margin)
+    report = SolverReport(
+        alpha=problem.alpha,
+        theta=problem.theta,
+        lambda_shift=lam,
+        seed=ensemble.seed,
+        n_paths=ensemble.n_paths,
+        n_noise=ensemble.n_noise,
+        constants={"raw": raw.to_dict(), "scaled": consts.to_dict()},
+    )
+
     base_steps = ensemble.grid.n_steps
-    outcome = None
-    for grid_attempt in range(3):
+    for _ in range(3):
+        grid = ensemble.grid
+        times = grid.times
         try:
-            outcome = _outer_iteration(
-                work, ensemble, basis, config, inner_config, f1, beta, k_lip
-            )
+            dt = float(times[1] - times[0])
+            if not np.allclose(grid.deltas, dt, rtol=1e-9):
+                raise SolverError("window scheduling requires a uniform time grid")
+            factors = _step_factors(op, grid.deltas)
+            terminal_values = np.asarray(work.terminal(ensemble), dtype=float)
+            if terminal_values.shape != (ensemble.n_paths, op.dimension):
+                raise SolverError("terminal map returned the wrong shape")
+            term_max = float(h_alpha_norm_batch(op, alpha, terminal_values).max())
+            if math.isfinite(work.terminal_bound) and term_max > work.terminal_bound * (
+                1.0 + 1e-9
+            ):
+                raise SolverError(
+                    f"terminal alpha norm {term_max:g} exceeds the declared bound "
+                    f"{work.terminal_bound:g} on some path"
+                )
+            first = select_local_radius_and_delta(frozen, work.terminal_bound, consts)
+            first_steps = _window_steps(first.delta, dt, grid.n_steps, config)
+            tol = config.tol if config.tol is not None else _auto_tol(terminal_values)
+            report.n_steps = grid.n_steps
+            report.selection = first.to_dict()
+
+            if f1 is not None:
+                u = np.zeros((grid.n_steps + 1,) + terminal_values.shape)
+                v = np.zeros((grid.n_steps,) + terminal_values.shape + (ensemble.n_noise,))
+            distances: list[float] = []
+            sq_factors: list[float] = []
+            bad_streak = 0
+            for _ in range(config.max_outer):
+                f1_path = None
+                if f1 is not None:
+                    f1_path = np.empty((grid.n_steps,) + terminal_values.shape)
+                    for l in range(grid.n_steps):
+                        f1_path[l] = f1(float(times[l]), u[l], v[l])
+                shifted = global_solve(
+                    frozen, ensemble, basis, config, consts, factors, terminal_values,
+                    first.radius, first_steps, tol, report, f1_path=f1_path,
+                )
+                if f1 is None:
+                    break
+                dist = _weighted_distance(grid, beta, shifted.y - u, shifted.z - v)
+                if distances:
+                    prev = distances[-1]
+                    sq = (dist / prev) ** 2 if prev > 0 else 0.0
+                    sq_factors.append(sq)
+                    bad_streak = bad_streak + 1 if sq >= 1.0 else 0
+                    if bad_streak >= 2:
+                        raise OuterDivergence(
+                            f"weighted squared factor at or above one twice (last {sq:.3f})"
+                        )
+                distances.append(dist)
+                u, v = shifted.y, shifted.z
+                tol_outer = config.tol_outer
+                if tol_outer is None:
+                    tol_outer = max(1e-9, 0.02 * distances[0])
+                if dist == 0.0 or dist < tol_outer or k_lip == 0.0:
+                    break
+            else:
+                raise OuterDivergence(
+                    f"outer iteration did not converge within {config.max_outer} steps"
+                )
             break
         except GridTooCoarse as need:
             if not config.auto_refine_grid:
                 raise
-            grid = TimeGrid.uniform(ensemble.grid.horizon, ensemble.grid.n_steps * need.factor)
-            log.info("outer loop: refining grid x%d (seed %d)", need.factor, ensemble.seed)
-            ensemble = sample_ensemble(grid, ensemble.n_noise, ensemble.n_paths, ensemble.seed)
-    if outcome is None:
+            log.info("refining grid x%d and resampling (seed %d)", need.factor, ensemble.seed)
+            finer = TimeGrid.uniform(grid.horizon, grid.n_steps * need.factor)
+            ensemble = sample_ensemble(finer, ensemble.n_noise, ensemble.n_paths, ensemble.seed)
+    else:
         raise GridTooCoarse("grid refinement did not reach the required window resolution")
-    u, v, distances, sq_factors, inner_report = outcome
-    grid = ensemble.grid
 
-    report = inner_report
-    report.lambda_shift = lam
-    report.grid_refined = grid.n_steps // base_steps
-    report.outer = {
-        "beta": beta,
-        "lipschitz": k_lip,
-        "iterations": len(distances),
-        "distances": distances,
-        "squared_factors": sq_factors,
-    }
-    shifted = SolutionPair(grid=grid, y=u, z=v)
+    report.grid_refined = ensemble.grid.n_steps // base_steps
+    if f1 is not None:
+        report.outer = {
+            "beta": beta,
+            "lipschitz": k_lip,
+            "iterations": len(distances),
+            "distances": distances,
+            "squared_factors": sq_factors,
+        }
+    _record_bound_checks(frozen, report, shifted)
     solution = unshift_solution(shifted, lam)
-    if config.compute_residual:
-        report.residual_value = residual(problem, solution, ensemble)
+    report.residual_value = residual(problem, solution, ensemble)
     report.runtime_seconds = time.perf_counter() - t0
     return solution, report
-
-
-def _outer_iteration(work, ensemble, basis, config, inner_config, f1, beta, k_lip):
-    """Iterate the frozen-driver map on one fixed grid until the weighted
-    distance of successive (Y, Z) pairs drops below the outer tolerance."""
-    grid = ensemble.grid
-    times = grid.times
-    m, n = ensemble.n_paths, work.operator.dimension
-    u = np.zeros((grid.n_steps + 1, m, n))
-    v = np.zeros((grid.n_steps, m, n, ensemble.n_noise))
-    distances: list[float] = []
-    sq_factors: list[float] = []
-    inner_report = None
-    bad_streak = 0
-    for it in range(1, config.max_outer + 1):
-        f1_path = np.empty((grid.n_steps, m, n))
-        for l in range(grid.n_steps):
-            f1_path[l] = f1(float(times[l]), u[l], v[l])
-        frozen = replace(work, f1=None)
-        frozen.validated = work.validated
-        sol, inner_report = global_solve(frozen, ensemble, basis, inner_config, f1_path=f1_path)
-        dist = _weighted_distance(grid, beta, sol.y - u, sol.z - v)
-        if distances:
-            prev = distances[-1]
-            sq = (dist / prev) ** 2 if prev > 0 else 0.0
-            sq_factors.append(sq)
-            bad_streak = bad_streak + 1 if sq >= 1.0 else 0
-            if bad_streak >= 2:
-                raise OuterDivergence(
-                    f"weighted squared factor at or above one twice (last {sq:.3f})"
-                )
-        distances.append(dist)
-        u, v = sol.y, sol.z
-        tol_outer = config.tol_outer
-        if tol_outer is None:
-            tol_outer = max(1e-9, 0.02 * distances[0])
-        if dist == 0.0 or dist < tol_outer or k_lip == 0.0:
-            return u, v, distances, sq_factors, inner_report
-    raise OuterDivergence(f"outer iteration did not converge within {config.max_outer} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1000,6 @@ def residual(
     problem: BsdeProblem,
     solution: SolutionPair,
     ensemble: WienerEnsemble,
-    f1_path: np.ndarray | None = None,
 ) -> float:
     """Ensemble-L2 defect of the integral equation along the solved paths.
 
@@ -1099,8 +1014,7 @@ def residual(
     y, z = solution.y, solution.z
     if z is None:
         raise SolverError("residual needs the stochastic-integral component")
-    op = problem.operator
-    prop = _Propagator(op, grid)
+    decay, kernel_int = _step_factors(problem.operator, grid.deltas)
     n_steps = grid.n_steps
 
     f_vals = np.zeros((n_steps,) + y.shape[1:])
@@ -1112,8 +1026,6 @@ def residual(
             val = f0(t, y[l])
         if problem.f1 is not None:
             val = val + problem.f1(t, y[l], z[l])
-        if f1_path is not None:
-            val = val + f1_path[l]
         f_vals[l] = val
 
     xi = y[-1]
@@ -1124,9 +1036,9 @@ def residual(
     total = 0.0
     for l in range(n_steps - 1, -1, -1):
         zdw = np.einsum("mnk,mk->mn", z[l], ensemble.increments[:, l, :])
-        int_f = prop.kernel_int[l] * f_vals[l] + prop.decay[l] * int_f
-        int_z = zdw + prop.decay[l] * int_z
-        prop_term = prop.decay[l] * prop_term
+        int_f = kernel_int[l] * f_vals[l] + decay[l] * int_f
+        int_z = zdw + decay[l] * int_z
+        prop_term = decay[l] * prop_term
         defect = y[l] - int_f + int_z - prop_term
         total += float(weights[l]) * float(np.mean(np.sum(defect ** 2, axis=-1)))
     return math.sqrt(total / grid.horizon)

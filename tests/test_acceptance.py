@@ -17,7 +17,6 @@ from mildbsde.solver import (
     BsdeProblem,
     SolverConfig,
     general_solve,
-    global_solve,
 )
 from mildbsde.spectral import (
     DiagonalOperator,
@@ -55,7 +54,7 @@ def linear_run(oracle_ensemble):
     prob = linear_problem(lambda e: e.paths()[:, -1, :1])
     basis = RegressionBasis(degree=2, ridge=1e-8)
     start = time.perf_counter()
-    sol, rep = global_solve(prob, oracle_ensemble, basis, SolverConfig())
+    sol, rep = general_solve(prob, oracle_ensemble, basis, SolverConfig())
     elapsed = time.perf_counter() - start
     return sol, rep, elapsed
 
@@ -109,7 +108,7 @@ class TestCriterion2QuadraticOracle:
     def test_second_moment_representation(self, oracle_ensemble):
         prob = linear_problem(lambda e: e.paths()[:, -1, :1] ** 2)
         basis = RegressionBasis(degree=2, ridge=1e-8)
-        sol, rep = global_solve(prob, oracle_ensemble, basis, SolverConfig())
+        sol, rep = general_solve(prob, oracle_ensemble, basis, SolverConfig())
         grid = oracle_ensemble.grid
         w = oracle_ensemble.paths()[:, :, 0].T
         truth = w ** 2 + (1.0 - grid.times)[:, None]
@@ -270,7 +269,7 @@ class TestCriterion9ResidualConvergence:
         for m in (1000, 10000):
             ens = sample_ensemble(grid, 1, m, seed=3141)
             prob = linear_problem(lambda e: e.paths()[:, -1, :1])
-            sol, rep = global_solve(prob, ens, basis, SolverConfig())
+            sol, rep = general_solve(prob, ens, basis, SolverConfig())
             residuals[m] = rep.residual_value
         ratio = residuals[1000] / residuals[10000]
         ok = ratio >= 2.5

@@ -16,7 +16,7 @@ from mildbsde.models import (
     spin_drift_fn,
     validate_problem,
 )
-from mildbsde.solver import DissipativeDrift, SolverConfig, global_solve
+from mildbsde.solver import DissipativeDrift, SolverConfig, general_solve
 from mildbsde.spectral import h_alpha_norm_batch
 from mildbsde.wiener import RegressionBasis, TimeGrid, sample_ensemble
 
@@ -76,7 +76,7 @@ class TestReactionDiffusion:
         prob.validated = True
         grid = TimeGrid.uniform(1.0, 40)
         ens = sample_ensemble(grid, 4, 2000, seed=9)
-        sol, rep = global_solve(prob, ens, RegressionBasis(degree=2, n_coords=2), SolverConfig())
+        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2, n_coords=2), SolverConfig())
         xi = prob.terminal(ens)
         a = prob.operator.eigenvalues
         for l in (0, 20, 40):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import mildbsde.solver
 from mildbsde.solver import (
     BoundedDriver,
     BsdeProblem,
@@ -14,19 +15,20 @@ from mildbsde.solver import (
     SolverConfig,
     SolverError,
     WindowCollapse,
+    _ball_check,
+    _picard_targets,
+    _project_to_ball,
     apriori_h_bound,
     blowup_bound,
     exponential_shift,
     general_solve,
-    global_solve,
     local_solve,
-    picard_map,
     residual,
     select_local_radius_and_delta,
     unshift_solution,
     zero_drift,
 )
-from mildbsde.spectral import DiagonalOperator, EmpiricalConstants
+from mildbsde.spectral import DiagonalOperator, EmpiricalConstants, _step_factors
 from mildbsde.wiener import RegressionBasis, TimeGrid, sample_ensemble
 
 
@@ -204,16 +206,14 @@ def small_ensemble():
 
 class TestPicardMap:
     def test_deterministic_terminal_is_semigroup_flow(self, small_ensemble):
-        # no drift, deterministic terminal: Y(t) = exp((b-t)A) xi on every path
+        # no drift, deterministic terminal: Y(t) = exp((T-t)A) xi on every path
         op = DiagonalOperator([2.0])
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0)
-        basis = RegressionBasis(degree=2)
-        xi = np.ones((small_ensemble.n_paths, 1))
-        sol = picard_map(prob, small_ensemble, basis, 20, 50, xi, u=None, with_z=True)
+        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         times = small_ensemble.grid.times
-        for j, l in enumerate(range(20, 51)):
+        for l in range(51):
             expect = math.exp(-2.0 * (times[50] - times[l]))
-            np.testing.assert_allclose(sol.y[j], expect, rtol=1e-6)
+            np.testing.assert_allclose(sol.y[l], expect, rtol=1e-6)
         assert np.max(np.abs(sol.z)) < 1e-6
 
     def test_terminal_row_exact(self, small_ensemble):
@@ -221,16 +221,16 @@ class TestPicardMap:
         prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
         basis = RegressionBasis(degree=2)
         xi = small_ensemble.paths()[:, -1, :1]
-        sol = picard_map(prob, small_ensemble, basis, 30, 50, xi, u=None)
-        np.testing.assert_array_equal(sol.y[-1], xi)
+        factors = _step_factors(op, small_ensemble.grid.deltas)
+        res = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=math.inf,
+                          tol=1e-9)
+        np.testing.assert_array_equal(res.y[-1], xi)
 
     def test_brownian_martingale_representation(self, small_ensemble):
-        # A = 0, terminal W_b: Y(t) = W_t and Z = 1
+        # A = 0, terminal W_T: Y(t) = W_t and Z = 1
         op = DiagonalOperator([0.0])
         prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
-        basis = RegressionBasis(degree=2)
-        xi = small_ensemble.paths()[:, -1, :1]
-        sol = picard_map(prob, small_ensemble, basis, 0, 50, xi, u=None, with_z=True)
+        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         w = small_ensemble.paths()[:, :, 0].T
         err = np.sqrt(np.mean((sol.y[:, :, 0] - w) ** 2, axis=1))
         scale = np.sqrt(np.mean(w[1:] ** 2, axis=1))
@@ -244,11 +244,21 @@ class TestPicardMap:
             fn=lambda t, y: -y, growth_scale=1.0, growth_power=2.0, lipschitz=1.0
         )
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0, f0=f0)
-        basis = RegressionBasis(degree=2)
         xi = np.ones((small_ensemble.n_paths, 1))
         u = 5.0 * np.ones((31, small_ensemble.n_paths, 1))
+        factors = _step_factors(op, small_ensemble.grid.deltas)
         with pytest.raises(RadiusExceeded):
-            picard_map(prob, small_ensemble, basis, 20, 50, xi, u=u, radius=2.0)
+            _picard_targets(prob, factors, small_ensemble.grid.times, 20, 50, xi, u, None, 2.0)
+
+    def test_projected_states_pass_ball_check(self):
+        # rescaling onto the radius leaves some states a few ulp outside it;
+        # the ball check must accept every state the projection produced
+        op = DiagonalOperator(np.arange(1.0, 6.0))
+        prob = make_problem(op, lambda e: np.zeros((e.n_paths, 5)), bound=1.0)
+        radius = 0.3779523779525669
+        y = np.random.default_rng(0).standard_normal((2, 1000, 5))
+        assert _project_to_ball(prob, y, radius) == 1000
+        assert _ball_check(prob, y[:-1], radius) == pytest.approx(radius, rel=1e-12)
 
     def test_vanishing_drift_matches_terminal_term(self, small_ensemble):
         # f0(t, 0) = 0 and U = 0: the map returns the pure terminal projection
@@ -257,12 +267,13 @@ class TestPicardMap:
             fn=lambda t, y: -(y ** 3), growth_scale=1.0, growth_power=3.0, lipschitz=1.0
         )
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0, f0=f0)
-        basis = RegressionBasis(degree=2)
         xi = np.ones((small_ensemble.n_paths, 1))
         u = np.zeros((31, small_ensemble.n_paths, 1))
-        with_drift = picard_map(prob, small_ensemble, basis, 20, 50, xi, u=u, radius=10.0)
-        without = picard_map(prob, small_ensemble, basis, 20, 50, xi, u=None)
-        np.testing.assert_allclose(with_drift.y, without.y, atol=1e-12)
+        factors = _step_factors(op, small_ensemble.grid.deltas)
+        times = small_ensemble.grid.times
+        with_drift = _picard_targets(prob, factors, times, 20, 50, xi, u, None, 10.0)
+        without = _picard_targets(prob, factors, times, 20, 50, xi, None, None, 10.0)
+        np.testing.assert_allclose(with_drift, without, atol=1e-12)
 
 
 class TestLocalSolve:
@@ -271,7 +282,8 @@ class TestLocalSolve:
         prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
         basis = RegressionBasis(degree=2)
         xi = small_ensemble.paths()[:, -1, :1]
-        res = local_solve(prob, small_ensemble, basis, 0, 50, xi, radius=math.inf,
+        factors = _step_factors(op, small_ensemble.grid.deltas)
+        res = local_solve(prob, small_ensemble, basis, factors, 0, 50, xi, radius=math.inf,
                           tol=1e-9, min_iter=1)
         assert res.stats.iterations == 1
         assert res.stats.distances == [0.0]
@@ -288,9 +300,10 @@ class TestLocalSolve:
         basis = RegressionBasis(degree=2)
         xi = np.tanh(small_ensemble.paths()[:, -1, :1])
         tol = 1e-10
-        a = local_solve(prob, small_ensemble, basis, 30, 50, xi, radius=3.0,
+        factors = _step_factors(op, small_ensemble.grid.deltas)
+        a = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=3.0,
                         tol=tol, min_iter=2, initial="terminal")
-        b = local_solve(prob, small_ensemble, basis, 30, 50, xi, radius=3.0,
+        b = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=3.0,
                         tol=tol, min_iter=2, initial="zero")
         assert all(f <= 0.6 for f in a.stats.factors)
         scale = np.sqrt(np.mean(a.y ** 2))
@@ -307,8 +320,9 @@ class TestLocalSolve:
         prob = make_problem(op, lambda e: e.paths()[:, -1, :1] * 0.1, bound=math.inf, f0=f0)
         basis = RegressionBasis(degree=2)
         xi = 0.1 * small_ensemble.paths()[:, -1, :1]
+        factors = _step_factors(op, small_ensemble.grid.deltas)
         with pytest.raises(PicardDivergence):
-            local_solve(prob, small_ensemble, basis, 0, 50, xi, radius=math.inf,
+            local_solve(prob, small_ensemble, basis, factors, 0, 50, xi, radius=math.inf,
                         tol=1e-12, max_iter=8, min_iter=2)
 
 
@@ -320,12 +334,12 @@ class TestGlobalSolve:
             terminal=lambda e: e.paths()[:, -1, :1], terminal_bound=math.inf,
         )
         with pytest.raises(SolverError):
-            global_solve(prob, small_ensemble, RegressionBasis(), SolverConfig())
+            general_solve(prob, small_ensemble, RegressionBasis(), SolverConfig())
 
     def test_terminal_bit_exact_and_z_shape(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
-        sol, rep = global_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         np.testing.assert_array_equal(sol.y[-1], small_ensemble.paths()[:, -1, :1])
         assert sol.z.shape == (50, small_ensemble.n_paths, 1, 1)
         assert len(rep.windows) == 1  # drift-free: one window covers [0, T]
@@ -342,7 +356,7 @@ class TestGlobalSolve:
         prob = make_problem(op, lambda e: 0.5 * np.tanh(e.paths()[:, -1, :1]),
                             bound=0.5, f0=f0)
         cfg = SolverConfig(window_override=0.15)
-        sol, rep = global_solve(prob, ens, RegressionBasis(degree=2), cfg)
+        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2), cfg)
         assert len(rep.windows) > 1
         # joins share the same stored values: reconstruct per-window ends
         for w in rep.windows:
@@ -375,8 +389,8 @@ class TestGlobalSolve:
         basis = RegressionBasis(degree=2)
         shifted_cfg = SolverConfig(auto_shift=True, tol=1e-9, auto_refine_grid=False)
         folded_cfg = SolverConfig(auto_shift=False, tol=1e-9, auto_refine_grid=False)
-        sol_a, rep_a = global_solve(prob, ens, basis, shifted_cfg)
-        sol_b, rep_b = global_solve(prob, ens, basis, folded_cfg)
+        sol_a, rep_a = general_solve(prob, ens, basis, shifted_cfg)
+        sol_b, rep_b = general_solve(prob, ens, basis, folded_cfg)
         assert rep_a.lambda_shift == mu and rep_b.lambda_shift == 0.0
         assert sol_a.grid.n_steps == sol_b.grid.n_steps == 320
         scale = np.sqrt(np.mean(sol_a.y ** 2))
@@ -390,7 +404,7 @@ class TestGlobalSolve:
         )
         prob = make_problem(op, lambda e: 0.5 * np.tanh(e.paths()[:, -1, :1]),
                             bound=0.5, f0=f0)
-        sol, rep = global_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         assert rep.max_y_h <= 1.1 * rep.c1_bound
 
 
@@ -418,7 +432,8 @@ class TestGeneralSolve:
         assert rep.outer["iterations"] == 1
         assert rep.outer["beta"] == 1.0
 
-    def test_coupled_driver_contracts(self):
+    @staticmethod
+    def _coupled(terminal=lambda e: 0.4 * np.tanh(e.paths()[:, -1, :1])):
         grid = TimeGrid.uniform(1.0, 40)
         ens = sample_ensemble(grid, 1, 4000, seed=91)
         op = DiagonalOperator([1.0])
@@ -426,12 +441,37 @@ class TestGeneralSolve:
             fn=lambda t, y, z: -0.5 * np.tanh(y + z[..., 0]),
             lipschitz_const=0.5, bound=0.5,
         )
-        prob = make_problem(op, lambda e: 0.4 * np.tanh(e.paths()[:, -1, :1]),
-                            bound=0.4, f1=f1)
+        return make_problem(op, terminal, bound=0.4, f1=f1), ens
+
+    def test_coupled_driver_contracts(self):
+        prob, ens = self._coupled()
         sol, rep = general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
         assert rep.outer["beta"] == pytest.approx(2.0)
         assert rep.outer["iterations"] <= 10
         assert all(f <= 0.6 for f in rep.outer["squared_factors"])
+
+    @pytest.mark.parametrize("window_override, grids", [(None, 1), (0.015, 2)])
+    def test_per_solve_work_runs_once(self, monkeypatch, window_override, grids):
+        # the constants depend on no grid and the terminal values on no outer
+        # iterate; an override below one step (0.025) forces one refinement
+        calls = {"constants": 0, "terminal": 0}
+        estimate = mildbsde.solver.estimate_constants
+
+        def counted_estimate(*args, **kwargs):
+            calls["constants"] += 1
+            return estimate(*args, **kwargs)
+
+        def counted_terminal(e):
+            calls["terminal"] += 1
+            return 0.4 * np.tanh(e.paths()[:, -1, :1])
+
+        monkeypatch.setattr(mildbsde.solver, "estimate_constants", counted_estimate)
+        prob, ens = self._coupled(counted_terminal)
+        cfg = SolverConfig(window_override=window_override)
+        _, rep = general_solve(prob, ens, RegressionBasis(degree=2), cfg)
+        assert rep.outer["iterations"] > 1
+        assert rep.grid_refined == grids
+        assert calls == {"constants": 1, "terminal": grids}
 
 
 class TestResidual:
@@ -439,13 +479,13 @@ class TestResidual:
         # deterministic terminal, no drift: defect at quadrature/ridge scale
         op = DiagonalOperator([2.0])
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0)
-        sol, rep = global_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         assert rep.residual_value < 1e-6
 
     def test_unit_defect_injection(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0)
-        sol, rep = global_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         base = residual(prob, sol, small_ensemble)
         perturbed = type(sol)(grid=sol.grid, y=sol.y + 1.0, z=sol.z)
         # the terminal row moved too, so compare against the defect formula:
@@ -468,7 +508,7 @@ class TestResidual:
             ens = sample_ensemble(grid, 1, 5000, seed=271)
             op = DiagonalOperator([0.0])
             prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
-            _, rep = global_solve(prob, ens, basis, SolverConfig())
+            _, rep = general_solve(prob, ens, basis, SolverConfig())
             values.append(rep.residual_value)
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= 2.0 * prev
@@ -476,7 +516,7 @@ class TestResidual:
     def test_invariant_under_path_relabeling(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
-        sol, rep = global_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         perm = np.random.default_rng(5).permutation(small_ensemble.n_paths)
         shuffled_ens = type(small_ensemble)(
             grid=small_ensemble.grid,
@@ -516,7 +556,7 @@ class TestProblemValidation:
         op = DiagonalOperator([0.0])
         prob = make_problem(op, lambda e: e.paths()[:, -1, :1], bound=0.001)
         with pytest.raises(SolverError, match="declared bound"):
-            global_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+            general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
 
     def test_zero_drift_sentinel(self):
         assert zero_drift().is_zero
@@ -530,7 +570,7 @@ class TestProblemValidation:
         assert prob.theta == 0.6
         grid = TimeGrid.uniform(1.0, 20)
         ens = sample_ensemble(grid, 1, 500, seed=8)
-        sol, rep = global_solve(prob, ens, RegressionBasis(degree=1), SolverConfig())
+        sol, rep = general_solve(prob, ens, RegressionBasis(degree=1), SolverConfig())
         a = op.eigenvalues
         np.testing.assert_allclose(
             sol.y[0], np.broadcast_to(0.1 * np.exp(-a), sol.y[0].shape), rtol=1e-6
