@@ -134,29 +134,7 @@ def run_solve(cfg: ExperimentConfig) -> Path:
 
 
 def _dissipativity_item(problem, trials, rng) -> dict:
-    op, alpha = problem.operator, problem.alpha
-    radius = 2.0 * max(problem.terminal_bound, 1.0)
-    if not math.isfinite(radius):
-        radius = 2.0
-    if problem.label == "spin-chain":
-        # pairs agreeing on the boundary sites isolate the interior coupling
-        def sampler(r):
-            y = models._ball_samples(op, alpha, radius, 256, r)
-            delta = models._ball_samples(op, alpha, radius, 256, r)
-            delta[:, 0] = 0.0
-            delta[:, -1] = 0.0
-            return y, y + delta
-    else:
-        def sampler(r):
-            return (
-                models._ball_samples(op, alpha, radius, 256, r),
-                models._ball_samples(op, alpha, radius, 256, r),
-            )
-    mu = problem.f0.monotonicity
-    rep = models.check_dissipativity(
-        lambda y: problem.f0(0.0, y) - mu * y, sampler, trials, rng,
-        allowance=1e-12 * max(1.0, radius) ** 2,
-    )
+    rep = models.sample_dissipativity(problem, trials, rng)
     return {
         "passed": rep.passed,
         "detail": f"max inner product {rep.max_inner_product:.3e} over {rep.trials} pairs",
@@ -166,13 +144,7 @@ def _dissipativity_item(problem, trials, rng) -> dict:
 def _growth_item(problem, trials, rng) -> dict:
     if problem.f0.is_zero:
         return {"passed": True, "detail": "zero drift"}
-    op, alpha = problem.operator, problem.alpha
-    radius = 2.0 * max(problem.terminal_bound, 1.0)
-    rep = models.check_growth_and_lipschitz(
-        problem.f0, problem.f0.growth_scale, problem.f0.growth_power, problem.f0.lipschitz,
-        lambda r: models._ball_samples(op, alpha, radius, 256, r),
-        trials, op, alpha, radius, rng,
-    )
+    rep = models.sample_growth_and_lipschitz(problem, trials, rng)
     return {
         "passed": rep.growth_ok and rep.lipschitz_ok,
         "detail": (
@@ -395,8 +367,7 @@ def main(argv=None) -> int:
             if args.l_ladder:
                 l_ladder = [int(x) for x in args.l_ladder.split(",") if x.strip()]
             else:
-                problem = cfg.make_problem()
-                l_ladder = [cfg.resolved_discretization(problem)[1]]
+                l_ladder = [cfg.resolved_discretization()[1]]
             run_convergence_study(cfg, m_ladder, l_ladder)
         elif args.command == "gronwall-check":
             run_gronwall_check(

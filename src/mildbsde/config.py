@@ -1,6 +1,8 @@
 """Experiment configuration: INI files with sections, presets, and defaults.
 
-Schema (all keys optional unless noted):
+Schema (all keys optional unless noted; an unknown section or key, including
+a ``[model]`` key that is not a field of the preset's spec, is rejected as a
+``config`` validation failure):
 
     [experiment]
     preset = spin-chain | reaction-diffusion-1d   (required unless --preset given)
@@ -13,8 +15,7 @@ Schema (all keys optional unless noted):
 
     [discretization]
     paths = 10000
-    steps = 100
-    noise_dim =      ; defaults to the model's state dimension
+    steps = 100      ; the noise dimension is always the model's own
     basis_degree = 2
     basis_coords =   ; defaults to all noise coordinates
     ridge = 1e-8
@@ -93,7 +94,6 @@ class ExperimentConfig:
     model_overrides: dict = field(default_factory=dict)
     paths: int | None = None
     steps: int | None = None
-    noise_dim: int | None = None
     basis_degree: int = 2
     basis_coords: int | None = None
     ridge: float = 1e-8
@@ -109,17 +109,17 @@ class ExperimentConfig:
     def make_problem(self) -> BsdeProblem:
         return build_preset(self.preset, **self.model_overrides)
 
-    def resolved_discretization(self, problem: BsdeProblem) -> tuple[int, int, int]:
+    def resolved_discretization(self) -> tuple[int, int]:
+        """(paths, steps), with the preset's defaults for unset values."""
         defaults = _DISCRETIZATION_DEFAULTS.get(self.preset, {"paths": 4000, "steps": 80})
         paths = self.paths if self.paths is not None else defaults["paths"]
         steps = self.steps if self.steps is not None else defaults["steps"]
-        noise = self.noise_dim if self.noise_dim is not None else problem.noise_dim
-        return paths, steps, noise
+        return paths, steps
 
     def make_ensemble(self, problem: BsdeProblem) -> WienerEnsemble:
-        paths, steps, noise = self.resolved_discretization(problem)
+        paths, steps = self.resolved_discretization()
         grid = TimeGrid.uniform(problem.horizon, steps)
-        return sample_ensemble(grid, noise, paths, self.seed)
+        return sample_ensemble(grid, problem.noise_dim, paths, self.seed)
 
     def make_basis(self) -> RegressionBasis:
         return RegressionBasis(
@@ -127,82 +127,71 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "model_overrides": dict(self.model_overrides),
-            "paths": self.paths,
-            "steps": self.steps,
-            "noise_dim": self.noise_dim,
-            "basis_degree": self.basis_degree,
-            "basis_coords": self.basis_coords,
-            "ridge": self.ridge,
-            "solver": self.solver.to_dict(),
-            "validation_suite": list(self.validation_suite),
-            "validation_trials": self.validation_trials,
-        }
+        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
+        out.update(
+            model_overrides=dict(self.model_overrides),
+            solver=self.solver.to_dict(),
+            validation_suite=list(self.validation_suite),
+        )
+        return out
+
+
+# INI key -> SolverConfig field, for every field with a key
+_SOLVER_KEYS = {"auto_refine": "auto_refine_grid"} | {
+    k: k for k in ("tol", "tol_outer", "max_iter", "min_iter", "max_outer", "safety_margin",
+                   "window_override", "require_validated")
+}
+
+
+def _section(sections: dict, name: str, keys: dict) -> dict:
+    """Take one section's values, renamed by ``keys`` (INI key -> field name)."""
+    values = sections.pop(name, {})
+    unknown = sorted(set(values) - set(keys))
+    if unknown:
+        raise ValidationError("config", f"unknown key(s) in [{name}]: {', '.join(unknown)}")
+    return {keys[k]: v for k, v in values.items()}
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """Read an INI config; absent keys keep the dataclass defaults."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(str(path))
     if not read:
         raise ValidationError("config", f"cannot read config file {path}")
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    exp = {k: _convert(v) for k, v in sections.get("experiment", {}).items()}
-    model = {k: _convert(v) for k, v in sections.get("model", {}).items()}
-    disc = {k: _convert(v) for k, v in sections.get("discretization", {}).items()}
-    solver_raw = {k: _convert(v) for k, v in sections.get("solver", {}).items()}
-    val = {k: _convert(v) for k, v in sections.get("validation", {}).items()}
+    sections = {
+        name: {k: _convert(v) for k, v in parser.items(name)} for name in parser.sections()
+    }
+    exp = _section(sections, "experiment", {"preset": "preset", "seed": "seed", "out": "out_dir"})
+    model = sections.pop("model", {})
+    disc = _section(
+        sections, "discretization",
+        {k: k for k in ("paths", "steps", "basis_degree", "basis_coords", "ridge")},
+    )
+    solver = SolverConfig(**_section(sections, "solver", _SOLVER_KEYS))
+    val = _section(
+        sections, "validation", {"suite": "validation_suite", "trials": "validation_trials"}
+    )
+    if sections:
+        raise ValidationError("config", f"unknown section(s): {', '.join(sorted(sections))}")
 
-    preset = exp.get("preset")
-    if preset is None:
+    if exp.get("preset") is None:
         raise ValidationError("config", "[experiment] preset is required")
-    seed = exp.get("seed")
-    if seed is None:
+    if exp.get("seed") is None:
         raise ValidationError("config", "[experiment] seed is required")
+    exp["preset"], exp["seed"] = str(exp["preset"]), int(exp["seed"])
+    if "out_dir" in exp:
+        exp["out_dir"] = str(exp["out_dir"])
 
     if "coefficients" in model and isinstance(model["coefficients"], list):
         model["coefficients"] = np.asarray(model["coefficients"], dtype=float)
 
-    solver = SolverConfig(
-        tol=solver_raw.get("tol"),
-        tol_outer=solver_raw.get("tol_outer"),
-        max_iter=solver_raw.get("max_iter", 50),
-        min_iter=solver_raw.get("min_iter", 2),
-        max_outer=solver_raw.get("max_outer", 25),
-        safety_margin=solver_raw.get("safety_margin", 1.2),
-        window_override=solver_raw.get("window_override"),
-        require_validated=solver_raw.get("require_validated", True),
-        auto_refine_grid=solver_raw.get("auto_refine", True),
-    )
-
-    if "suite" not in val:
-        suite_tuple = VALIDATION_SUITE
-    else:
-        suite = val["suite"]
+    if "validation_suite" in val:
+        suite = val["validation_suite"]
         if suite is None:
-            suite_tuple = ()  # explicitly empty selection
+            val["validation_suite"] = ()  # explicitly empty selection
         elif isinstance(suite, list):
-            suite_tuple = tuple(suite)
-        elif isinstance(suite, str):
-            suite_tuple = tuple(s.strip() for s in suite.split(",") if s.strip())
+            val["validation_suite"] = tuple(suite)
         else:
-            suite_tuple = ()
+            val["validation_suite"] = (str(suite),)
 
-    return ExperimentConfig(
-        preset=str(preset),
-        seed=int(seed),
-        out_dir=str(exp.get("out", "mildbsde-out")),
-        model_overrides=model,
-        paths=disc.get("paths"),
-        steps=disc.get("steps"),
-        noise_dim=disc.get("noise_dim"),
-        basis_degree=disc.get("basis_degree", 2),
-        basis_coords=disc.get("basis_coords"),
-        ridge=disc.get("ridge", 1e-8),
-        solver=solver,
-        validation_suite=suite_tuple,
-        validation_trials=val.get("trials", 2000),
-    )
+    return ExperimentConfig(**exp, model_overrides=model, **disc, solver=solver, **val)

@@ -2,7 +2,11 @@
 
 Both builders return fully specified ``BsdeProblem`` instances and validate the
 standing hypotheses by sampling (growth, local Lipschitz bounds, dissipativity,
-driver boundedness) before the solver will accept them.
+driver boundedness) before the solver will accept them.  This module is the
+only place that knows how the sampled checks are run: their ball radius, their
+state samplers and their allowances.  ``mildbsde validate`` calls the same
+checks, so a problem's own pair sampler (the spin chain's boundary-matched
+pairs) is used in both places.
 
 Reaction-diffusion: Dirichlet Laplacian on an interval in its sine eigenbasis,
 polynomial reaction r (odd, increasing; default cubic) applied pointwise on a
@@ -14,7 +18,7 @@ telescoped coupling term nonpositive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -37,6 +41,8 @@ __all__ = [
     "spin_drift_fn",
     "check_dissipativity",
     "check_growth_and_lipschitz",
+    "sample_dissipativity",
+    "sample_growth_and_lipschitz",
     "validate_problem",
     "build_preset",
     "PRESETS",
@@ -273,6 +279,7 @@ def build_spin_system(spec: SpinSpec) -> BsdeProblem:
         f0=drift,
         f1=None,
         noise_dim=n,
+        pair_sampler=_boundary_matched_pairs,
         label="spin-chain",
     )
     validate_problem(problem, trials=400, seed=7)
@@ -300,6 +307,10 @@ class GrowthReport:
     trials: int
 
 
+# states per draw in the sampled checks of a problem
+_BATCH = 200
+
+
 def _ball_samples(op, alpha, radius, count, rng):
     """Gaussian states rescaled to alpha norms uniform in (0, radius]."""
     x = rng.standard_normal((count, op.dimension))
@@ -314,21 +325,43 @@ def _growth_ratios(op, alpha, f0, samples, gamma):
     return vals / (1.0 + norms ** gamma)
 
 
+def _independent_pairs(op, alpha, radius, count, rng):
+    y = _ball_samples(op, alpha, radius, count, rng)
+    return y, _ball_samples(op, alpha, radius, count, rng)
+
+
+def _boundary_matched_pairs(op, alpha, radius, count, rng):
+    """Pairs agreeing on the two boundary sites, which isolates the interior coupling."""
+    y = _ball_samples(op, alpha, radius, count, rng)
+    delta = _ball_samples(op, alpha, radius, count, rng)
+    delta[:, [0, -1]] = 0.0
+    return y, y + delta
+
+
+def _validation_radius(problem: BsdeProblem) -> float:
+    """Ball radius of the sampled checks: 2 max(terminal bound, 1), or 2 if unbounded."""
+    radius = 2.0 * max(problem.terminal_bound, 1.0)
+    return radius if math.isfinite(radius) else 2.0
+
+
 def check_dissipativity(
     f0: Callable[[np.ndarray], np.ndarray],
     sampler: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
     trials: int,
     rng: np.random.Generator | int | None = None,
-    allowance: float = 1e-12,
+    radius: float = 1.0,
 ) -> DissipativityReport:
     """Maximum sampled <f0(y) - f0(y'), y - y'>_H; nonpositive means dissipative.
 
     ``sampler(rng)`` returns a pair of state batches of equal shape (pairs may
     be constrained, e.g. agreeing on the boundary sites of a lattice window).
+    The check passes up to a rounding allowance of 1e-12 max(1, radius)^2 for
+    states drawn from the ball of the given radius.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(rng)
+    allowance = 1e-12 * max(1.0, radius) ** 2
     worst = -math.inf
     done = 0
     while done < trials:
@@ -342,10 +375,7 @@ def check_dissipativity(
 
 
 def check_growth_and_lipschitz(
-    f0: Callable[[float, np.ndarray], np.ndarray],
-    growth_scale: float,
-    growth_power: float,
-    lipschitz: Callable[[float], float] | float,
+    drift: DissipativeDrift,
     sampler: Callable[[np.random.Generator], np.ndarray],
     trials: int,
     op: DiagonalOperator,
@@ -354,7 +384,7 @@ def check_growth_and_lipschitz(
     rng: np.random.Generator | int | None = None,
     slack: float = 1e-9,
 ) -> GrowthReport:
-    """Worst sampled ratios against the declared growth and Lipschitz constants.
+    """Worst sampled ratios against the drift's declared growth and Lipschitz constants.
 
     Growth ratio: |f0(t,y)|_H / (S (1 + ||y||_alpha^gamma)); Lipschitz ratio:
     |f0(y1) - f0(y2)|_H / (L_R ||y1 - y2||_alpha) over pairs inside the ball R.
@@ -363,7 +393,7 @@ def check_growth_and_lipschitz(
     done = 0
     worst_growth = 0.0
     worst_lip = 0.0
-    lip_const = lipschitz(radius) if callable(lipschitz) else float(lipschitz)
+    lip_const = drift.lipschitz_at(radius)
     while done < trials:
         y1 = sampler(rng)
         y2 = sampler(rng)
@@ -372,15 +402,15 @@ def check_growth_and_lipschitz(
         norms1 = h_alpha_norm_batch(op, alpha, y1)
         keep = norms1 <= radius
         if np.any(keep):
-            vals = np.linalg.norm(f0(0.0, y1[keep]), axis=-1)
-            denom = growth_scale * (1.0 + norms1[keep] ** growth_power)
-            if growth_scale > 0:
+            vals = np.linalg.norm(drift(0.0, y1[keep]), axis=-1)
+            denom = drift.growth_scale * (1.0 + norms1[keep] ** drift.growth_power)
+            if drift.growth_scale > 0:
                 worst_growth = max(worst_growth, float((vals / denom).max()))
             else:
                 worst_growth = max(worst_growth, float(vals.max()))
         both = (norms1 <= radius) & (h_alpha_norm_batch(op, alpha, y2) <= radius)
         if np.any(both) and lip_const > 0:
-            num = np.linalg.norm(f0(0.0, y1[both]) - f0(0.0, y2[both]), axis=-1)
+            num = np.linalg.norm(drift(0.0, y1[both]) - drift(0.0, y2[both]), axis=-1)
             den = lip_const * h_alpha_norm_batch(op, alpha, y1[both] - y2[both])
             good = den > 0
             if np.any(good):
@@ -395,36 +425,39 @@ def check_growth_and_lipschitz(
     )
 
 
-def validate_problem(
-    problem: BsdeProblem,
-    trials: int = 400,
-    seed: int = 0,
-    batch: int = 200,
-) -> dict:
+def sample_dissipativity(problem: BsdeProblem, trials: int, rng=None) -> DissipativityReport:
+    """Dissipativity of f0 - mu y on the problem's pairs in the validation ball."""
+    op, alpha, f0 = problem.operator, problem.alpha, problem.f0
+    radius = _validation_radius(problem)
+    pairs = problem.pair_sampler or _independent_pairs
+    return check_dissipativity(
+        lambda y: f0(0.0, y) - f0.monotonicity * y,
+        lambda r: pairs(op, alpha, radius, _BATCH, r),
+        trials, rng, radius=radius,
+    )
+
+
+def sample_growth_and_lipschitz(problem: BsdeProblem, trials: int, rng=None) -> GrowthReport:
+    """Growth and local Lipschitz ratios of f0 on states in the validation ball."""
+    op, alpha = problem.operator, problem.alpha
+    radius = _validation_radius(problem)
+    return check_growth_and_lipschitz(
+        problem.f0, lambda r: _ball_samples(op, alpha, radius, _BATCH, r),
+        trials, op, alpha, radius, rng,
+    )
+
+
+def validate_problem(problem: BsdeProblem, trials: int = 400, seed: int = 0) -> dict:
     """Run the sampled hypothesis checks and mark the problem validated.
 
     Checks: dissipativity up to the declared monotonicity constant, growth and
-    local Lipschitz bounds inside the selection ball, and driver boundedness.
+    local Lipschitz bounds inside the validation ball, and driver boundedness.
     Raises ``ValidationError`` naming the first failing check.
     """
-    op, alpha = problem.operator, problem.alpha
     rng = np.random.default_rng(seed)
-    f0 = problem.f0
-    radius = 2.0 * max(problem.terminal_bound, 1.0)
-    if not math.isfinite(radius):
-        radius = 2.0
-
     results: dict = {}
-    if not f0.is_zero:
-
-        def pair_sampler(r):
-            y = _ball_samples(op, alpha, radius, batch, r)
-            return y, _ball_samples(op, alpha, radius, batch, r)
-
-        diss = check_dissipativity(
-            lambda y: f0(0.0, y) - f0.monotonicity * y, pair_sampler, trials, rng,
-            allowance=1e-9 * max(1.0, radius) ** 2,
-        )
+    if not problem.f0.is_zero:
+        diss = sample_dissipativity(problem, trials, rng)
         results["dissipativity"] = diss
         if not diss.passed:
             raise ValidationError(
@@ -432,11 +465,7 @@ def validate_problem(
                 f"max inner product {diss.max_inner_product:.3e} exceeds the declared "
                 f"monotonicity allowance",
             )
-        growth = check_growth_and_lipschitz(
-            f0, f0.growth_scale, f0.growth_power, f0.lipschitz,
-            lambda r: _ball_samples(op, alpha, radius, batch, r),
-            trials, op, alpha, radius, rng,
-        )
+        growth = sample_growth_and_lipschitz(problem, trials, rng)
         results["growth"] = growth
         if not growth.growth_ok:
             raise ValidationError(
@@ -449,14 +478,15 @@ def validate_problem(
                 f"sampled ratio {growth.worst_lipschitz_ratio:.3f} exceeds the declared profile",
             )
     if problem.f1 is not None:
-        y = _ball_samples(op, alpha, radius, batch, rng)
-        z = rng.standard_normal((batch, op.dimension, problem.noise_dim))
+        op = problem.operator
+        y = _ball_samples(op, problem.alpha, _validation_radius(problem), _BATCH, rng)
+        z = rng.standard_normal((_BATCH, op.dimension, problem.noise_dim))
         vals = np.linalg.norm(problem.f1(0.0, y, z), axis=-1)
-        results["driver-bound"] = float(vals.max())
-        if float(vals.max()) > problem.f1.bound * (1.0 + 1e-9):
+        results["driver-bound"] = worst = float(vals.max())
+        if worst > problem.f1.bound * (1.0 + 1e-9):
             raise ValidationError(
                 "driver-bound",
-                f"sampled |f1| = {vals.max():.3e} exceeds declared bound {problem.f1.bound:.3e}",
+                f"sampled |f1| = {worst:.3e} exceeds declared bound {problem.f1.bound:.3e}",
             )
     problem.validated = True
     return results
@@ -466,21 +496,19 @@ def validate_problem(
 # presets
 
 
-def _spin_preset(**overrides) -> BsdeProblem:
-    return build_spin_system(SpinSpec(**overrides))
-
-
-def _rd_preset(**overrides) -> BsdeProblem:
-    return build_reaction_diffusion(ReactionDiffusionSpec(**overrides))
-
-
-PRESETS: dict[str, Callable[..., BsdeProblem]] = {
-    "spin-chain": _spin_preset,
-    "reaction-diffusion-1d": _rd_preset,
+# spec type and builder per preset; the builders are looked up by name at call time
+PRESETS: dict[str, tuple[type, Callable[..., BsdeProblem]]] = {
+    "spin-chain": (SpinSpec, lambda spec: build_spin_system(spec)),
+    "reaction-diffusion-1d": (ReactionDiffusionSpec, lambda spec: build_reaction_diffusion(spec)),
 }
 
 
 def build_preset(name: str, **overrides) -> BsdeProblem:
+    """Build a preset; ``overrides`` are fields of its spec (the ``[model]`` section)."""
     if name not in PRESETS:
         raise ValidationError("preset", f"unknown preset {name!r}; options: {sorted(PRESETS)}")
-    return PRESETS[name](**overrides)
+    spec_type, build = PRESETS[name]
+    unknown = sorted(set(overrides) - {f.name for f in fields(spec_type)})
+    if unknown:
+        raise ValidationError("config", f"unknown [model] key(s) for {name}: {', '.join(unknown)}")
+    return build(spec_type(**overrides))

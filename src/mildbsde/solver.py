@@ -30,7 +30,6 @@ Carlo noise floor.
 """
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -80,7 +79,8 @@ __all__ = [
     "residual",
 ]
 
-log = logging.getLogger(__name__)
+# draws of the empirical operator constants, once per solve
+_CONSTANTS_TRIALS = 192
 
 
 class SolverError(RuntimeError):
@@ -168,6 +168,10 @@ class BsdeProblem:
     declared essential bound of its alpha norm (may be inf for test problems
     with Gaussian tails).  ``terminal_bound_h`` optionally sharpens the H-norm
     bound used by the a-priori estimate; it defaults to ``terminal_bound``.
+    ``pair_sampler(op, alpha, radius, count, rng) -> (y1, y2)`` optionally
+    draws the state pairs on which dissipativity is sampled, e.g. pairs that
+    agree on the boundary sites of a lattice window; by default the pairs are
+    independent draws from the ball.
     """
 
     operator: DiagonalOperator
@@ -179,6 +183,7 @@ class BsdeProblem:
     f1: BoundedDriver | None = None
     noise_dim: int = 1
     terminal_bound_h: float | None = None
+    pair_sampler: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
     label: str = ""
     validated: bool = False
 
@@ -236,7 +241,6 @@ class SolverConfig:
     require_validated: bool = True
     auto_shift: bool = True
     auto_refine_grid: bool = True
-    constants_trials: int = 192
 
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -721,8 +725,8 @@ def global_solve(
     ... for all remaining windows.  Pasted values agree at the joins by
     construction.  A window whose Picard iteration diverges or leaves the ball
     is halved.  Window statistics, C_2 and the paste selection are written to
-    ``report``; ``problem.f1`` is ignored, the driver enters through
-    ``f1_path``.
+    ``report``, and each halving is appended to ``report.messages``;
+    ``problem.f1`` is ignored, the driver enters through ``f1_path``.
     """
     op, alpha, theta = problem.operator, problem.alpha, problem.theta
     grid = ensemble.grid
@@ -733,7 +737,6 @@ def global_solve(
     y_full = np.empty((n_steps + 1,) + terminal_values.shape)
     y_full[n_steps] = terminal_values
     windows: list[WindowStats] = []
-    messages: list[str] = []
     rank_flags = 0
     paste: dict = {}
     c2 = math.nan
@@ -756,7 +759,7 @@ def global_solve(
             except (PicardDivergence, RadiusExceeded) as err:
                 halvings += 1
                 steps //= 2
-                messages.append(f"window ending at node {end}: {err}; halving")
+                report.messages.append(f"window ending at node {end}: {err}; halving")
                 if steps < 1:
                     raise
         result.stats.halvings = halvings
@@ -782,7 +785,6 @@ def global_solve(
                 window_count = 1 + math.ceil(end / steps_per_window)
 
     report.windows = windows
-    report.messages = messages
     report.picard_factors = [f for w in windows for f in w.factors]
     report.rank_deficient_count = rank_flags
     report.delta_schedule = [(w.end_index - w.start_index) * dt for w in windows]
@@ -888,7 +890,7 @@ def general_solve(
 
     raw = estimate_constants(
         op, alpha, work.horizon, theta=work.theta if work.theta > alpha else None,
-        rng=_estimator_rng(ensemble.seed), trials=config.constants_trials,
+        rng=_estimator_rng(ensemble.seed), trials=_CONSTANTS_TRIALS,
     )
     consts = raw.scaled(config.safety_margin)
     report = SolverReport(
@@ -970,8 +972,11 @@ def general_solve(
         except GridTooCoarse as need:
             if not config.auto_refine_grid:
                 raise
-            log.info("refining grid x%d and resampling (seed %d)", need.factor, ensemble.seed)
             finer = TimeGrid.uniform(grid.horizon, grid.n_steps * need.factor)
+            report.messages.append(
+                f"window below one grid step: grid refined x{need.factor} to "
+                f"{finer.n_steps} steps and resampled (seed {ensemble.seed})"
+            )
             ensemble = sample_ensemble(finer, ensemble.n_noise, ensemble.n_paths, ensemble.seed)
     else:
         raise GridTooCoarse("grid refinement did not reach the required window resolution")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -145,21 +144,17 @@ class RegressionBasis:
     Features at node l depend only on increments with index < l, which is what
     makes regression on them a conditional expectation given the time-l history.
     ``ridge`` is scaled by trace(Phi' Phi)/B to stabilize near-collinear designs.
-    A custom ``feature_fn(ensemble, t_index) -> (M, B)`` overrides the default.
     """
 
     degree: int = 2
     n_coords: int | None = None
     ridge: float = 1e-8
-    feature_fn: Callable[[WienerEnsemble, int], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.degree < 0 or self.ridge < 0:
             raise ValueError("degree and ridge must be nonnegative")
 
     def design(self, ensemble: WienerEnsemble, t_index: int) -> np.ndarray:
-        if self.feature_fn is not None:
-            return np.asarray(self.feature_fn(ensemble, t_index), dtype=float)
         k = ensemble.n_noise if self.n_coords is None else min(self.n_coords, ensemble.n_noise)
         w = ensemble.paths()[:, t_index, :k]
         cols = [np.ones(w.shape[0])]

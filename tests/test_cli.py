@@ -50,6 +50,15 @@ class TestConfig:
         with pytest.raises(ValidationError):
             load_config(bad)
 
+    def test_unknown_solver_key_rejected(self, tmp_path):
+        # a misspelled key must not be ignored silently
+        cfg_file = tmp_path / "c.ini"
+        cfg_file.write_text(
+            "[experiment]\npreset = spin-chain\nseed = 5\n\n[solver]\nmax_iters = 1\n"
+        )
+        with pytest.raises(ValidationError, match="config: unknown key.*max_iters"):
+            load_config(cfg_file)
+
     def test_empty_suite_parsed(self, tmp_path):
         cfg_file = tmp_path / "c.ini"
         cfg_file.write_text(
@@ -133,6 +142,12 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "growth-exponent" in err
+
+    def test_unknown_model_key_exits_2(self, tmp_path, capsys):
+        cfg = write_spin_config(tmp_path, tmp_path / "x")
+        cfg.write_text(cfg.read_text() + "\n[model]\nhalf_widht = 3\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert "config: unknown [model] key(s) for spin-chain: half_widht" in capsys.readouterr().err
 
 
 class TestValidateCommand:

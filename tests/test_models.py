@@ -219,9 +219,11 @@ class TestGrowthCheck:
         from mildbsde.spectral import DiagonalOperator
 
         op = DiagonalOperator([1.0, 2.0])
+        drift = DissipativeDrift(
+            fn=lambda t, y: np.zeros_like(y), growth_scale=1.0, growth_power=2.0, lipschitz=1.0
+        )
         rep = check_growth_and_lipschitz(
-            lambda t, y: np.zeros_like(y), 1.0, 2.0, 1.0,
-            lambda rng: rng.standard_normal((50, 2)),
+            drift, lambda rng: rng.standard_normal((50, 2)),
             trials=200, op=op, alpha=0.0, radius=3.0, rng=3,
         )
         assert rep.worst_growth_ratio == 0.0
@@ -244,6 +246,23 @@ class TestValidateProblem:
         prob.validated = False
         with pytest.raises(ValidationError, match="dissipativity"):
             validate_problem(prob, trials=200, seed=1)
+
+    def test_boundary_damped_drift_rejected(self):
+        # expands the interior sites and strongly damps the boundary sites: pairs
+        # drawn independently almost never expose it, the spin model's pairs that
+        # agree on the boundary sites always do
+        weights = np.array([-1e6, 1.0, 1.0, 1.0, -1e6])
+        prob = build_spin_system(SpinSpec())
+        prob.f0 = DissipativeDrift(
+            fn=lambda t, y: weights * y, growth_scale=1e6, growth_power=3.0,
+            monotonicity=0.0, lipschitz=1e6,
+        )
+        prob.validated = False
+        with pytest.raises(ValidationError, match="dissipativity"):
+            validate_problem(prob, trials=200, seed=1)
+        prob.pair_sampler = None  # independent pairs from the same ball
+        validate_problem(prob, trials=200, seed=1)
+        assert prob.validated
 
     def test_understated_growth_scale_rejected(self):
         prob = build_spin_system(SpinSpec())

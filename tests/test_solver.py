@@ -472,6 +472,8 @@ class TestGeneralSolve:
         assert rep.outer["iterations"] > 1
         assert rep.grid_refined == grids
         assert calls == {"constants": 1, "terminal": grids}
+        # the refinement is reported and survives the later outer sweeps
+        assert sum("grid refined" in m for m in rep.messages) == grids - 1
 
 
 class TestResidual:
