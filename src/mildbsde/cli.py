@@ -61,13 +61,11 @@ def _write_csv(path: Path, schema: str, header: list[str], rows) -> None:
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
-        cfg = load_config(args.config)
-    else:
-        if not args.preset:
-            raise ValidationError("config", "either --config or --preset is required")
+        cfg = load_config(args.config, preset=args.preset)
+    elif args.preset:
         cfg = ExperimentConfig(preset=args.preset, seed=1234)
-    if args.preset:
-        cfg.preset = args.preset
+    else:
+        raise ValidationError("config", "either --config or --preset is required")
     if args.seed is not None:
         cfg.seed = int(args.seed)
     if args.out:

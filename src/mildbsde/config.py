@@ -152,8 +152,11 @@ def _section(sections: dict, name: str, keys: dict) -> dict:
     return {keys[k]: v for k, v in values.items()}
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Read an INI config; absent keys keep the dataclass defaults."""
+def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig:
+    """Read an INI config; absent keys keep the dataclass defaults.
+
+    A given ``preset`` replaces the file's ``[experiment] preset``, or supplies it.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     read = parser.read(str(path))
     if not read:
@@ -174,6 +177,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if sections:
         raise ValidationError("config", f"unknown section(s): {', '.join(sorted(sections))}")
 
+    if preset:
+        exp["preset"] = preset
     if exp.get("preset") is None:
         raise ValidationError("config", "[experiment] preset is required")
     if exp.get("seed") is None:

@@ -69,12 +69,18 @@ class WienerEnsemble:
     """M sampled paths of a K-truncated cylindrical Wiener process.
 
     ``increments[m, l, k]`` ~ Normal(0, dt_l), independent across all indices.
+    The private fields are lazy caches of values derived from the increments;
+    ``dataclasses.replace`` starts them empty.
     """
 
     grid: TimeGrid
     increments: np.ndarray
     seed: int
-    _paths: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _paths: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # (basis, t_index) -> that node's ridged Gram matrix, set by its first ridge fit
+    _ridged_gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (basis, t_index, design) while martingale_z_estimate fits one node twice
+    _held_design: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
@@ -85,13 +91,16 @@ class WienerEnsemble:
         return self.increments.shape[2]
 
     def paths(self) -> np.ndarray:
-        """Cumulative coordinates W_{t_l}, shape (M, L+1, K); W_0 = 0."""
+        """Cumulative coordinates W_{t_l}, shape (M, L+1, K); W_0 = 0.
+
+        Stored node-major, so ``paths()[:, l, :]`` is one contiguous block.
+        """
         if self._paths is None:
             m, l, k = self.increments.shape
-            w = np.zeros((m, l + 1, k))
-            np.cumsum(self.increments, axis=1, out=w[:, 1:, :])
+            w = np.zeros((l + 1, m, k))
+            np.cumsum(self.increments.transpose(1, 0, 2), axis=0, out=w[1:])
             self._paths = w
-        return self._paths
+        return self._paths.transpose(1, 0, 2)
 
 
 def sample_ensemble(grid: TimeGrid, k: int, m: int, seed: int) -> WienerEnsemble:
@@ -156,15 +165,20 @@ class RegressionBasis:
 
     def design(self, ensemble: WienerEnsemble, t_index: int) -> np.ndarray:
         k = ensemble.n_noise if self.n_coords is None else min(self.n_coords, ensemble.n_noise)
-        w = ensemble.paths()[:, t_index, :k]
-        cols = [np.ones(w.shape[0])]
-        for deg in range(1, self.degree + 1):
-            for combo in itertools.combinations_with_replacement(range(k), deg):
-                col = w[:, combo[0]].copy()
-                for j in combo[1:]:
-                    col = col * w[:, j]
-                cols.append(col)
-        return np.stack(cols, axis=1)
+        # one contiguous row per coordinate, so each feature is a contiguous product
+        w = np.ascontiguousarray(ensemble.paths()[:, t_index, :k].T)
+        combos = [
+            combo
+            for deg in range(1, self.degree + 1)
+            for combo in itertools.combinations_with_replacement(range(k), deg)
+        ]
+        features = np.empty((1 + len(combos), w.shape[1]))
+        features[0] = 1.0
+        for row, combo in zip(features[1:], combos):
+            row[:] = w[combo[0]]
+            for j in combo[1:]:
+                row *= w[j]
+        return np.ascontiguousarray(features.T)
 
 
 @dataclass(frozen=True)
@@ -184,7 +198,9 @@ def conditional_expectation(
 
     Returns fitted values (functions of time-t_index features only) and the
     coefficient matrix.  With ridge = 0 a rank-deficient design falls back to
-    the pseudo-inverse and is flagged.
+    the pseudo-inverse and is flagged.  With ridge > 0 the ridged Gram matrix
+    of each (basis, node) is computed on the first fit and kept on the
+    ensemble, so later fits at that node solve with the same matrix.
     """
     targets = np.asarray(targets, dtype=float)
     squeeze = targets.ndim == 1
@@ -192,15 +208,22 @@ def conditional_expectation(
         targets = targets[:, None]
     if not np.all(np.isfinite(targets)):
         raise ValueError("regression targets must be finite")
-    phi = basis.design(ensemble, t_index)
+    held = ensemble._held_design
+    if held is not None and held[:2] == (basis, t_index):
+        phi = held[2]
+    else:
+        phi = basis.design(ensemble, t_index)
     if phi.shape[0] != targets.shape[0]:
         raise ValueError("targets and design have different path counts")
     b = phi.shape[1]
     rank_deficient = False
     if basis.ridge > 0:
-        gram = phi.T @ phi
-        lam = basis.ridge * np.trace(gram) / b
-        coef = np.linalg.solve(gram + lam * np.eye(b), phi.T @ targets)
+        ridged = ensemble._ridged_gram.get((basis, t_index))
+        if ridged is None:
+            gram = phi.T @ phi
+            lam = basis.ridge * np.trace(gram) / b
+            ridged = ensemble._ridged_gram[basis, t_index] = gram + lam * np.eye(b)
+        coef = np.linalg.solve(ridged, phi.T @ targets)
     else:
         coef, _, rank, _ = np.linalg.lstsq(phi, targets, rcond=None)
         rank_deficient = rank < b
@@ -233,7 +256,12 @@ def martingale_z_estimate(
         raise ValueError("no increment lies to the right of the final node")
     dw = ensemble.increments[:, t_index, :]
     dt = float(ensemble.grid.deltas[t_index])
-    centered = next_value - conditional_expectation(ensemble, basis, t_index, next_value).fitted
-    targets = (centered[:, :, None] * dw[:, None, :] / dt).reshape(m, -1)
-    fit = conditional_expectation(ensemble, basis, t_index, targets)
+    # both fits below share the node's design
+    ensemble._held_design = (basis, t_index, basis.design(ensemble, t_index))
+    try:
+        centered = next_value - conditional_expectation(ensemble, basis, t_index, next_value).fitted
+        targets = (centered[:, :, None] * dw[:, None, :] / dt).reshape(m, -1)
+        fit = conditional_expectation(ensemble, basis, t_index, targets)
+    finally:
+        ensemble._held_design = None
     return fit.fitted.reshape(m, n, ensemble.n_noise)

@@ -161,6 +161,12 @@ class TestValidateCommand:
         cfg = write_spin_config(tmp_path, out)
         assert main(["validate", "--config", str(cfg), "--suite", ""]) == 0
 
+    def test_preset_flag_supplies_missing_preset(self, tmp_path):
+        cfg_file = tmp_path / "c.ini"
+        cfg_file.write_text("[experiment]\nseed = 5\n")
+        assert main(["validate", "--config", str(cfg_file), "--preset", "spin-chain"]) == 0
+        assert main(["validate", "--config", str(cfg_file)]) == 2
+
     def test_injected_anti_dissipative_fails(self, tmp_path):
         cfg = ExperimentConfig(preset="spin-chain", seed=11, validation_trials=500)
         cfg.validation_suite = ("dissipativity",)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mildbsde.models import (
     ReactionDiffusionSpec,
@@ -142,6 +145,31 @@ class TestSpinSystem:
         f0 = spin_drift_fn(k=1)
         y = np.random.default_rng(22).standard_normal((30, 5))
         np.testing.assert_allclose(f0(0.0, -y), -f0(0.0, y), rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        y=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 7)),
+            elements=st.floats(-4.0, 4.0, allow_subnormal=False),
+        ),
+        c=st.floats(-4.0, 4.0, allow_subnormal=False),
+    )
+    def test_multiplied_power_properties(self, k, y, c):
+        f0 = spin_drift_fn(k)
+        p = 2 * k + 1
+        got = f0(0.0, y)
+        padded = np.pad(y, [(0, 0), (1, 1)])
+        d_plus = padded[:, 2:] - padded[:, 1:-1]
+        d_minus = padded[:, :-2] - padded[:, 1:-1]
+        # rtol 1e-13 of the two terms' size: their sum may cancel, the terms do not
+        scale = np.abs(d_plus) ** p + np.abs(d_minus) ** p
+        tiny = np.finfo(float).tiny
+        assert np.all(np.abs(got - (d_plus ** p + d_minus ** p)) <= 1e-13 * scale + tiny)
+        np.testing.assert_array_equal(f0(0.0, -y), -got)
+        const = f0(0.0, np.full_like(y, c))
+        assert np.all(const[:, 1:-1] == 0.0)
 
     def test_growth_chain_bound(self):
         # |f0(y)| <= 2^(2k+2) (1 + ||y||^(2k+1)) via the sequence-norm chain

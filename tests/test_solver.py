@@ -450,6 +450,19 @@ class TestGeneralSolve:
         assert rep.outer["iterations"] <= 10
         assert all(f <= 0.6 for f in rep.outer["squared_factors"])
 
+    def test_warm_regression_cache_matches_fresh_ensemble(self):
+        # the second solve reuses the Gram matrices the first one left on the
+        # ensemble; it must return the arrays of a cold solve
+        prob, ens = self._coupled()
+        basis, cfg = RegressionBasis(degree=2), SolverConfig()
+        general_solve(prob, ens, basis, cfg)
+        assert ens._ridged_gram
+        warm, _ = general_solve(prob, ens, basis, cfg)
+        fresh = sample_ensemble(ens.grid, ens.n_noise, ens.n_paths, ens.seed)
+        cold, _ = general_solve(prob, fresh, basis, cfg)
+        np.testing.assert_array_equal(warm.y, cold.y)
+        np.testing.assert_array_equal(warm.z, cold.z)
+
     @pytest.mark.parametrize("window_override, grids", [(None, 1), (0.015, 2)])
     def test_per_solve_work_runs_once(self, monkeypatch, window_override, grids):
         # the constants depend on no grid and the terminal values on no outer

@@ -78,6 +78,16 @@ class TestSampling:
         assert np.all(w[:, 0, :] == 0.0)
         np.testing.assert_allclose(w[:, -1, :], ens.increments.sum(axis=1), rtol=1e-12)
 
+    def test_paths_bit_identical_to_cumsum_and_node_contiguous(self):
+        grid = TimeGrid.uniform(1.0, 7)
+        ens = sample_ensemble(grid, 3, 40, seed=14)
+        w = ens.paths()
+        expect = np.concatenate([np.zeros((40, 1, 3)), np.cumsum(ens.increments, axis=1)], axis=1)
+        assert w.shape == expect.shape
+        assert w.tobytes() == expect.tobytes()
+        for l in range(grid.n_steps + 1):
+            assert w[:, l, :].flags.c_contiguous
+
     def test_checkpoint_roundtrip(self, tmp_path):
         grid = TimeGrid.uniform(1.0, 8)
         ens = sample_ensemble(grid, 2, 50, seed=21)
@@ -185,6 +195,39 @@ class TestConditionalExpectation:
         targets[0] = np.inf
         with pytest.raises(ValueError):
             conditional_expectation(big_ensemble, basis, 3, targets)
+
+
+class TestRegressionBasis:
+    def test_design_is_left_to_right_monomial_products(self):
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 5), 3, 64, seed=15)
+        w0, w1 = ens.paths()[:, 4, 0], ens.paths()[:, 4, 1]
+        expect = np.stack(
+            [np.ones(64), w0, w1, w0 * w0, w0 * w1, w1 * w1,
+             w0 * w0 * w0, w0 * w0 * w1, w0 * w1 * w1, w1 * w1 * w1],
+            axis=1,
+        )
+        phi = RegressionBasis(degree=3, n_coords=2).design(ens, 4)
+        assert phi.flags.c_contiguous
+        np.testing.assert_array_equal(phi, expect)
+
+
+class TestGramCache:
+    def test_bases_sharing_a_node_keep_their_own_gram(self):
+        # the cache is keyed by basis and node: a basis with another ridge
+        # fitted at the same node must not reuse the first basis's matrix
+        grid = TimeGrid.uniform(1.0, 10)
+        ens = sample_ensemble(grid, 2, 2000, seed=16)
+        targets = np.sin(ens.paths()[:, -1, 0])
+        bases = (RegressionBasis(degree=2, ridge=1e-2), RegressionBasis(degree=2, ridge=1e-8))
+        cold = [
+            conditional_expectation(sample_ensemble(grid, 2, 2000, seed=16), b, 5, targets)
+            for b in bases
+        ]
+        for basis, expect in zip(bases, cold):
+            warm = conditional_expectation(ens, basis, 5, targets)
+            np.testing.assert_array_equal(warm.coef, expect.coef)
+            np.testing.assert_array_equal(warm.fitted, expect.fitted)
+        assert len(ens._ridged_gram) == 2
 
 
 class TestMartingaleZ:
