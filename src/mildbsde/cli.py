@@ -19,6 +19,7 @@ from .config import ExperimentConfig, load_config
 from .models import ValidationError
 from .solver import (
     GridTooCoarse,
+    NonFiniteDrift,
     OuterDivergence,
     PicardDivergence,
     SolverError,
@@ -374,7 +375,9 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError) as err:
         print(f"validation failure: {err}", file=sys.stderr)
         return 2
-    except (PicardDivergence, OuterDivergence, WindowCollapse, GridTooCoarse) as err:
+    except (
+        PicardDivergence, OuterDivergence, WindowCollapse, GridTooCoarse, NonFiniteDrift
+    ) as err:
         print(f"solver divergence: {err}", file=sys.stderr)
         return 3
     except SolverError as err:

@@ -67,6 +67,7 @@ __all__ = [
     "PicardDivergence",
     "OuterDivergence",
     "GridTooCoarse",
+    "NonFiniteDrift",
     "zero_drift",
     "exponential_shift",
     "unshift_solution",
@@ -101,6 +102,10 @@ class PicardDivergence(SolverError):
 
 class OuterDivergence(SolverError):
     """The weighted outer fixed point stopped contracting."""
+
+
+class NonFiniteDrift(SolverError):
+    """A drift evaluation returned NaN or Inf."""
 
 
 class GridTooCoarse(SolverError):
@@ -483,13 +488,14 @@ def select_local_radius_and_delta(
 # Picard machinery
 
 
-def _ball_check(problem: BsdeProblem, u: np.ndarray, radius: float) -> float:
-    """Largest alpha norm among the supplied states; raises when it leaves the ball.
+def _ball_check(norms: np.ndarray, radius: float) -> float:
+    """Largest of the supplied alpha norms; raises when it leaves the ball.
 
-    The relative allowance matches the terminal-bound check: states that
-    ``_project_to_ball`` rescaled onto the radius can land a few ulp outside it.
+    The norms are those ``_project_to_ball`` returned for the states the drift
+    is about to see, so the check evaluates no norm itself.  The relative
+    allowance matches the terminal-bound check: states that the projection
+    rescaled onto the radius can land a few ulp outside it.
     """
-    norms = h_alpha_norm_batch(problem.operator, problem.alpha, u)
     worst = float(norms.max()) if norms.size else 0.0
     if worst > radius * (1.0 + 1e-9):
         raise RadiusExceeded(
@@ -507,6 +513,7 @@ def _picard_targets(
     end: int,
     terminal_values: np.ndarray,
     u: np.ndarray | None,
+    u_norms: np.ndarray | None,
     f1_path: np.ndarray | None,
     radius: float,
 ) -> np.ndarray:
@@ -516,6 +523,9 @@ def _picard_targets(
                + sum_{j=l}^{end-1} exp(-(t_j - t_l) a) I_j [f0(t_j, U_j) + f1_j],
     accumulated by one backward recursion (exact for the piecewise-constant
     interpolant of the integrand).  ``u = None`` means drift-free.
+    ``u_norms`` are the alpha norms of ``u[:W]``, the states the drift sees,
+    as ``_project_to_ball`` returned them; a finite radius checks them against
+    the ball.  A non-finite drift value raises ``NonFiniteDrift``.
     """
     decay, kernel_int = factors
     width = end - start
@@ -524,18 +534,25 @@ def _picard_targets(
     f0 = problem.f0
     drift_on = u is not None and not f0.is_zero
     if drift_on and math.isfinite(radius):
-        _ball_check(problem, u[:width], radius)
+        _ball_check(u_norms, radius)
     acc = targets[width]
     for j in range(width - 1, -1, -1):
         l = start + j
         f_val = 0.0
         if drift_on:
-            f_val = f0(float(times[l]), u[j])
+            f_val = _finite_drift("f0", f0(float(times[l]), u[j]), l, times[l])
         if f1_path is not None:
             f_val = f_val + f1_path[l]
         acc = kernel_int[l] * f_val + decay[l] * acc
         targets[j] = acc
     return targets
+
+
+def _finite_drift(name: str, values, node: int, t: float):
+    """The drift values, unless some of them are NaN or Inf."""
+    if not np.isfinite(values).all():
+        raise NonFiniteDrift(f"{name} returned a non-finite value at node {node} (t = {t:g})")
+    return values
 
 
 def _regress_window(
@@ -556,23 +573,29 @@ def _regress_window(
     return y, flagged
 
 
-def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
+def _project_to_ball(
+    problem: BsdeProblem, y: np.ndarray, radius: float
+) -> tuple[int, np.ndarray | None]:
     """Rescale interior states radially onto the alpha ball, in place.
 
     Polynomial regression can overshoot a bounded target on tail paths; the
     true conditional expectation lies in the (convex) ball, so pulling the
     estimate back onto it never increases the pathwise error.  Returns the
-    number of rescaled states.
+    number of rescaled states and the alpha norms of ``y[:-1]`` after the
+    projection (None for an infinite radius, where nothing is measured).
+    Rescaled states are normed again rather than assumed to sit on the radius.
     """
     if not math.isfinite(radius):
-        return 0
-    norms = h_alpha_norm_batch(problem.operator, problem.alpha, y[:-1])
+        return 0, None
+    op, alpha = problem.operator, problem.alpha
+    norms = h_alpha_norm_batch(op, alpha, y[:-1])
     mask = norms > radius
     count = int(np.count_nonzero(mask))
     if count:
         scale = np.where(mask, radius / np.maximum(norms, 1e-300), 1.0)
         y[:-1] *= scale[..., None]
-    return count
+        norms[mask] = h_alpha_norm_batch(op, alpha, y[:-1][mask])
+    return count, norms
 
 
 def _recover_z(ensemble, basis, decay, start, end, y) -> np.ndarray:
@@ -628,24 +651,27 @@ def local_solve(
     if initial == "zero":
         u = np.zeros((width + 1,) + terminal_values.shape)
         u[width] = terminal_values
+        u_norms = np.zeros((width, terminal_values.shape[0]))
     else:
         targets = _picard_targets(
-            problem, factors, times, start, end, terminal_values, None, f1_path, radius
+            problem, factors, times, start, end, terminal_values, None, None, f1_path, radius
         )
         u, flagged = _regress_window(ensemble, basis, start, end, targets)
         rank_flags += flagged
-        clipped += _project_to_ball(problem, u, radius)
+        clipped_now, u_norms = _project_to_ball(problem, u, radius)
+        clipped += clipped_now
 
     distances: list[float] = []
     factors_seen: list[float] = []
     bad_streak = 0
     for it in range(1, max_iter + 1):
         targets = _picard_targets(
-            problem, factors, times, start, end, terminal_values, u, f1_path, radius
+            problem, factors, times, start, end, terminal_values, u, u_norms, f1_path, radius
         )
         y, flagged = _regress_window(ensemble, basis, start, end, targets)
         rank_flags += flagged
-        clipped += _project_to_ball(problem, y, radius)
+        clipped_now, y_norms = _project_to_ball(problem, y, radius)
+        clipped += clipped_now
         diff = y[:width] - u[:width]
         # sup over window nodes of the ensemble-L2 alpha norm
         node_norms = h_alpha_norm_batch(op, alpha, diff)  # (W, M)
@@ -659,7 +685,7 @@ def local_solve(
                     f"distance ratio above one twice in a row (last {factor:.3f})"
                 )
         distances.append(dist)
-        u = y
+        u, u_norms = y, y_norms
         if dist == 0.0 or (dist < tol and it >= min_iter):
             stats = WindowStats(start, end, radius, it, distances, factors_seen,
                                 ball_clipped=clipped)
@@ -940,7 +966,9 @@ def general_solve(
                 if f1 is not None:
                     f1_path = np.empty((grid.n_steps,) + terminal_values.shape)
                     for l in range(grid.n_steps):
-                        f1_path[l] = f1(float(times[l]), u[l], v[l])
+                        f1_path[l] = _finite_drift(
+                            "f1", f1(float(times[l]), u[l], v[l]), l, times[l]
+                        )
                 shifted = global_solve(
                     frozen, ensemble, basis, config, consts, factors, terminal_values,
                     first.radius, first_steps, tol, report, f1_path=f1_path,

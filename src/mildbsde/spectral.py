@@ -151,6 +151,10 @@ def _grid_lo(op: DiagonalOperator, alpha: float) -> float:
     return min((1.0 - alpha) / active.max() / 16.0, 1.0 / 16.0)
 
 
+# rows per block of the fine stage; the (rows, 2s+1, N) window slab stays in cache
+_ROW_BLOCK = 1024
+
+
 class _SeminormGrid:
     """Geometric t-grid for batched (alpha, inf) seminorms.
 
@@ -160,6 +164,12 @@ class _SeminormGrid:
     bounds the grid error for arbitrary states.  Batched evaluation runs in
     two stages (coarse argmax in log t, then the fine grid near it), which is
     accurate because every component's profile is order-one wide in log t.
+
+    The fine stage reads a window table built here: ``windows[c]`` holds the
+    squared weights at the 2 * stride + 1 grid points around coarse point c,
+    clipped at the grid ends, so each state gathers one row of it by its
+    coarse argmax.  The grid starts at 1025 points and only doubles, so the
+    stride is at least 8.
     """
 
     def __init__(self, op: DiagonalOperator, alpha: float, rel_tol: float = 1e-5):
@@ -177,33 +187,24 @@ class _SeminormGrid:
             n_points = 2 * (n_points - 1) + 1
             t_lo /= 2.0
         self.t = t
-        self.w_sq = w ** 2  # (P, N)
-        self.stride = max(1, (n_points - 1) // 128)
-        self.coarse_idx = np.arange(0, n_points, self.stride)
-        self.w_sq_coarse = self.w_sq[self.coarse_idx]
+        w_sq = w ** 2  # (P, N)
+        stride = (n_points - 1) // 128
+        coarse_idx = np.arange(0, n_points, stride)
+        self.w_sq_coarse = w_sq[coarse_idx]  # (C, N)
+        offsets = np.arange(-stride, stride + 1)
+        # (C, 2s+1, N)
+        self.windows = w_sq[np.clip(coarse_idx[:, None] + offsets, 0, n_points - 1)]
 
     def seminorm(self, x: np.ndarray) -> np.ndarray:
         """Seminorm of a batch of states; x has shape (..., N)."""
         shape = x.shape[:-1]
         x_sq = np.square(x).reshape(-1, x.shape[-1])
-        rows = x_sq.shape[0]
-        p = self.w_sq.shape[0]
-        out = np.empty(rows)
-        chunk = max(1, int(2 ** 24 // max(p, 1)))
-        for lo in range(0, rows, chunk):
-            hi = min(lo + chunk, rows)
-            block = x_sq[lo:hi]
-            if self.stride == 1:
-                vals = block @ self.w_sq.T
-                out[lo:hi] = vals.max(axis=-1)
-                continue
-            coarse = block @ self.w_sq_coarse.T  # (b, ~129)
-            centers = self.coarse_idx[np.argmax(coarse, axis=-1)]
-            offsets = np.arange(-self.stride, self.stride + 1)
-            idx = np.clip(centers[:, None] + offsets[None, :], 0, p - 1)  # (b, 2s+1)
-            local = self.w_sq[idx]  # (b, 2s+1, N)
-            vals = np.einsum("bn,bpn->bp", block, local)
-            out[lo:hi] = vals.max(axis=-1)
+        out = np.empty(x_sq.shape[0])
+        for lo in range(0, x_sq.shape[0], _ROW_BLOCK):
+            block = x_sq[lo : lo + _ROW_BLOCK]
+            coarse = block @ self.w_sq_coarse.T  # (b, C)
+            local = self.windows[np.argmax(coarse, axis=-1)]  # (b, 2s+1, N)
+            out[lo : lo + _ROW_BLOCK] = np.einsum("bn,bpn->bp", block, local).max(axis=-1)
         return np.sqrt(out.reshape(shape))
 
 

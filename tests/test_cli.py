@@ -1,5 +1,6 @@
 """Command-line harness: artifacts, determinism, exit codes."""
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,29 @@ class TestSolveCommand:
         )
         assert main(["solve", "--config", str(cfg)]) == 3
         assert "divergence" in capsys.readouterr().err
+
+    def test_nan_drift_exits_3_naming_the_node(self, tmp_path, capsys, monkeypatch):
+        # the preset's drift turns NaN at t = 1/2, after validation has passed
+        build = ExperimentConfig.make_problem
+
+        def poisoned_problem(cfg):
+            problem = build(cfg)
+            fn = problem.f0.fn
+
+            def nan_at_half(t, y):
+                out = fn(t, y)
+                return np.full_like(out, np.nan) if t == 0.5 else out
+
+            problem.f0.fn = nan_at_half
+            return problem
+
+        monkeypatch.setattr(ExperimentConfig, "make_problem", poisoned_problem)
+        cfg = write_spin_config(tmp_path, tmp_path / "nan", paths=200, steps=30)
+        assert main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        match = re.search(r"f0 returned a non-finite value at node (\d+) \(t = 0.5\)", err)
+        # t = 1/2 is the middle node of the 30-step grid or of its refinement
+        assert match and 2 * int(match.group(1)) % 30 == 0
 
     def test_invalid_model_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"

@@ -9,6 +9,7 @@ from mildbsde.solver import (
     BoundedDriver,
     BsdeProblem,
     DissipativeDrift,
+    NonFiniteDrift,
     PicardDivergence,
     RadiusExceeded,
     SolutionPair,
@@ -28,7 +29,12 @@ from mildbsde.solver import (
     unshift_solution,
     zero_drift,
 )
-from mildbsde.spectral import DiagonalOperator, EmpiricalConstants, _step_factors
+from mildbsde.spectral import (
+    DiagonalOperator,
+    EmpiricalConstants,
+    _step_factors,
+    h_alpha_norm_batch,
+)
 from mildbsde.wiener import RegressionBasis, TimeGrid, sample_ensemble
 
 
@@ -246,19 +252,27 @@ class TestPicardMap:
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0, f0=f0)
         xi = np.ones((small_ensemble.n_paths, 1))
         u = 5.0 * np.ones((31, small_ensemble.n_paths, 1))
+        u_norms = h_alpha_norm_batch(op, prob.alpha, u[:-1])
         factors = _step_factors(op, small_ensemble.grid.deltas)
+        times = small_ensemble.grid.times
         with pytest.raises(RadiusExceeded):
-            _picard_targets(prob, factors, small_ensemble.grid.times, 20, 50, xi, u, None, 2.0)
+            _picard_targets(prob, factors, times, 20, 50, xi, u, u_norms, None, 2.0)
+        with pytest.raises(RadiusExceeded):
+            _ball_check(u_norms, 2.0)
 
     def test_projected_states_pass_ball_check(self):
         # rescaling onto the radius leaves some states a few ulp outside it;
         # the ball check must accept every state the projection produced
         op = DiagonalOperator(np.arange(1.0, 6.0))
-        prob = make_problem(op, lambda e: np.zeros((e.n_paths, 5)), bound=1.0)
         radius = 0.3779523779525669
-        y = np.random.default_rng(0).standard_normal((2, 1000, 5))
-        assert _project_to_ball(prob, y, radius) == 1000
-        assert _ball_check(prob, y[:-1], radius) == pytest.approx(radius, rel=1e-12)
+        for alpha in (0.0, 0.3):
+            prob = make_problem(op, lambda e: np.zeros((e.n_paths, 5)), bound=1.0, alpha=alpha)
+            y = np.random.default_rng(0).standard_normal((2, 1000, 5))
+            count, norms = _project_to_ball(prob, y, radius)
+            assert count == 1000
+            # the returned norms are measured after the rescaling, not assumed
+            np.testing.assert_array_equal(norms, h_alpha_norm_batch(op, alpha, y[:-1]))
+            assert _ball_check(norms, radius) == pytest.approx(radius, rel=1e-12)
 
     def test_vanishing_drift_matches_terminal_term(self, small_ensemble):
         # f0(t, 0) = 0 and U = 0: the map returns the pure terminal projection
@@ -271,8 +285,9 @@ class TestPicardMap:
         u = np.zeros((31, small_ensemble.n_paths, 1))
         factors = _step_factors(op, small_ensemble.grid.deltas)
         times = small_ensemble.grid.times
-        with_drift = _picard_targets(prob, factors, times, 20, 50, xi, u, None, 10.0)
-        without = _picard_targets(prob, factors, times, 20, 50, xi, None, None, 10.0)
+        u_norms = np.zeros(u.shape[:2])[:-1]
+        with_drift = _picard_targets(prob, factors, times, 20, 50, xi, u, u_norms, None, 10.0)
+        without = _picard_targets(prob, factors, times, 20, 50, xi, None, None, None, 10.0)
         np.testing.assert_allclose(with_drift, without, atol=1e-12)
 
 
@@ -309,6 +324,37 @@ class TestLocalSolve:
         scale = np.sqrt(np.mean(a.y ** 2))
         diff = np.sqrt(np.mean((a.y - b.y) ** 2))
         assert diff <= max(2.0 * tol, 1e-9 * scale)
+
+    @pytest.mark.parametrize("radius", [3.0, 1.0])
+    def test_two_window_norms_per_picard_step(self, monkeypatch, radius):
+        # the ball check reads the norms the projection returned, so each step
+        # norms the window twice (projection, distance) after the initial
+        # projection; the tighter radius clips some states
+        calls = []
+        norm = mildbsde.solver.h_alpha_norm_batch
+
+        def counted_norm(op, alpha, x):
+            calls.append(x.shape[:-1])
+            return norm(op, alpha, x)
+
+        monkeypatch.setattr(mildbsde.solver, "h_alpha_norm_batch", counted_norm)
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 50), 1, 400, seed=7)
+        op = DiagonalOperator([0.5])
+        f0 = DissipativeDrift(
+            fn=lambda t, y: -(y ** 3), growth_scale=1.0, growth_power=3.0,
+            lipschitz=lambda r: 3.0 * r ** 2,
+        )
+        prob = make_problem(
+            op, lambda e: np.tanh(2.0 * e.paths()[:, -1, :1]), bound=1.0, f0=f0, alpha=0.2
+        )
+        factors = _step_factors(op, ens.grid.deltas)
+        res = local_solve(prob, ens, RegressionBasis(degree=2), factors, 30, 50,
+                          prob.terminal(ens), radius=radius, tol=1e-10)
+        window = (20, ens.n_paths)
+        assert calls.count(window) == 2 * res.stats.iterations + 1
+        # every other call re-norms only the states the projection rescaled
+        assert sum(math.prod(c) for c in calls if c != window) == res.stats.ball_clipped
+        assert (res.stats.ball_clipped > 0) == (radius < 3.0)
 
     def test_divergent_iteration_raises(self, small_ensemble):
         # anti-dissipative expanding drift with an over-long window
@@ -487,6 +533,35 @@ class TestGeneralSolve:
         assert calls == {"constants": 1, "terminal": grids}
         # the refinement is reported and survives the later outer sweeps
         assert sum("grid refined" in m for m in rep.messages) == grids - 1
+
+
+class TestNonFiniteDrift:
+    @pytest.mark.parametrize("which", ["f0", "f1"])
+    def test_nan_drift_names_its_node(self, which):
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 20), 1, 200, seed=3)
+        bad_t = float(ens.grid.times[7])
+
+        def poisoned(t, value):
+            return np.full_like(value, np.nan) if t == bad_t else value
+
+        op = DiagonalOperator([1.0])
+        f0 = f1 = None
+        if which == "f0":
+            f0 = DissipativeDrift(
+                fn=lambda t, y: poisoned(t, -y), growth_scale=1.0, growth_power=2.0,
+                lipschitz=1.0,
+            )
+        else:
+            f1 = BoundedDriver(
+                fn=lambda t, y, z: poisoned(t, -0.5 * np.tanh(y)), lipschitz_const=0.5,
+                bound=0.5,
+            )
+        prob = make_problem(
+            op, lambda e: 0.4 * np.tanh(e.paths()[:, -1, :1]), bound=0.4, f0=f0, f1=f1
+        )
+        message = rf"^{which} returned a non-finite value at node 7 \(t = 0.35\)$"
+        with pytest.raises(NonFiniteDrift, match=message):
+            general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
 
 
 class TestResidual:

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mildbsde.spectral import (
     DiagonalOperator,
+    _seminorm_values,
     convolve_on_grid,
     dirichlet_laplacian_eigenvalues,
     estimate_constants,
@@ -181,6 +182,59 @@ class TestInterpolationNorm:
 
         oracle, _ = quad(integrand, 0.0, 1.0)
         assert got.seminorm == pytest.approx(oracle ** (1 / p), rel=1e-4)
+
+
+def two_stage_seminorm(op, alpha, x):
+    """The seminorm's two-stage formula with the fine windows indexed per call:
+    coarse argmax on every stride-th grid point, then the clipped window of
+    2 * stride + 1 grid points around it, gathered from the full weight table."""
+    t = op.norm_grid(alpha).t
+    w_sq = _seminorm_values(op, alpha, t) ** 2
+    p = w_sq.shape[0]
+    stride = (p - 1) // 128
+    coarse_idx = np.arange(0, p, stride)
+    x_sq = np.square(x).reshape(-1, x.shape[-1])
+    coarse = x_sq @ w_sq[coarse_idx].T
+    centers = coarse_idx[np.argmax(coarse, axis=-1)]
+    offsets = np.arange(-stride, stride + 1)
+    idx = np.clip(centers[:, None] + offsets[None, :], 0, p - 1)
+    vals = np.einsum("bn,bpn->bp", x_sq, w_sq[idx])
+    return np.sqrt(vals.max(axis=-1).reshape(x.shape[:-1]))
+
+
+class TestSeminormKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spectrum=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1e6)), min_size=1, max_size=8
+        ),
+        alpha=st.floats(0.01, 0.99),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 3000)),
+        seed=st.integers(0, 2 ** 16),
+    )
+    # a zero eigenvalue, a grid refined past 1025 points, and rows whose coarse
+    # argmax is the first (zero row) or the last point (the smallest positive
+    # eigenvalue, a = 0.05, peaks past t = 1)
+    @example(spectrum=[0.0, 0.05, 1e6], alpha=0.3, shape=(3, 2049), seed=1)
+    def test_window_table_matches_two_stage_formula(self, spectrum, alpha, shape, seed):
+        op = DiagonalOperator(spectrum)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(shape + (op.dimension,)) * rng.uniform(0.0, 1.0, shape + (1,))
+        x[..., 0, :] = 0.0
+        x[..., -1, :] = 0.0
+        x[..., -1, np.where(op.eigenvalues > 0, op.eigenvalues, np.inf).argmin()] = 1.0
+        got = op.norm_grid(alpha).seminorm(x)
+        assert np.array_equal(got, two_stage_seminorm(op, alpha, x))
+
+    def test_example_reaches_both_grid_ends(self):
+        # the explicit example above exercises the clipped windows
+        op, alpha = DiagonalOperator([0.0, 0.05, 1e6]), 0.3
+        grid = op.norm_grid(alpha)
+        assert grid.t.size > 1025
+        x = np.zeros((2, 3))
+        x[1, 1] = 1.0
+        coarse = np.square(x) @ grid.w_sq_coarse.T
+        assert np.argmax(coarse, axis=-1).tolist() == [0, grid.w_sq_coarse.shape[0] - 1]
 
 
 class TestSmoothingBound:
