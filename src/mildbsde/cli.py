@@ -1,6 +1,6 @@
 """Batch front end: solve runs, validation suites, convergence studies.
 
-Exit codes: 0 success, 2 hypothesis/validation failure, 3 solver divergence.
+Exit codes: 0 success, 2 hypothesis/validation failure, 3 solver failure.
 All outputs are reproducible from (config, seed); CSV files carry a schema
 version in their first line and contain no volatile fields.
 """
@@ -22,6 +22,7 @@ from .solver import (
     NonFiniteDrift,
     OuterDivergence,
     PicardDivergence,
+    RadiusExceeded,
     SolverError,
     WindowCollapse,
     general_solve,
@@ -376,9 +377,10 @@ def main(argv=None) -> int:
         print(f"validation failure: {err}", file=sys.stderr)
         return 2
     except (
-        PicardDivergence, OuterDivergence, WindowCollapse, GridTooCoarse, NonFiniteDrift
+        PicardDivergence, OuterDivergence, WindowCollapse, GridTooCoarse, NonFiniteDrift,
+        RadiusExceeded,
     ) as err:
-        print(f"solver divergence: {err}", file=sys.stderr)
+        print(f"solver failure: {err}", file=sys.stderr)
         return 3
     except SolverError as err:
         print(f"solver error: {err}", file=sys.stderr)

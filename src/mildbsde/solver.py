@@ -598,18 +598,6 @@ def _project_to_ball(
     return count, norms
 
 
-def _recover_z(ensemble, basis, decay, start, end, y) -> np.ndarray:
-    """Martingale-representation estimate of Z on [start, end): regression of
-    the semigroup-weighted next value against the step's increments."""
-    m, n = y.shape[1], y.shape[2]
-    z = np.empty((end - start, m, n, ensemble.n_noise))
-    for j in range(end - start):
-        l = start + j
-        next_val = decay[l] * y[j + 1]
-        z[j] = martingale_z_estimate(ensemble, basis, l, next_val)
-    return z
-
-
 @dataclass
 class LocalSolveResult:
     y: np.ndarray  # (W+1, M, N)
@@ -750,9 +738,12 @@ def global_solve(
     delta_1^(theta-alpha) and the constant window length delta_2 = delta_3 =
     ... for all remaining windows.  Pasted values agree at the joins by
     construction.  A window whose Picard iteration diverges or leaves the ball
-    is halved.  Window statistics, C_2 and the paste selection are written to
-    ``report``, and each halving is appended to ``report.messages``;
-    ``problem.f1`` is ignored, the driver enters through ``f1_path``.
+    is halved.  Z is recovered window by window: once a window has converged,
+    ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` fills Z at each of its
+    nodes l, so no second pass over the grid is needed.  Window statistics,
+    C_2 and the paste selection are written to ``report``, and each halving is
+    appended to ``report.messages``; ``problem.f1`` is ignored, the driver
+    enters through ``f1_path``.
     """
     op, alpha, theta = problem.operator, problem.alpha, problem.theta
     grid = ensemble.grid
@@ -760,8 +751,10 @@ def global_solve(
     n_steps = grid.n_steps
     dt = float(times[1] - times[0])
 
+    decay = factors[0]
     y_full = np.empty((n_steps + 1,) + terminal_values.shape)
     y_full[n_steps] = terminal_values
+    z_full = np.empty((n_steps,) + terminal_values.shape + (ensemble.n_noise,))
     windows: list[WindowStats] = []
     rank_flags = 0
     paste: dict = {}
@@ -809,6 +802,9 @@ def global_solve(
                 radius = sel2.radius
                 steps_per_window = _window_steps(sel2.delta, dt, n_steps, config)
                 window_count = 1 + math.ceil(end / steps_per_window)
+        # Z on the converged window, once the paste selection has kept the grid
+        for l in range(end, end + steps):
+            z_full[l] = martingale_z_estimate(ensemble, basis, l, decay[l] * y_full[l + 1])
 
     report.windows = windows
     report.picard_factors = [f for w in windows for f in w.factors]
@@ -817,8 +813,6 @@ def global_solve(
     report.c2_fit = c2
     report.selection_paste = paste
     report.window_count_formula = window_count
-
-    z_full = _recover_z(ensemble, basis, factors[0], 0, n_steps, y_full)
     return SolutionPair(grid=grid, y=y_full, z=z_full)
 
 

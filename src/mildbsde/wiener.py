@@ -69,8 +69,9 @@ class WienerEnsemble:
     """M sampled paths of a K-truncated cylindrical Wiener process.
 
     ``increments[m, l, k]`` ~ Normal(0, dt_l), independent across all indices.
-    The private fields are lazy caches of values derived from the increments;
-    ``dataclasses.replace`` starts them empty.
+    The two private fields, the node-major paths and the per-node ridged Gram
+    matrices, are lazy caches of values derived from the increments; no fit
+    leaves any other state here.  ``dataclasses.replace`` starts them empty.
     """
 
     grid: TimeGrid
@@ -79,8 +80,6 @@ class WienerEnsemble:
     _paths: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # (basis, t_index) -> that node's ridged Gram matrix, set by its first ridge fit
     _ridged_gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (basis, t_index, design) while martingale_z_estimate fits one node twice
-    _held_design: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
@@ -202,17 +201,23 @@ def conditional_expectation(
     of each (basis, node) is computed on the first fit and kept on the
     ensemble, so later fits at that node solve with the same matrix.
     """
+    return _fit(ensemble, basis, t_index, basis.design(ensemble, t_index), targets)
+
+
+def _fit(
+    ensemble: WienerEnsemble,
+    basis: RegressionBasis,
+    t_index: int,
+    phi: np.ndarray,
+    targets: np.ndarray,
+) -> Regression:
+    """``conditional_expectation`` on the node's design ``phi``, built by the caller."""
     targets = np.asarray(targets, dtype=float)
     squeeze = targets.ndim == 1
     if squeeze:
         targets = targets[:, None]
     if not np.all(np.isfinite(targets)):
         raise ValueError("regression targets must be finite")
-    held = ensemble._held_design
-    if held is not None and held[:2] == (basis, t_index):
-        phi = held[2]
-    else:
-        phi = basis.design(ensemble, t_index)
     if phi.shape[0] != targets.shape[0]:
         raise ValueError("targets and design have different path counts")
     b = phi.shape[1]
@@ -246,7 +251,8 @@ def martingale_z_estimate(
     is first centered by its own fitted conditional expectation; the centering
     term is uncorrelated with dW_l, so the estimand is unchanged while the
     regression noise drops (deterministic next values give Z at ridge-bias
-    scale instead of one Monte Carlo standard error).  Returns shape (M, N, K).
+    scale instead of one Monte Carlo standard error).  Both fits use one
+    design of the node.  Returns shape (M, N, K).
     """
     next_value = np.asarray(next_value, dtype=float)
     if next_value.ndim == 1:
@@ -256,12 +262,8 @@ def martingale_z_estimate(
         raise ValueError("no increment lies to the right of the final node")
     dw = ensemble.increments[:, t_index, :]
     dt = float(ensemble.grid.deltas[t_index])
-    # both fits below share the node's design
-    ensemble._held_design = (basis, t_index, basis.design(ensemble, t_index))
-    try:
-        centered = next_value - conditional_expectation(ensemble, basis, t_index, next_value).fitted
-        targets = (centered[:, :, None] * dw[:, None, :] / dt).reshape(m, -1)
-        fit = conditional_expectation(ensemble, basis, t_index, targets)
-    finally:
-        ensemble._held_design = None
+    phi = basis.design(ensemble, t_index)
+    centered = next_value - _fit(ensemble, basis, t_index, phi, next_value).fitted
+    targets = (centered[:, :, None] * dw[:, None, :] / dt).reshape(m, -1)
+    fit = _fit(ensemble, basis, t_index, phi, targets)
     return fit.fitted.reshape(m, n, ensemble.n_noise)

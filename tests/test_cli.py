@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mildbsde.solver
 from mildbsde.cli import main, run_gronwall_check, run_validation
 from mildbsde.config import ExperimentConfig, load_config
 from mildbsde.models import ValidationError
-from mildbsde.solver import DissipativeDrift
+from mildbsde.solver import DissipativeDrift, RadiusExceeded
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -123,7 +124,17 @@ class TestSolveCommand:
             )
         )
         assert main(["solve", "--config", str(cfg)]) == 3
-        assert "divergence" in capsys.readouterr().err
+        assert "solver failure: no convergence within 1 iterations" in capsys.readouterr().err
+
+    def test_radius_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a window that leaves its ball on every attempt exhausts the halvings
+        def always_outside(norms, radius):
+            raise RadiusExceeded(f"radius exceeded: norm above {radius:.3g}")
+
+        monkeypatch.setattr(mildbsde.solver, "_ball_check", always_outside)
+        cfg = write_spin_config(tmp_path, tmp_path / "r", paths=200, steps=30)
+        assert main(["solve", "--config", str(cfg)]) == 3
+        assert "solver failure: radius exceeded" in capsys.readouterr().err
 
     def test_nan_drift_exits_3_naming_the_node(self, tmp_path, capsys, monkeypatch):
         # the preset's drift turns NaN at t = 1/2, after validation has passed

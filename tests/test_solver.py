@@ -35,7 +35,7 @@ from mildbsde.spectral import (
     _step_factors,
     h_alpha_norm_batch,
 )
-from mildbsde.wiener import RegressionBasis, TimeGrid, sample_ensemble
+from mildbsde.wiener import RegressionBasis, TimeGrid, martingale_z_estimate, sample_ensemble
 
 
 def make_problem(op, terminal, bound=math.inf, f0=None, f1=None, noise=1, alpha=0.0, T=1.0):
@@ -413,6 +413,40 @@ class TestGlobalSolve:
         assert starts[1:] == ends[:-1]  # contiguous pasting
         assert len(rep.windows) == rep.window_count_formula
         assert rep.residual_value < 0.1
+
+    def test_z_recovered_per_window_matches_estimator(self, monkeypatch):
+        # zero monotonicity (no shift), at least three windows, and one forced
+        # halving: Z at every node, joins included, is the estimator applied
+        # to the pasted Y at the next node
+        grid = TimeGrid.uniform(1.0, 40)
+        ens = sample_ensemble(grid, 1, 2000, seed=57)
+        op = DiagonalOperator([1.0])
+        f0 = DissipativeDrift(
+            fn=lambda t, y: -np.tanh(y), growth_scale=1.1, growth_power=2.0,
+            lipschitz=1.1,
+        )
+        prob = make_problem(op, lambda e: 0.5 * np.tanh(e.paths()[:, -1, :1]),
+                            bound=0.5, f0=f0)
+        solve = mildbsde.solver.local_solve
+        calls = {"n": 0}
+
+        def first_call_diverges(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise PicardDivergence("forced on the first window")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(mildbsde.solver, "local_solve", first_call_diverges)
+        basis = RegressionBasis(degree=2)
+        sol, rep = general_solve(prob, ens, basis, SolverConfig(window_override=0.15))
+        assert rep.lambda_shift == 0.0 and rep.grid_refined == 1
+        assert len(rep.windows) >= 3
+        assert [w.halvings for w in rep.windows] == [1] + [0] * (len(rep.windows) - 1)
+        decay, _ = _step_factors(op, grid.deltas)
+        assert sol.z.shape == (40, ens.n_paths, 1, 1)
+        for l in range(grid.n_steps):
+            expect = martingale_z_estimate(ens, basis, l, decay[l] * sol.y[l + 1])
+            np.testing.assert_array_equal(sol.z[l], expect)
 
     def test_shift_equivalence(self):
         # solving the shifted problem and unshifting matches solving with the

@@ -257,6 +257,33 @@ class TestMartingaleZ:
         slope = np.cov(z, w_t)[0, 1] / np.var(w_t)
         assert abs(slope - 2.0) < 0.1
 
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    def test_equals_two_stage_definition_with_one_design(self, monkeypatch, ridge):
+        # centring by one fit, then a fit of centred (x) dW / dt, bit for bit;
+        # the estimate builds its node's design once for both fits
+        grid = TimeGrid.uniform(1.0, 8)
+        ens = sample_ensemble(grid, 2, 3000, seed=23)
+        basis = RegressionBasis(degree=2, ridge=ridge)
+        node = 3
+        nxt = np.stack([np.sin(ens.paths()[:, node + 1, 0]),
+                        ens.paths()[:, node + 1, 1] ** 2], axis=1)
+        centered = nxt - conditional_expectation(ens, basis, node, nxt).fitted
+        dw = ens.increments[:, node, :]
+        targets = (centered[:, :, None] * dw[:, None, :] / grid.deltas[node]).reshape(3000, -1)
+        expect = conditional_expectation(ens, basis, node, targets).fitted.reshape(3000, 2, 2)
+
+        design = RegressionBasis.design
+        calls = []
+
+        def counted_design(self, ensemble, t_index):
+            calls.append(t_index)
+            return design(self, ensemble, t_index)
+
+        monkeypatch.setattr(RegressionBasis, "design", counted_design)
+        z = martingale_z_estimate(ens, basis, node, nxt)
+        assert calls == [node]
+        np.testing.assert_array_equal(z, expect)
+
     def test_shapes(self, big_ensemble):
         basis = RegressionBasis(degree=1)
         nxt = np.random.default_rng(1).standard_normal((big_ensemble.n_paths, 3))
