@@ -9,7 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,9 @@ from .wiener import RegressionBasis, TimeGrid, conditional_expectation, sample_e
 SOLVE_CSV_SCHEMA = "mildbsde-solve-csv-v1"
 STUDY_CSV_SCHEMA = "mildbsde-study-csv-v1"
 GRONWALL_CSV_SCHEMA = "mildbsde-gronwall-csv-v1"
+
+# bytes per read when z.npy is copied into solution.npz
+_COPY_CHUNK = 1 << 22
 
 
 def _json_ready(obj):
@@ -79,13 +86,51 @@ def _config_from_args(args) -> ExperimentConfig:
 # solve
 
 
+def _write_solution_npz(path: Path, solution, z_file, z_shape: tuple) -> None:
+    """solution.npz with the members np.savez would write; z.npy is copied from z_file.
+
+    ``z_file`` holds Z as C-ordered float32 bytes, so z.npy is its format-1.0
+    header followed by the file's bytes, copied in bounded chunks.
+    """
+    z_dtype = np.dtype(np.float32)
+    z_file.seek(0)
+    if os.fstat(z_file.fileno()).st_size != math.prod(z_shape) * z_dtype.itemsize:
+        raise RuntimeError(f"the Z file does not hold every node of shape {z_shape}")
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, arr in (("times", solution.grid.times), ("y", solution.y.astype(np.float32))):
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, arr, allow_pickle=False)
+        with zf.open("z.npy", "w", force_zip64=True) as fh:
+            header = {
+                "descr": np.lib.format.dtype_to_descr(z_dtype),
+                "fortran_order": False,
+                "shape": z_shape,
+            }
+            np.lib.format.write_array_header_1_0(fh, header)
+            shutil.copyfileobj(z_file, fh, _COPY_CHUNK)
+
+
 def run_solve(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = cfg.make_problem()
-    ensemble = cfg.make_ensemble(problem)
     basis = cfg.make_basis()
-    solution, report = general_solve(problem, ensemble, basis, cfg.solver)
+    # Z arrives node by node, right to left, and goes straight to a temporary
+    # file at its node's offset; a plain file, since mapped pages count in RSS
+    with tempfile.TemporaryFile(dir=out) as z_file:
+
+        def z_sink(l: int, z_l: np.ndarray) -> None:
+            node = z_l.astype(np.float32)
+            z_file.seek(l * node.nbytes)
+            z_file.write(node)
+
+        # the ensemble is not kept here, so a refined grid frees the coarse one
+        solution, report = general_solve(
+            problem, cfg.make_ensemble(problem), basis, cfg.solver, z_sink=z_sink
+        )
+        z_shape = (report.n_steps, report.n_paths, problem.operator.dimension, report.n_noise)
+        # snapshots are for inspection; the report carries the full-precision numbers
+        _write_solution_npz(out / "solution.npz", solution, z_file, z_shape)
 
     doc = _json_ready({"config": cfg.to_dict(), "report": report.to_dict()})
     (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -105,17 +150,10 @@ def run_solve(cfg: ExperimentConfig) -> Path:
         rows,
     )
 
-    # snapshots are for inspection; the report carries the full-precision numbers
-    np.savez(
-        out / "solution.npz",
-        times=solution.grid.times,
-        y=solution.y.astype(np.float32),
-        z=solution.z.astype(np.float32),
-    )
     manifest = {
         "schema": "mildbsde-solution-v1",
         "files": {"arrays": "solution.npz", "report": "report.json", "csv": "solve.csv"},
-        "shapes": {"y": list(solution.y.shape), "z": list(solution.z.shape)},
+        "shapes": {"y": list(solution.y.shape), "z": list(z_shape)},
         "dtype": "float32",
         "seed": cfg.seed,
         "preset": cfg.preset,
@@ -260,6 +298,10 @@ def run_validation(cfg: ExperimentConfig, f0_override=None) -> dict:
 # convergence study
 
 
+def _discard_z(l: int, z_l: np.ndarray) -> None:
+    pass
+
+
 def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
     if not m_ladder or not l_ladder:
         raise ValidationError("config", "ladders must be nonempty")
@@ -271,8 +313,12 @@ def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
     for m in m_ladder:
         for l in l_ladder:
             grid = TimeGrid.uniform(problem.horizon, int(l))
-            ens = sample_ensemble(grid, problem.noise_dim, int(m), cfg.seed)
-            solution, report = general_solve(problem, ens, basis, cfg.solver)
+            # the study reads the report only: Z is dropped node by node, and
+            # the ensemble is not kept here, so a refined grid frees the coarse one
+            _, report = general_solve(
+                problem, sample_ensemble(grid, problem.noise_dim, int(m), cfg.seed), basis,
+                cfg.solver, z_sink=_discard_z,
+            )
             picard = max(report.picard_factors) if report.picard_factors else 0.0
             outer = 0.0
             if report.outer and report.outer["squared_factors"]:

@@ -227,7 +227,11 @@ class BsdeProblem:
 
 @dataclass
 class SolutionPair:
-    """Adapted grid processes: y at every node, z on left nodes of each step."""
+    """Adapted grid processes: y at every node, z on left nodes of each step.
+
+    ``z`` is None when ``general_solve`` handed Z node by node to a ``z_sink``
+    instead of keeping it.
+    """
 
     grid: TimeGrid
     y: np.ndarray  # (L+1, M, N)
@@ -432,15 +436,20 @@ def exponential_shift(problem: BsdeProblem, lam: float) -> BsdeProblem:
     )
 
 
+def _unshift_factors(times: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node factors exp(-lam t) of Y (every node) and of Z (left nodes)."""
+    return np.exp(-lam * times), np.exp(-lam * times[:-1])
+
+
 def unshift_solution(solution: SolutionPair, lam: float) -> SolutionPair:
     """Undo the exponential rescaling path by path: (Y, Z) -> exp(-lam t)(Y, Z)."""
     if lam == 0.0:
         return solution
-    times = solution.grid.times
-    y = solution.y * np.exp(-lam * times)[:, None, None]
+    y_scale, z_scale = _unshift_factors(solution.grid.times, lam)
+    y = solution.y * y_scale[:, None, None]
     z = None
     if solution.z is not None:
-        z = solution.z * np.exp(-lam * times[:-1])[:, None, None, None]
+        z = solution.z * z_scale[:, None, None, None]
     return SolutionPair(grid=solution.grid, y=y, z=z)
 
 
@@ -728,6 +737,8 @@ def global_solve(
     tol: float,
     report: SolverReport,
     f1_path: np.ndarray | None = None,
+    *,
+    node_sink: Callable[[int, np.ndarray, np.ndarray], None],
 ) -> SolutionPair:
     """Right-to-left window sweep on [0, T] for one frozen driver path.
 
@@ -738,12 +749,14 @@ def global_solve(
     delta_1^(theta-alpha) and the constant window length delta_2 = delta_3 =
     ... for all remaining windows.  Pasted values agree at the joins by
     construction.  A window whose Picard iteration diverges or leaves the ball
-    is halved.  Z is recovered window by window: once a window has converged,
-    ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` fills Z at each of its
-    nodes l, so no second pass over the grid is needed.  Window statistics,
-    C_2 and the paste selection are written to ``report``, and each halving is
-    appended to ``report.messages``; ``problem.f1`` is ignored, the driver
-    enters through ``f1_path``.
+    is halved.  Z is recovered window by window and never held: once a window
+    has converged and the paste selection has kept the grid, each of its nodes
+    l gets Z_l = ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` and goes
+    to ``node_sink(l, y_l, z_l)``, in strictly descending l over the whole
+    sweep.  The returned pair carries Y only.  Window statistics, C_2 and the
+    paste selection are written to ``report``, and each halving is appended to
+    ``report.messages``; ``problem.f1`` is ignored, the driver enters through
+    ``f1_path``.
     """
     op, alpha, theta = problem.operator, problem.alpha, problem.theta
     grid = ensemble.grid
@@ -754,7 +767,6 @@ def global_solve(
     decay = factors[0]
     y_full = np.empty((n_steps + 1,) + terminal_values.shape)
     y_full[n_steps] = terminal_values
-    z_full = np.empty((n_steps,) + terminal_values.shape + (ensemble.n_noise,))
     windows: list[WindowStats] = []
     rank_flags = 0
     paste: dict = {}
@@ -803,8 +815,10 @@ def global_solve(
                 steps_per_window = _window_steps(sel2.delta, dt, n_steps, config)
                 window_count = 1 + math.ceil(end / steps_per_window)
         # Z on the converged window, once the paste selection has kept the grid
-        for l in range(end, end + steps):
-            z_full[l] = martingale_z_estimate(ensemble, basis, l, decay[l] * y_full[l + 1])
+        for l in range(end + steps - 1, end - 1, -1):
+            node_sink(
+                l, y_full[l], martingale_z_estimate(ensemble, basis, l, decay[l] * y_full[l + 1])
+            )
 
     report.windows = windows
     report.picard_factors = [f for w in windows for f in w.factors]
@@ -813,14 +827,16 @@ def global_solve(
     report.c2_fit = c2
     report.selection_paste = paste
     report.window_count_formula = window_count
-    return SolutionPair(grid=grid, y=y_full, z=z_full)
+    return SolutionPair(grid=grid, y=y_full)
 
 
 def _record_bound_checks(work: BsdeProblem, report: SolverReport, sol: SolutionPair) -> None:
     """Fill the per-node norm columns and the closed-form bound values."""
     op, alpha, theta = work.operator, work.alpha, work.theta
     times = sol.grid.times
-    h_norms = np.linalg.norm(sol.y, axis=-1)  # (L+1, M)
+    h_norms = np.empty(sol.y.shape[:2])  # (L+1, M), node by node: no full-size temporaries
+    for l, y_l in enumerate(sol.y):
+        h_norms[l] = np.linalg.norm(y_l, axis=-1)
     report.times = times.tolist()
     report.mean_y_h = h_norms.mean(axis=1).tolist()
     report.max_y_h_per_node = h_norms.max(axis=1).tolist()
@@ -853,11 +869,22 @@ def _estimator_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2 ** 20,)))
 
 
-def _weighted_distance(grid: TimeGrid, beta: float, dy: np.ndarray, dz: np.ndarray) -> float:
-    """Square root of the exp(beta t)-weighted squared L2 norm of (dy, dz)."""
+def _weighted_distance(
+    grid: TimeGrid, beta: float, y1: np.ndarray, y0: np.ndarray, z1: np.ndarray, z0: np.ndarray
+) -> float:
+    """Square root of the exp(beta t)-weighted squared L2 norm of (y1 - y0, z1 - z0).
+
+    The path means are taken node by node, so no difference array of the
+    whole grid is formed.
+    """
     w = np.exp(beta * grid.times[:-1]) * grid.deltas  # (L,)
-    y_part = float((w * np.square(dy[:-1]).sum(axis=-1).mean(axis=1)).sum())
-    z_part = float((w * np.square(dz).sum(axis=(-1, -2)).mean(axis=1)).sum())
+    y_sq = np.empty(grid.n_steps)
+    z_sq = np.empty(grid.n_steps)
+    for l in range(grid.n_steps):
+        y_sq[l] = np.square(y1[l] - y0[l]).sum(axis=-1).mean()
+        z_sq[l] = np.square(z1[l] - z0[l]).sum(axis=(-1, -2)).mean()
+    y_part = float((w * y_sq).sum())
+    z_part = float((w * z_sq).sum())
     return math.sqrt(y_part + z_part)
 
 
@@ -866,6 +893,7 @@ def general_solve(
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
     config: SolverConfig | None = None,
+    z_sink: Callable[[int, np.ndarray], None] | None = None,
 ) -> tuple[SolutionPair, SolverReport]:
     """Solve the equation on [0, T]: the one solve driver.
 
@@ -883,6 +911,14 @@ def general_solve(
     under which the squared distances contract by 1/2 in theory.  Without f1
     the loop ends after one sweep; a driver independent of (y, z) (K = 0)
     ends it after one outer step.  The returned solution is shifted back.
+
+    ``z_sink(l, z_l)``, when given, receives the final (shifted back) Z of
+    every node exactly once, in strictly descending l, and the returned
+    ``SolutionPair.z`` is None.  Without f1 nothing reads Z after its node:
+    each node is shifted back, added to the residual and passed on as the
+    sweep produces it, so the full Z array is never formed.  With f1 the
+    outer distance and the next frozen driver path need all of Z, so it is
+    held and handed to the sink after the residual.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -949,9 +985,23 @@ def general_solve(
             report.n_steps = grid.n_steps
             report.selection = first.to_dict()
 
-            if f1 is not None:
+            z_shape = (grid.n_steps,) + terminal_values.shape + (ensemble.n_noise,)
+            if f1 is None:
+                y_scale, z_scale = _unshift_factors(times, lam)
+                sweep = _ResidualSweep(problem, grid, ensemble, terminal_values * y_scale[-1])
+                z_kept = np.empty(z_shape) if z_sink is None else None
+
+                def node_sink(l, y_l, z_l):
+                    if lam:
+                        y_l, z_l = y_l * y_scale[l], z_l * z_scale[l]
+                    sweep.add(l, y_l, z_l)
+                    if z_kept is None:
+                        z_sink(l, z_l)
+                    else:
+                        z_kept[l] = z_l
+            else:
                 u = np.zeros((grid.n_steps + 1,) + terminal_values.shape)
-                v = np.zeros((grid.n_steps,) + terminal_values.shape + (ensemble.n_noise,))
+                v = np.zeros(z_shape)
             distances: list[float] = []
             sq_factors: list[float] = []
             bad_streak = 0
@@ -963,13 +1013,19 @@ def general_solve(
                         f1_path[l] = _finite_drift(
                             "f1", f1(float(times[l]), u[l], v[l]), l, times[l]
                         )
+                    z_kept = np.empty(z_shape)
+
+                    def node_sink(l, y_l, z_l, out=z_kept):
+                        out[l] = z_l
                 shifted = global_solve(
                     frozen, ensemble, basis, config, consts, factors, terminal_values,
                     first.radius, first_steps, tol, report, f1_path=f1_path,
+                    node_sink=node_sink,
                 )
                 if f1 is None:
                     break
-                dist = _weighted_distance(grid, beta, shifted.y - u, shifted.z - v)
+                shifted.z = z_kept
+                dist = _weighted_distance(grid, beta, shifted.y, u, shifted.z, v)
                 if distances:
                     prev = distances[-1]
                     sq = (dist / prev) ** 2 if prev > 0 else 0.0
@@ -1014,13 +1070,68 @@ def general_solve(
         }
     _record_bound_checks(frozen, report, shifted)
     solution = unshift_solution(shifted, lam)
-    report.residual_value = residual(problem, solution, ensemble)
+    if f1 is None:
+        report.residual_value = sweep.value()
+        solution.z = z_kept
+    else:
+        report.residual_value = residual(problem, solution, ensemble)
+        if z_sink is not None:
+            for l in range(grid.n_steps - 1, -1, -1):
+                z_sink(l, solution.z[l])
+            solution.z = None
     report.runtime_seconds = time.perf_counter() - t0
     return solution, report
 
 
 # ---------------------------------------------------------------------------
 # residual of the mild equation
+
+
+class _ResidualSweep:
+    """The defect sum of ``residual``, taken one node at a time from the right.
+
+    ``add(l, y_l, z_l)`` must see l = L-1, L-2, ..., 0 in turn; it evaluates
+    the drift at its node and updates the running integrals with the same
+    arithmetic, in the same order, as a pass over the whole grid.
+    ``terminal`` is Y at node L.
+    """
+
+    def __init__(
+        self, problem: BsdeProblem, grid: TimeGrid, ensemble: WienerEnsemble, terminal: np.ndarray
+    ):
+        self.problem = problem
+        self.times, self.weights, self.horizon = grid.times, grid.deltas, grid.horizon
+        self.increments = ensemble.increments
+        self.decay, self.kernel_int = _step_factors(problem.operator, self.weights)
+        self.int_f = np.zeros_like(terminal)
+        self.int_z = np.zeros_like(terminal)
+        self.prop_term = terminal.copy()
+        self.total = 0.0
+        self.next_node = grid.n_steps - 1
+
+    def add(self, l: int, y_l: np.ndarray, z_l: np.ndarray) -> None:
+        if l != self.next_node:
+            raise SolverError(f"residual expected node {self.next_node}, got node {l}")
+        self.next_node -= 1
+        t = float(self.times[l])
+        f0, f1 = self.problem.f0, self.problem.f1
+        f_val = 0.0
+        if not f0.is_zero:
+            f_val = f0(t, y_l)
+        if f1 is not None:
+            f_val = f_val + f1(t, y_l, z_l)
+        decay = self.decay[l]
+        zdw = np.einsum("mnk,mk->mn", z_l, self.increments[:, l, :])
+        self.int_f = self.kernel_int[l] * f_val + decay * self.int_f
+        self.int_z = zdw + decay * self.int_z
+        self.prop_term = decay * self.prop_term
+        defect = y_l - self.int_f + self.int_z - self.prop_term
+        self.total += float(self.weights[l]) * float(np.mean(np.sum(defect ** 2, axis=-1)))
+
+    def value(self) -> float:
+        if self.next_node != -1:
+            raise SolverError(f"residual is missing nodes 0..{self.next_node}")
+        return math.sqrt(self.total / self.horizon)
 
 
 def residual(
@@ -1035,37 +1146,13 @@ def residual(
     is accumulated with the solver's own quadrature; the result is the square
     root of its squared H norm averaged over paths and integrated in t/T.
     Deterministic-terminal linear problems produce machine-size residuals.
+    The nodes are taken right to left, one at a time, as ``general_solve``
+    also takes them during its sweep when no f1 needs Z kept.
     """
-    grid = solution.grid
-    times = grid.times
     y, z = solution.y, solution.z
     if z is None:
         raise SolverError("residual needs the stochastic-integral component")
-    decay, kernel_int = _step_factors(problem.operator, grid.deltas)
-    n_steps = grid.n_steps
-
-    f_vals = np.zeros((n_steps,) + y.shape[1:])
-    f0 = problem.f0
-    for l in range(n_steps):
-        t = float(times[l])
-        val = 0.0
-        if not f0.is_zero:
-            val = f0(t, y[l])
-        if problem.f1 is not None:
-            val = val + problem.f1(t, y[l], z[l])
-        f_vals[l] = val
-
-    xi = y[-1]
-    int_f = np.zeros_like(xi)
-    int_z = np.zeros_like(xi)
-    prop_term = xi.copy()
-    weights = grid.deltas
-    total = 0.0
-    for l in range(n_steps - 1, -1, -1):
-        zdw = np.einsum("mnk,mk->mn", z[l], ensemble.increments[:, l, :])
-        int_f = kernel_int[l] * f_vals[l] + decay[l] * int_f
-        int_z = zdw + decay[l] * int_z
-        prop_term = decay[l] * prop_term
-        defect = y[l] - int_f + int_z - prop_term
-        total += float(weights[l]) * float(np.mean(np.sum(defect ** 2, axis=-1)))
-    return math.sqrt(total / grid.horizon)
+    sweep = _ResidualSweep(problem, solution.grid, ensemble, y[-1])
+    for l in range(solution.grid.n_steps - 1, -1, -1):
+        sweep.add(l, y[l], z[l])
+    return sweep.value()

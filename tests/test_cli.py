@@ -1,16 +1,18 @@
 """Command-line harness: artifacts, determinism, exit codes."""
 import json
+import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mildbsde.solver
-from mildbsde.cli import main, run_gronwall_check, run_validation
+from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
 from mildbsde.config import ExperimentConfig, load_config
 from mildbsde.models import ValidationError
-from mildbsde.solver import DissipativeDrift, RadiusExceeded
+from mildbsde.solver import DissipativeDrift, RadiusExceeded, general_solve
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -22,6 +24,28 @@ def write_spin_config(path: Path, out: Path, paths=400, steps=40, seed=321) -> P
             [
                 "[experiment]",
                 "preset = spin-chain",
+                f"seed = {seed}",
+                f"out = {out}",
+                "",
+                "[discretization]",
+                f"paths = {paths}",
+                f"steps = {steps}",
+                "",
+                "[validation]",
+                "trials = 400",
+            ]
+        )
+    )
+    return cfg
+
+
+def write_reaction_diffusion_config(path: Path, out: Path, paths=400, steps=20, seed=654) -> Path:
+    cfg = path / "rd.ini"
+    cfg.write_text(
+        "\n".join(
+            [
+                "[experiment]",
+                "preset = reaction-diffusion-1d",
                 f"seed = {seed}",
                 f"out = {out}",
                 "",
@@ -85,6 +109,48 @@ class TestSolveCommand:
         assert arrays["y"].shape[0] == n_steps + 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 321
+
+    @pytest.mark.parametrize(
+        "write_config", [write_spin_config, write_reaction_diffusion_config],
+        ids=["spin-chain", "reaction-diffusion"],
+    )
+    def test_streamed_solution_npz_matches_library_solve(self, tmp_path, write_config):
+        # Z reaches solution.npz node by node; the arrays must be those of a
+        # library solve that keeps Z, cast to float32
+        out = tmp_path / "run"
+        cfg_path = write_config(tmp_path, out)
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        problem = cfg.make_problem()
+        sol, _ = general_solve(problem, cfg.make_ensemble(problem), cfg.make_basis(), cfg.solver)
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = {
+            "times": sol.grid.times,
+            "y": sol.y.astype(np.float32),
+            "z": sol.z.astype(np.float32),
+        }
+        with np.load(out / "solution.npz") as arrays:
+            assert sorted(arrays.files) == sorted(expected)
+            for name, expect in expected.items():
+                got = arrays[name]
+                assert got.dtype == expect.dtype
+                np.testing.assert_array_equal(got, expect)
+            assert list(arrays["y"].shape) == manifest["shapes"]["y"]
+            assert list(arrays["z"].shape) == manifest["shapes"]["z"]
+
+    def test_solve_never_holds_z_in_full(self, tmp_path):
+        # the config refines to 200 steps, so Z is 200 x 2000 x 5 x 5 float64:
+        # 76.3 MiB, which the traced peak of a whole solve and write stays below
+        cfg = load_config(write_spin_config(tmp_path, tmp_path / "mem", paths=2000, steps=100))
+        tracemalloc.start()
+        try:
+            run_solve(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        z_shape = json.loads((tmp_path / "mem" / "manifest.json").read_text())["shapes"]["z"]
+        assert z_shape == [200, 2000, 5, 5]
+        assert peak < math.prod(z_shape) * np.dtype(np.float64).itemsize
 
     def test_byte_identical_rerun(self, tmp_path):
         out_a = tmp_path / "a"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mildbsde.solver
 from mildbsde.solver import (
@@ -19,6 +21,7 @@ from mildbsde.solver import (
     _ball_check,
     _picard_targets,
     _project_to_ball,
+    _weighted_distance,
     apriori_h_bound,
     blowup_bound,
     exponential_shift,
@@ -567,6 +570,135 @@ class TestGeneralSolve:
         assert calls == {"constants": 1, "terminal": grids}
         # the refinement is reported and survives the later outer sweeps
         assert sum("grid refined" in m for m in rep.messages) == grids - 1
+
+
+class TestWeightedDistance:
+    @staticmethod
+    def _two_array_form(grid, beta, dy, dz):
+        # the whole-grid formula on difference arrays, as the outer loop first had it
+        w = np.exp(beta * grid.times[:-1]) * grid.deltas
+        y_part = float((w * np.square(dy[:-1]).sum(axis=-1).mean(axis=1)).sum())
+        z_part = float((w * np.square(dz).sum(axis=(-1, -2)).mean(axis=1)).sum())
+        return math.sqrt(y_part + z_part)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.integers(1, 12),
+        paths=st.integers(1, 400),
+        dim=st.integers(1, 6),
+        noise=st.integers(1, 6),
+        beta=st.floats(0.0, 20.0),
+        horizon=st.floats(0.1, 3.0),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_node_by_node_equals_two_array_form(
+        self, steps, paths, dim, noise, beta, horizon, seed
+    ):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid.uniform(horizon, steps)
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        y1, y0 = scale * rng.standard_normal((2, steps + 1, paths, dim))
+        z1, z0 = scale * rng.standard_normal((2, steps, paths, dim, noise))
+        expect = self._two_array_form(grid, beta, y1 - y0, z1 - z0)
+        assert _weighted_distance(grid, beta, y1, y0, z1, z0) == expect
+
+
+def _whole_grid_residual(problem, solution, ensemble):
+    # the residual as one pass over stored drift values, before it was taken node by node
+    grid = solution.grid
+    y, z = solution.y, solution.z
+    decay, kernel_int = _step_factors(problem.operator, grid.deltas)
+    f_vals = np.zeros((grid.n_steps,) + y.shape[1:])
+    for l in range(grid.n_steps):
+        t = float(grid.times[l])
+        val = 0.0
+        if not problem.f0.is_zero:
+            val = problem.f0(t, y[l])
+        if problem.f1 is not None:
+            val = val + problem.f1(t, y[l], z[l])
+        f_vals[l] = val
+    int_f = np.zeros_like(y[-1])
+    int_z = np.zeros_like(y[-1])
+    prop_term = y[-1].copy()
+    total = 0.0
+    for l in range(grid.n_steps - 1, -1, -1):
+        zdw = np.einsum("mnk,mk->mn", z[l], ensemble.increments[:, l, :])
+        int_f = kernel_int[l] * f_vals[l] + decay[l] * int_f
+        int_z = zdw + decay[l] * int_z
+        prop_term = decay[l] * prop_term
+        defect = y[l] - int_f + int_z - prop_term
+        total += float(grid.deltas[l]) * float(np.mean(np.sum(defect ** 2, axis=-1)))
+    return math.sqrt(total / grid.horizon)
+
+
+class TestZSink:
+    """``general_solve(..., z_sink=...)`` against the solve that keeps Z."""
+
+    @staticmethod
+    def _problem(case):
+        terminal = lambda e: 0.4 * np.tanh(e.paths()[:, -1, :1])  # noqa: E731
+        if case == "shifted":
+            # positive monotonicity: the sweep runs on the shifted equation
+            mu = 0.5
+            f0 = DissipativeDrift(
+                fn=lambda t, y: mu * y - y ** 3, growth_scale=mu + 1.0, growth_power=3.0,
+                monotonicity=mu, lipschitz=lambda r: mu + 3.0 * r ** 2,
+            )
+            small = lambda e: 0.1 * np.tanh(e.paths()[:, -1, :1])  # noqa: E731
+            return make_problem(DiagonalOperator([0.0]), small, bound=0.1, f0=f0)
+        if case == "unshifted":
+            f0 = DissipativeDrift(
+                fn=lambda t, y: -np.tanh(y), growth_scale=1.1, growth_power=2.0,
+                lipschitz=1.1,
+            )
+            return make_problem(DiagonalOperator([1.0]), terminal, bound=0.4, f0=f0)
+        f1 = BoundedDriver(
+            fn=lambda t, y, z: -0.5 * np.tanh(y + z[..., 0]), lipschitz_const=0.5, bound=0.5,
+        )
+        return make_problem(DiagonalOperator([1.0]), terminal, bound=0.4, f1=f1)
+
+    @pytest.mark.parametrize("case", ["shifted", "unshifted", "f1"])
+    def test_each_node_once_in_descending_order(self, case):
+        prob = self._problem(case)
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 40), 1, 1000, seed=61)
+        basis, cfg = RegressionBasis(degree=2), SolverConfig(window_override=0.3)
+        kept, kept_rep = general_solve(prob, ens, basis, cfg)
+        assert kept_rep.grid_refined == 1
+        assert (kept_rep.lambda_shift > 0.0) == (case == "shifted")
+        assert (kept_rep.outer is not None) == (case == "f1")
+        assert len(kept_rep.windows) > 1
+        seen = []
+
+        def rec(l, z_l):
+            seen.append((l, z_l.copy()))
+
+        streamed, rep = general_solve(prob, ens, basis, cfg, z_sink=rec)
+        assert [l for l, _ in seen] == list(range(ens.grid.n_steps - 1, -1, -1))
+        for l, z_l in seen:
+            np.testing.assert_array_equal(z_l, kept.z[l])
+        assert streamed.z is None
+        np.testing.assert_array_equal(streamed.y, kept.y)
+        assert rep.residual_value == residual(prob, kept, ens)
+        assert rep.residual_value == kept_rep.residual_value
+        assert rep.residual_value == _whole_grid_residual(prob, kept, ens)
+        if case == "shifted":
+            # the kept pair is the shifted equation's solution, shifted back
+            direct, _ = general_solve(
+                exponential_shift(prob, kept_rep.lambda_shift), ens, basis, cfg
+            )
+            back = unshift_solution(direct, kept_rep.lambda_shift)
+            np.testing.assert_array_equal(kept.y, back.y)
+            np.testing.assert_array_equal(kept.z, back.z)
+
+    def test_residual_takes_nodes_right_to_left_only(self, small_ensemble):
+        prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
+        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sweep = mildbsde.solver._ResidualSweep(prob, sol.grid, small_ensemble, sol.y[-1])
+        with pytest.raises(SolverError, match="expected node 49, got node 0"):
+            sweep.add(0, sol.y[0], sol.z[0])
+        sweep.add(49, sol.y[49], sol.z[49])
+        with pytest.raises(SolverError, match="missing nodes 0..48"):
+            sweep.value()
 
 
 class TestNonFiniteDrift:
