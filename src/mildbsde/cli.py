@@ -14,6 +14,7 @@ import shutil
 import sys
 import tempfile
 import zipfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -132,7 +133,7 @@ def run_solve(cfg: ExperimentConfig) -> Path:
         # snapshots are for inspection; the report carries the full-precision numbers
         _write_solution_npz(out / "solution.npz", solution, z_file, z_shape)
 
-    doc = _json_ready({"config": cfg.to_dict(), "report": report.to_dict()})
+    doc = _json_ready({"config": asdict(cfg), "report": asdict(report)})
     (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     rows = zip(

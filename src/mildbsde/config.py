@@ -126,15 +126,6 @@ class ExperimentConfig:
             degree=self.basis_degree, n_coords=self.basis_coords, ridge=self.ridge
         )
 
-    def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        out.update(
-            model_overrides=dict(self.model_overrides),
-            solver=self.solver.to_dict(),
-            validation_suite=list(self.validation_suite),
-        )
-        return out
-
 
 # INI key -> SolverConfig field, for every field with a key
 _SOLVER_KEYS = {"auto_refine": "auto_refine_grid"} | {

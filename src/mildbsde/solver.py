@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -251,9 +251,6 @@ class SolverConfig:
     auto_shift: bool = True
     auto_refine_grid: bool = True
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass(frozen=True)
 class WindowSelection:
@@ -268,14 +265,6 @@ class WindowSelection:
     delta_lip: float
     delta_ball: float
 
-    def to_dict(self) -> dict:
-        return {
-            "radius": self.radius,
-            "delta": self.delta,
-            "delta_lip": self.delta_lip,
-            "delta_ball": self.delta_ball,
-        }
-
 
 @dataclass
 class WindowStats:
@@ -287,18 +276,6 @@ class WindowStats:
     factors: list
     halvings: int = 0
     ball_clipped: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "start_index": self.start_index,
-            "end_index": self.end_index,
-            "radius": self.radius,
-            "iterations": self.iterations,
-            "distances": list(self.distances),
-            "factors": list(self.factors),
-            "halvings": self.halvings,
-            "ball_clipped": self.ball_clipped,
-        }
 
 
 @dataclass
@@ -334,15 +311,6 @@ class SolverReport:
     outer: dict | None = None
     messages: list = field(default_factory=list)
     runtime_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        out = {}
-        for key in self.__dataclass_fields__:
-            val = getattr(self, key)
-            if isinstance(val, list) and val and isinstance(val[0], WindowStats):
-                val = [w.to_dict() for w in val]
-            out[key] = val
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -753,10 +721,13 @@ def global_solve(
     has converged and the paste selection has kept the grid, each of its nodes
     l gets Z_l = ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` and goes
     to ``node_sink(l, y_l, z_l)``, in strictly descending l over the whole
-    sweep.  The returned pair carries Y only.  Window statistics, C_2 and the
-    paste selection are written to ``report``, and each halving is appended to
-    ``report.messages``; ``problem.f1`` is ignored, the driver enters through
-    ``f1_path``.
+    sweep.  Each node is handed over exactly once; the sink may keep z_l but
+    must not write into y_l, from which the next window starts at a join.
+    ``general_solve`` passes its node exit, or under the outer fixed point
+    the distance to the previous iterate.  The returned pair carries Y only.
+    Window statistics, C_2 and the paste selection are written to ``report``,
+    and each halving is appended to ``report.messages``; ``problem.f1`` is
+    ignored, the driver enters through ``f1_path``.
     """
     op, alpha, theta = problem.operator, problem.alpha, problem.theta
     grid = ensemble.grid
@@ -810,7 +781,7 @@ def global_solve(
             if end > 0:
                 bound2 = c2 / delta1 ** theta_gap if theta_gap > 0 else c2
                 sel2 = select_local_radius_and_delta(problem, bound2, consts)
-                paste = sel2.to_dict()
+                paste = asdict(sel2)
                 radius = sel2.radius
                 steps_per_window = _window_steps(sel2.delta, dt, n_steps, config)
                 window_count = 1 + math.ceil(end / steps_per_window)
@@ -869,25 +840,6 @@ def _estimator_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2 ** 20,)))
 
 
-def _weighted_distance(
-    grid: TimeGrid, beta: float, y1: np.ndarray, y0: np.ndarray, z1: np.ndarray, z0: np.ndarray
-) -> float:
-    """Square root of the exp(beta t)-weighted squared L2 norm of (y1 - y0, z1 - z0).
-
-    The path means are taken node by node, so no difference array of the
-    whole grid is formed.
-    """
-    w = np.exp(beta * grid.times[:-1]) * grid.deltas  # (L,)
-    y_sq = np.empty(grid.n_steps)
-    z_sq = np.empty(grid.n_steps)
-    for l in range(grid.n_steps):
-        y_sq[l] = np.square(y1[l] - y0[l]).sum(axis=-1).mean()
-        z_sq[l] = np.square(z1[l] - z0[l]).sum(axis=(-1, -2)).mean()
-    y_part = float((w * y_sq).sum())
-    z_part = float((w * z_sq).sum())
-    return math.sqrt(y_part + z_part)
-
-
 def general_solve(
     problem: BsdeProblem,
     ensemble: WienerEnsemble,
@@ -909,16 +861,19 @@ def general_solve(
     window sweep ``global_solve``.  Distances between successive (Y, Z) are
     measured in the exp(beta t)-weighted ensemble norm with beta = 4 K^2 + 1,
     under which the squared distances contract by 1/2 in theory.  Without f1
-    the loop ends after one sweep; a driver independent of (y, z) (K = 0)
-    ends it after one outer step.  The returned solution is shifted back.
+    one sweep solves the equation; a driver independent of (y, z) (K = 0)
+    ends the loop after one outer step.  The returned solution is shifted back.
 
-    ``z_sink(l, z_l)``, when given, receives the final (shifted back) Z of
-    every node exactly once, in strictly descending l, and the returned
-    ``SolutionPair.z`` is None.  Without f1 nothing reads Z after its node:
-    each node is shifted back, added to the residual and passed on as the
-    sweep produces it, so the full Z array is never formed.  With f1 the
-    outer distance and the next frozen driver path need all of Z, so it is
-    held and handed to the sink after the residual.
+    Every node leaves the solve through one exit: it is shifted back, added
+    to the residual, and then ``z_sink(l, z_l)``, when given, receives its Z;
+    each node passes exactly once, in strictly descending l, and the returned
+    ``SolutionPair.z`` is None.  Without a sink Z is kept in the returned
+    pair.  Without f1 the sweep feeds the exit as it produces each node, so
+    the full Z array is never formed.  With f1 the outer distance and the
+    next frozen driver path need all of Z: the loop holds one Z, which each
+    sweep overwrites node by node once that node's distance to the previous
+    iterate is taken, and the converged iterate replays through the same
+    exit.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -956,7 +911,7 @@ def general_solve(
         seed=ensemble.seed,
         n_paths=ensemble.n_paths,
         n_noise=ensemble.n_noise,
-        constants={"raw": raw.to_dict(), "scaled": consts.to_dict()},
+        constants={"raw": asdict(raw), "scaled": asdict(consts)},
     )
 
     base_steps = ensemble.grid.n_steps
@@ -983,49 +938,61 @@ def general_solve(
             first_steps = _window_steps(first.delta, dt, grid.n_steps, config)
             tol = config.tol if config.tol is not None else _auto_tol(terminal_values)
             report.n_steps = grid.n_steps
-            report.selection = first.to_dict()
+            report.selection = asdict(first)
 
+            # the one exit of a node: shifted back, into the residual, then out
+            y_scale, z_scale = _unshift_factors(times, lam)
+            sweep = _ResidualSweep(
+                problem, grid, ensemble, factors, terminal_values * y_scale[-1]
+            )
             z_shape = (grid.n_steps,) + terminal_values.shape + (ensemble.n_noise,)
-            if f1 is None:
-                y_scale, z_scale = _unshift_factors(times, lam)
-                sweep = _ResidualSweep(problem, grid, ensemble, terminal_values * y_scale[-1])
-                z_kept = np.empty(z_shape) if z_sink is None else None
-
-                def node_sink(l, y_l, z_l):
-                    if lam:
-                        y_l, z_l = y_l * y_scale[l], z_l * z_scale[l]
-                    sweep.add(l, y_l, z_l)
-                    if z_kept is None:
-                        z_sink(l, z_l)
-                    else:
-                        z_kept[l] = z_l
-            else:
+            if f1 is not None:
                 u = np.zeros((grid.n_steps + 1,) + terminal_values.shape)
                 v = np.zeros(z_shape)
+            z_kept = None
+            if z_sink is None:
+                z_kept = v if f1 is not None else np.empty(z_shape)
+
+            def emit(l, y_l, z_l):
+                if lam:
+                    y_l, z_l = y_l * y_scale[l], z_l * z_scale[l]
+                sweep.add(l, y_l, z_l)
+                if z_kept is None:
+                    z_sink(l, z_l)
+                else:
+                    z_kept[l] = z_l
+
+            if f1 is None:
+                shifted = global_solve(
+                    frozen, ensemble, basis, config, consts, factors, terminal_values,
+                    first.radius, first_steps, tol, report, node_sink=emit,
+                )
+                break
+            w = np.exp(beta * times[:-1]) * grid.deltas
+            y_sq = np.empty(grid.n_steps)
+            z_sq = np.empty(grid.n_steps)
+
+            def to_previous(l, y_l, z_l):
+                # the distance to the previous iterate, then its Z is overwritten
+                y_sq[l] = np.square(y_l - u[l]).sum(axis=-1).mean()
+                z_sq[l] = np.square(z_l - v[l]).sum(axis=(-1, -2)).mean()
+                v[l] = z_l
+
             distances: list[float] = []
             sq_factors: list[float] = []
             bad_streak = 0
             for _ in range(config.max_outer):
-                f1_path = None
-                if f1 is not None:
-                    f1_path = np.empty((grid.n_steps,) + terminal_values.shape)
-                    for l in range(grid.n_steps):
-                        f1_path[l] = _finite_drift(
-                            "f1", f1(float(times[l]), u[l], v[l]), l, times[l]
-                        )
-                    z_kept = np.empty(z_shape)
-
-                    def node_sink(l, y_l, z_l, out=z_kept):
-                        out[l] = z_l
+                f1_path = np.empty((grid.n_steps,) + terminal_values.shape)
+                for l in range(grid.n_steps):
+                    f1_path[l] = _finite_drift(
+                        "f1", f1(float(times[l]), u[l], v[l]), l, times[l]
+                    )
                 shifted = global_solve(
                     frozen, ensemble, basis, config, consts, factors, terminal_values,
                     first.radius, first_steps, tol, report, f1_path=f1_path,
-                    node_sink=node_sink,
+                    node_sink=to_previous,
                 )
-                if f1 is None:
-                    break
-                shifted.z = z_kept
-                dist = _weighted_distance(grid, beta, shifted.y, u, shifted.z, v)
+                dist = math.sqrt(float((w * y_sq).sum()) + float((w * z_sq).sum()))
                 if distances:
                     prev = distances[-1]
                     sq = (dist / prev) ** 2 if prev > 0 else 0.0
@@ -1036,7 +1003,7 @@ def general_solve(
                             f"weighted squared factor at or above one twice (last {sq:.3f})"
                         )
                 distances.append(dist)
-                u, v = shifted.y, shifted.z
+                u = shifted.y
                 tol_outer = config.tol_outer
                 if tol_outer is None:
                     tol_outer = max(1e-9, 0.02 * distances[0])
@@ -1046,6 +1013,8 @@ def general_solve(
                 raise OuterDivergence(
                     f"outer iteration did not converge within {config.max_outer} steps"
                 )
+            for l in range(grid.n_steps - 1, -1, -1):
+                emit(l, u[l], v[l])
             break
         except GridTooCoarse as need:
             if not config.auto_refine_grid:
@@ -1070,15 +1039,8 @@ def general_solve(
         }
     _record_bound_checks(frozen, report, shifted)
     solution = unshift_solution(shifted, lam)
-    if f1 is None:
-        report.residual_value = sweep.value()
-        solution.z = z_kept
-    else:
-        report.residual_value = residual(problem, solution, ensemble)
-        if z_sink is not None:
-            for l in range(grid.n_steps - 1, -1, -1):
-                z_sink(l, solution.z[l])
-            solution.z = None
+    solution.z = z_kept
+    report.residual_value = sweep.value()
     report.runtime_seconds = time.perf_counter() - t0
     return solution, report
 
@@ -1093,16 +1055,22 @@ class _ResidualSweep:
     ``add(l, y_l, z_l)`` must see l = L-1, L-2, ..., 0 in turn; it evaluates
     the drift at its node and updates the running integrals with the same
     arithmetic, in the same order, as a pass over the whole grid.
-    ``terminal`` is Y at node L.
+    ``factors`` are the grid's step decays and kernel integrals, as
+    ``spectral._step_factors`` returns them; ``terminal`` is Y at node L.
     """
 
     def __init__(
-        self, problem: BsdeProblem, grid: TimeGrid, ensemble: WienerEnsemble, terminal: np.ndarray
+        self,
+        problem: BsdeProblem,
+        grid: TimeGrid,
+        ensemble: WienerEnsemble,
+        factors: tuple[np.ndarray, np.ndarray],
+        terminal: np.ndarray,
     ):
         self.problem = problem
         self.times, self.weights, self.horizon = grid.times, grid.deltas, grid.horizon
         self.increments = ensemble.increments
-        self.decay, self.kernel_int = _step_factors(problem.operator, self.weights)
+        self.decay, self.kernel_int = factors
         self.int_f = np.zeros_like(terminal)
         self.int_z = np.zeros_like(terminal)
         self.prop_term = terminal.copy()
@@ -1146,13 +1114,15 @@ def residual(
     is accumulated with the solver's own quadrature; the result is the square
     root of its squared H norm averaged over paths and integrated in t/T.
     Deterministic-terminal linear problems produce machine-size residuals.
-    The nodes are taken right to left, one at a time, as ``general_solve``
-    also takes them during its sweep when no f1 needs Z kept.
+    The nodes are taken right to left, one at a time, as they also leave
+    ``general_solve`` through its node exit.
     """
     y, z = solution.y, solution.z
     if z is None:
         raise SolverError("residual needs the stochastic-integral component")
-    sweep = _ResidualSweep(problem, solution.grid, ensemble, y[-1])
-    for l in range(solution.grid.n_steps - 1, -1, -1):
+    grid = solution.grid
+    factors = _step_factors(problem.operator, grid.deltas)
+    sweep = _ResidualSweep(problem, grid, ensemble, factors, y[-1])
+    for l in range(grid.n_steps - 1, -1, -1):
         sweep.add(l, y[l], z[l])
     return sweep.value()

@@ -462,17 +462,6 @@ class EmpiricalConstants:
             margin=self.margin * margin,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "horizon": self.horizon,
-            "m_alpha": self.m_alpha,
-            "c_alpha": self.c_alpha,
-            "g_holder": self.g_holder,
-            "c_interp": self.c_interp,
-            "margin": self.margin,
-        }
-
 
 def estimate_m_alpha(
     op: DiagonalOperator,

@@ -152,6 +152,26 @@ class TestSolveCommand:
         assert z_shape == [200, 2000, 5, 5]
         assert peak < math.prod(z_shape) * np.dtype(np.float64).itemsize
 
+    def test_coupled_solve_holds_one_z(self, tmp_path):
+        # the outer fixed point keeps one Z of 40 x 2000 x 6 x 6 float64 (22.0 MiB)
+        # and overwrites it each outer step, so a whole solve and write stays
+        # below three of them
+        cfg = load_config(
+            write_reaction_diffusion_config(tmp_path, tmp_path / "mem", paths=2000, steps=40)
+        )
+        cfg.basis_coords = 3
+        tracemalloc.start()
+        try:
+            run_solve(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        z_shape = json.loads((tmp_path / "mem" / "manifest.json").read_text())["shapes"]["z"]
+        assert z_shape == [40, 2000, 6, 6]
+        report = json.loads((tmp_path / "mem" / "report.json").read_text())["report"]
+        assert report["outer"]["iterations"] > 1
+        assert peak < 3 * math.prod(z_shape) * np.dtype(np.float64).itemsize
+
     def test_byte_identical_rerun(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -191,6 +211,24 @@ class TestSolveCommand:
         )
         assert main(["solve", "--config", str(cfg)]) == 3
         assert "solver failure: no convergence within 1 iterations" in capsys.readouterr().err
+
+    def test_outer_divergence_exits_3(self, tmp_path, capsys):
+        # one outer step can never meet the outer stopping rule of a coupled driver
+        cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x")
+        cfg.write_text(cfg.read_text() + "\n[solver]\nmax_outer = 1\n")
+        assert main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: outer iteration did not converge within 1 steps" in err
+
+    def test_grid_too_coarse_exits_3(self, tmp_path, capsys):
+        # a window capped below one step of the 40-step grid, with refinement off
+        cfg = write_spin_config(tmp_path, tmp_path / "x")
+        cfg.write_text(
+            cfg.read_text() + "\n[solver]\nauto_refine = false\nwindow_override = 0.001\n"
+        )
+        assert main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: window length below one grid step" in err
 
     def test_radius_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
         # a window that leaves its ball on every attempt exhausts the halvings

@@ -1,5 +1,6 @@
 """Solver mechanics: shift, window selection, Picard maps, pasting, residuals."""
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from mildbsde.solver import (
     _ball_check,
     _picard_targets,
     _project_to_ball,
-    _weighted_distance,
     apriori_h_bound,
     blowup_bound,
     exponential_shift,
@@ -573,6 +573,8 @@ class TestGeneralSolve:
 
 
 class TestWeightedDistance:
+    """The outer distance, taken node by node as each sweep hands its nodes over."""
+
     @staticmethod
     def _two_array_form(grid, beta, dy, dz):
         # the whole-grid formula on difference arrays, as the outer loop first had it
@@ -587,20 +589,44 @@ class TestWeightedDistance:
         paths=st.integers(1, 400),
         dim=st.integers(1, 6),
         noise=st.integers(1, 6),
-        beta=st.floats(0.0, 20.0),
+        lipschitz=st.floats(0.01, 2.2),
         horizon=st.floats(0.1, 3.0),
         seed=st.integers(0, 2 ** 16),
     )
     def test_node_by_node_equals_two_array_form(
-        self, steps, paths, dim, noise, beta, horizon, seed
+        self, steps, paths, dim, noise, lipschitz, horizon, seed
     ):
         rng = np.random.default_rng(seed)
         grid = TimeGrid.uniform(horizon, steps)
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        y1, y0 = scale * rng.standard_normal((2, steps + 1, paths, dim))
-        z1, z0 = scale * rng.standard_normal((2, steps, paths, dim, noise))
-        expect = self._two_array_form(grid, beta, y1 - y0, z1 - z0)
-        assert _weighted_distance(grid, beta, y1, y0, z1, z0) == expect
+        y0, y1 = scale * rng.standard_normal((2, steps + 1, paths, dim))
+        z0, z1 = scale * rng.standard_normal((2, steps, paths, dim, noise))
+        iterates = iter([(y0, z0)] + [(y1, z1)] * 24)
+
+        def sweep(*args, node_sink, **kwargs):
+            # each outer step's sweep hands over the next iterate, node L-1 first
+            y, z = next(iterates)
+            for l in range(steps - 1, -1, -1):
+                node_sink(l, y[l], z[l])
+            return SolutionPair(grid=grid, y=y)
+
+        f1 = BoundedDriver(
+            fn=lambda t, y, z: np.zeros_like(y), lipschitz_const=lipschitz, bound=1.0
+        )
+        prob = make_problem(
+            DiagonalOperator(np.arange(dim, dtype=float)),
+            lambda e: np.zeros((e.n_paths, dim)), f1=f1, noise=noise, T=horizon,
+        )
+        ens = sample_ensemble(grid, noise, paths, seed=seed)
+        with patch.object(mildbsde.solver, "global_solve", sweep):
+            sol, rep = general_solve(prob, ens, RegressionBasis(degree=1), SolverConfig())
+        beta = 4.0 * lipschitz ** 2 + 1.0
+        assert rep.outer["beta"] == beta
+        first, second = rep.outer["distances"][:2]
+        assert first == self._two_array_form(grid, beta, y0, z0)  # from the zero start
+        assert second == self._two_array_form(grid, beta, y1 - y0, z1 - z0)
+        # the one Z the loop holds ends as the converged iterate's
+        np.testing.assert_array_equal(sol.z, z1)
 
 
 def _whole_grid_residual(problem, solution, ensemble):
@@ -693,7 +719,8 @@ class TestZSink:
     def test_residual_takes_nodes_right_to_left_only(self, small_ensemble):
         prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
         sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
-        sweep = mildbsde.solver._ResidualSweep(prob, sol.grid, small_ensemble, sol.y[-1])
+        factors = _step_factors(prob.operator, sol.grid.deltas)
+        sweep = mildbsde.solver._ResidualSweep(prob, sol.grid, small_ensemble, factors, sol.y[-1])
         with pytest.raises(SolverError, match="expected node 49, got node 0"):
             sweep.add(0, sol.y[0], sol.z[0])
         sweep.add(49, sol.y[49], sol.z[49])
