@@ -2,7 +2,8 @@
 
 Schema (all keys optional unless noted; an unknown section or key, including
 a ``[model]`` key that is not a field of the preset's spec, is rejected as a
-``config`` validation failure):
+``config`` validation failure, and so is a ``paths`` or ``steps`` that is not
+an integer of at least 1, or a ``window_override`` that is not positive):
 
     [experiment]
     preset = spin-chain | reaction-diffusion-1d   (required unless --preset given)
@@ -143,6 +144,16 @@ def _section(sections: dict, name: str, keys: dict) -> dict:
     return {keys[k]: v for k, v in values.items()}
 
 
+def _check_positive(name: str, value, integer: bool) -> None:
+    """Reject a set value that is not a positive number (integer if asked), naming the key."""
+    if value is None:
+        return
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
+        what = "a positive integer" if integer else "a positive number"
+        raise ValidationError("config", f"{name} must be {what}, got {value!r}")
+
+
 def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig:
     """Read an INI config; absent keys keep the dataclass defaults.
 
@@ -162,6 +173,9 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
         {k: k for k in ("paths", "steps", "basis_degree", "basis_coords", "ridge")},
     )
     solver = SolverConfig(**_section(sections, "solver", _SOLVER_KEYS))
+    for key in ("paths", "steps"):
+        _check_positive(f"[discretization] {key}", disc.get(key), integer=True)
+    _check_positive("[solver] window_override", solver.window_override, integer=False)
     val = _section(
         sections, "validation", {"suite": "validation_suite", "trials": "validation_trials"}
     )

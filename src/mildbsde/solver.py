@@ -42,6 +42,7 @@ from .spectral import (
     EmpiricalConstants,
     estimate_constants,
     h_alpha_norm_batch,
+    h_alpha_norm_bound,
     _step_factors,
 )
 from .wiener import (
@@ -466,12 +467,14 @@ def select_local_radius_and_delta(
 
 
 def _ball_check(norms: np.ndarray, radius: float) -> float:
-    """Largest of the supplied alpha norms; raises when it leaves the ball.
+    """Largest of the supplied alpha-norm bounds; raises when it leaves the ball.
 
-    The norms are those ``_project_to_ball`` returned for the states the drift
-    is about to see, so the check evaluates no norm itself.  The relative
-    allowance matches the terminal-bound check: states that the projection
-    rescaled onto the radius can land a few ulp outside it.
+    The bounds are those ``_project_to_ball`` returned for the states the drift
+    is about to see, so the check evaluates no norm itself.  Every bound that
+    can reach the radius is an exact norm there, so the decision is the one
+    exact norms would give.  The relative allowance matches the terminal-bound
+    check: states that the projection rescaled onto the radius can land a few
+    ulp outside it.
     """
     worst = float(norms.max()) if norms.size else 0.0
     if worst > radius * (1.0 + 1e-9):
@@ -500,9 +503,9 @@ def _picard_targets(
                + sum_{j=l}^{end-1} exp(-(t_j - t_l) a) I_j [f0(t_j, U_j) + f1_j],
     accumulated by one backward recursion (exact for the piecewise-constant
     interpolant of the integrand).  ``u = None`` means drift-free.
-    ``u_norms`` are the alpha norms of ``u[:W]``, the states the drift sees,
-    as ``_project_to_ball`` returned them; a finite radius checks them against
-    the ball.  A non-finite drift value raises ``NonFiniteDrift``.
+    ``u_norms`` are the alpha-norm bounds of ``u[:W]``, the states the drift
+    sees, as ``_project_to_ball`` returned them; a finite radius checks them
+    against the ball.  A non-finite drift value raises ``NonFiniteDrift``.
     """
     decay, kernel_int = factors
     width = end - start
@@ -558,14 +561,22 @@ def _project_to_ball(
     Polynomial regression can overshoot a bounded target on tail paths; the
     true conditional expectation lies in the (convex) ball, so pulling the
     estimate back onto it never increases the pathwise error.  Returns the
-    number of rescaled states and the alpha norms of ``y[:-1]`` after the
+    number of rescaled states and alpha-norm bounds of ``y[:-1]`` after the
     projection (None for an infinite radius, where nothing is measured).
+
+    Each state is first measured by the one-matmul ``h_alpha_norm_bound``;
+    only states whose bound can reach the radius (within a relative 1e-12,
+    far above the bound's rounding) are normed exactly.  The others have an
+    exact norm below the radius, so the clip mask is the one exact norms give.
     Rescaled states are normed again rather than assumed to sit on the radius.
     """
     if not math.isfinite(radius):
         return 0, None
     op, alpha = problem.operator, problem.alpha
-    norms = h_alpha_norm_batch(op, alpha, y[:-1])
+    norms = h_alpha_norm_bound(op, alpha, y[:-1])
+    near = norms * (1.0 + 1e-12) > radius
+    if near.any():
+        norms[near] = h_alpha_norm_batch(op, alpha, y[:-1][near])
     mask = norms > radius
     count = int(np.count_nonzero(mask))
     if count:

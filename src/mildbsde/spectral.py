@@ -31,6 +31,7 @@ __all__ = [
     "interpolation_norm",
     "h_alpha_norm",
     "h_alpha_norm_batch",
+    "h_alpha_norm_bound",
     "h_alpha_seminorm_batch",
     "smoothing_bound_check",
     "interpolation_inequality_check",
@@ -170,6 +171,10 @@ class _SeminormGrid:
     clipped at the grid ends, so each state gathers one row of it by its
     coarse argmax.  The grid starts at 1025 points and only doubles, so the
     stride is at least 8.
+
+    ``w_sq_max[n]`` is the largest squared weight of component n over the whole
+    fine grid.  Since max_p sum_n x_n^2 W[p, n] <= sum_n x_n^2 max_p W[p, n],
+    ``seminorm_bound`` caps the grid seminorm with one matrix-vector product.
     """
 
     def __init__(self, op: DiagonalOperator, alpha: float, rel_tol: float = 1e-5):
@@ -194,6 +199,7 @@ class _SeminormGrid:
         offsets = np.arange(-stride, stride + 1)
         # (C, 2s+1, N)
         self.windows = w_sq[np.clip(coarse_idx[:, None] + offsets, 0, n_points - 1)]
+        self.w_sq_max = w_sq.max(axis=0)  # (N,)
 
     def seminorm(self, x: np.ndarray) -> np.ndarray:
         """Seminorm of a batch of states; x has shape (..., N)."""
@@ -206,6 +212,10 @@ class _SeminormGrid:
             local = self.windows[np.argmax(coarse, axis=-1)]  # (b, 2s+1, N)
             out[lo : lo + _ROW_BLOCK] = np.einsum("bn,bpn->bp", block, local).max(axis=-1)
         return np.sqrt(out.reshape(shape))
+
+    def seminorm_bound(self, x: np.ndarray) -> np.ndarray:
+        """Upper bound of ``seminorm`` (up to rounding): sqrt(x^2 . w_sq_max)."""
+        return np.sqrt(np.square(x) @ self.w_sq_max)
 
 
 def interpolation_norm(
@@ -268,6 +278,21 @@ def h_alpha_norm_batch(op: DiagonalOperator, alpha: float, x: np.ndarray) -> np.
     if alpha == 0.0:
         return h
     return h + op.norm_grid(alpha).seminorm(x)
+
+
+def h_alpha_norm_bound(op: DiagonalOperator, alpha: float, x: np.ndarray) -> np.ndarray:
+    """Cheap upper bound of ``h_alpha_norm_batch``: |x|_H + sqrt(x^2 . max_t w^2).
+
+    The H norm is taken exactly as ``h_alpha_norm_batch`` takes it, so for
+    alpha = 0 the bound has the same bits as the norm.  For alpha > 0 it is
+    at least the norm up to rounding (a relative N * eps), and it is tight
+    for eigenvectors.
+    """
+    x = op._check_state(x)
+    h = np.linalg.norm(x, axis=-1)
+    if alpha == 0.0:
+        return h
+    return h + op.norm_grid(alpha).seminorm_bound(x)
 
 
 def h_alpha_norm(op: DiagonalOperator, alpha: float, x: np.ndarray) -> AlphaNorm:

@@ -230,6 +230,16 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "solver failure: window length below one grid step" in err
 
+    def test_window_collapse_exits_3(self, tmp_path, capsys):
+        # an unbounded terminal leaves no window on which the cubic drift stays
+        # in a ball
+        cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x", paths=200)
+        cfg.write_text(cfg.read_text() + "\n[model]\nterminal_base = inf\n")
+        with np.errstate(invalid="ignore"):
+            assert main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: unbounded terminal with a nonzero drift" in err
+
     def test_radius_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
         # a window that leaves its ball on every attempt exhausts the halvings
         def always_outside(norms, radius):
@@ -281,6 +291,28 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "growth-exponent" in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("window_override", 0, "[solver] window_override must be a positive number, got 0"),
+            ("window_override", -0.1,
+             "[solver] window_override must be a positive number, got -0.1"),
+            ("paths", 0, "[discretization] paths must be a positive integer, got 0"),
+            ("steps", 0, "[discretization] steps must be a positive integer, got 0"),
+        ],
+    )
+    def test_nonpositive_numeric_value_exits_2(self, tmp_path, capsys, key, value, message):
+        # rejected when the config is read, before any path is drawn
+        if key == "window_override":
+            cfg = write_spin_config(tmp_path, tmp_path / "x")
+            cfg.write_text(cfg.read_text() + f"\n[solver]\nwindow_override = {value}\n")
+        else:
+            cfg = write_spin_config(tmp_path, tmp_path / "x", **{key: value})
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_config(cfg)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert f"validation failure: config: {message}" in capsys.readouterr().err
 
     def test_unknown_model_key_exits_2(self, tmp_path, capsys):
         cfg = write_spin_config(tmp_path, tmp_path / "x")

@@ -37,6 +37,7 @@ from mildbsde.spectral import (
     EmpiricalConstants,
     _step_factors,
     h_alpha_norm_batch,
+    h_alpha_norm_bound,
 )
 from mildbsde.wiener import RegressionBasis, TimeGrid, martingale_z_estimate, sample_ensemble
 
@@ -277,6 +278,56 @@ class TestPicardMap:
             np.testing.assert_array_equal(norms, h_alpha_norm_batch(op, alpha, y[:-1]))
             assert _ball_check(norms, radius) == pytest.approx(radius, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_bound_first_projection_equals_exact_projection(self, alpha):
+        # states straddling the radius: eigenvector and repeated-eigenvalue
+        # states a few ulp either side of it, where the bound and the exact
+        # norm can round in either order, and mixed states whose bound exceeds
+        # the radius while their exact norm does not
+        def exact_projection(op, alpha, y, radius):
+            norms = h_alpha_norm_batch(op, alpha, y[:-1])
+            mask = norms > radius
+            count = int(np.count_nonzero(mask))
+            if count:
+                scale = np.where(mask, radius / np.maximum(norms, 1e-300), 1.0)
+                y[:-1] *= scale[..., None]
+                norms[mask] = h_alpha_norm_batch(op, alpha, y[:-1][mask])
+            return count, norms
+
+        op = DiagonalOperator(np.r_[np.full(8, 3.0), 0.0, 1.0, 40.0, 900.0])
+        prob = make_problem(op, lambda e: np.zeros((e.n_paths, 12)), bound=1.0, alpha=alpha)
+        radius = 0.7
+        rng = np.random.default_rng(3)
+        repeated = np.zeros((400, 12))
+        repeated[:, :8] = rng.standard_normal((400, 8))
+        eigen = np.repeat(np.eye(12), 20, axis=0)
+        mixed = rng.standard_normal((400, 12)) * rng.uniform(0.0, 1.0, (400, 1)) ** 4
+        states = np.concatenate([repeated, eigen, mixed])
+        exact = h_alpha_norm_batch(op, alpha, states)
+        ulps = rng.integers(-4, 5, states.shape[0])
+        ulps[-400:] = 0
+        scale = radius / exact * (1.0 + ulps * np.finfo(float).eps)
+        scale[-400:] *= rng.uniform(0.995, 1.0, 400)  # mixed states just inside
+        y = np.stack([states * scale[:, None], np.zeros_like(states)])
+        norms = h_alpha_norm_batch(op, alpha, y[0])
+        assert (norms > radius).any() and (norms <= radius).any()
+        if alpha > 0:
+            bound = h_alpha_norm_bound(op, alpha, y[0])
+            assert ((bound > radius) & (norms <= radius)).any()
+
+        y_exact = y.copy()
+        count, bounds = _project_to_ball(prob, y, radius)
+        count_exact, norms_exact = exact_projection(op, alpha, y_exact, radius)
+        assert y.tobytes() == y_exact.tobytes()
+        assert count == count_exact > 0
+        outcomes = []
+        for values in (bounds, norms_exact):
+            try:
+                outcomes.append(_ball_check(values, radius))
+            except RadiusExceeded:
+                outcomes.append(RadiusExceeded)
+        assert outcomes[0] == outcomes[1]
+
     def test_vanishing_drift_matches_terminal_term(self, small_ensemble):
         # f0(t, 0) = 0 and U = 0: the map returns the pure terminal projection
         op = DiagonalOperator([1.5])
@@ -329,18 +380,26 @@ class TestLocalSolve:
         assert diff <= max(2.0 * tol, 1e-9 * scale)
 
     @pytest.mark.parametrize("radius", [3.0, 1.0])
-    def test_two_window_norms_per_picard_step(self, monkeypatch, radius):
-        # the ball check reads the norms the projection returned, so each step
-        # norms the window twice (projection, distance) after the initial
-        # projection; the tighter radius clips some states
-        calls = []
-        norm = mildbsde.solver.h_alpha_norm_batch
+    def test_one_exact_window_norm_per_picard_step(self, monkeypatch, radius):
+        # the projection checks the ball with the one-matmul bound, so each
+        # step norms the whole window exactly once, for the distance; every
+        # other exact norm covers states whose bound reaches the radius within
+        # the slack, or states the projection rescaled.  The tighter radius
+        # clips some states.
+        calls, near = [], []
+        norm, bound = mildbsde.solver.h_alpha_norm_batch, mildbsde.solver.h_alpha_norm_bound
 
         def counted_norm(op, alpha, x):
             calls.append(x.shape[:-1])
             return norm(op, alpha, x)
 
+        def counted_bound(op, alpha, x):
+            values = bound(op, alpha, x)
+            near.append(int(np.count_nonzero(values * (1.0 + 1e-12) > radius)))
+            return values
+
         monkeypatch.setattr(mildbsde.solver, "h_alpha_norm_batch", counted_norm)
+        monkeypatch.setattr(mildbsde.solver, "h_alpha_norm_bound", counted_bound)
         ens = sample_ensemble(TimeGrid.uniform(1.0, 50), 1, 400, seed=7)
         op = DiagonalOperator([0.5])
         f0 = DissipativeDrift(
@@ -354,10 +413,13 @@ class TestLocalSolve:
         res = local_solve(prob, ens, RegressionBasis(degree=2), factors, 30, 50,
                           prob.terminal(ens), radius=radius, tol=1e-10)
         window = (20, ens.n_paths)
-        assert calls.count(window) == 2 * res.stats.iterations + 1
-        # every other call re-norms only the states the projection rescaled
-        assert sum(math.prod(c) for c in calls if c != window) == res.stats.ball_clipped
+        assert calls.count(window) == res.stats.iterations
+        # one bound per projection: the initial one and one per Picard step
+        assert len(near) == res.stats.iterations + 1
+        others = sum(math.prod(c) for c in calls if c != window)
+        assert others == sum(near) + res.stats.ball_clipped
         assert (res.stats.ball_clipped > 0) == (radius < 3.0)
+        assert (others > 0) == (radius < 3.0)
 
     def test_divergent_iteration_raises(self, small_ensemble):
         # anti-dissipative expanding drift with an over-long window

@@ -17,6 +17,7 @@ from mildbsde.spectral import (
     estimate_interp_constant,
     h_alpha_norm,
     h_alpha_norm_batch,
+    h_alpha_norm_bound,
     interpolation_inequality_check,
     interpolation_norm,
     operator_from_spec,
@@ -225,6 +226,32 @@ class TestSeminormKernel:
         x[..., -1, np.where(op.eigenvalues > 0, op.eigenvalues, np.inf).argmin()] = 1.0
         got = op.norm_grid(alpha).seminorm(x)
         assert np.array_equal(got, two_stage_seminorm(op, alpha, x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spectrum=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1e6)), min_size=1, max_size=8
+        ),
+        alpha=st.floats(0.01, 0.99),
+        rows=st.integers(1, 500),
+        seed=st.integers(0, 2 ** 16),
+    )
+    # a zero eigenvalue and a grid refined past 1025 points
+    @example(spectrum=[0.0, 0.05, 1e6], alpha=0.3, rows=200, seed=1)
+    def test_norm_bound_caps_the_norm(self, spectrum, alpha, rows, seed):
+        op = DiagonalOperator(spectrum)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, op.dimension)) * rng.uniform(0.0, 1.0, (rows, 1))
+        eigen = np.eye(op.dimension) * rng.uniform(0.1, 10.0, (op.dimension, 1))
+        states = np.concatenate([x, eigen])
+        norm = h_alpha_norm_batch(op, alpha, states)
+        bound = h_alpha_norm_bound(op, alpha, states)
+        assert np.all(norm <= bound * (1.0 + 1e-12))
+        # eigenvectors are the extreme inputs: the bound is their norm
+        assert np.all(bound[rows:] <= norm[rows:] * (1.0 + 1e-12))
+        # alpha = 0 takes the H norm on both sides, bit for bit
+        assert np.array_equal(h_alpha_norm_bound(op, 0.0, states),
+                              h_alpha_norm_batch(op, 0.0, states))
 
     def test_example_reaches_both_grid_ends(self):
         # the explicit example above exercises the clipped windows
