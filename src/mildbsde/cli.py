@@ -27,7 +27,6 @@ from .solver import (
     NonFiniteDrift,
     OuterDivergence,
     PicardDivergence,
-    RadiusExceeded,
     SolverError,
     WindowCollapse,
     general_solve,
@@ -425,7 +424,6 @@ def main(argv=None) -> int:
         return 2
     except (
         PicardDivergence, OuterDivergence, WindowCollapse, GridTooCoarse, NonFiniteDrift,
-        RadiusExceeded,
     ) as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 3

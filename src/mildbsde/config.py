@@ -25,7 +25,6 @@ an integer of at least 1, or a ``window_override`` that is not positive):
     tol = / tol_outer = / max_iter = / min_iter = / max_outer =
     safety_margin = 1.2
     window_override =
-    require_validated = true
     auto_refine = true
 
     [validation]
@@ -128,10 +127,10 @@ class ExperimentConfig:
         )
 
 
-# INI key -> SolverConfig field, for every field with a key
+# INI key -> SolverConfig field; every field has exactly one key
 _SOLVER_KEYS = {"auto_refine": "auto_refine_grid"} | {
     k: k for k in ("tol", "tol_outer", "max_iter", "min_iter", "max_outer", "safety_margin",
-                   "window_override", "require_validated")
+                   "window_override")
 }
 
 

@@ -57,6 +57,14 @@ class ValidationError(RuntimeError):
         self.check = check
 
 
+def _require_finite(spec, *names: str) -> None:
+    """Reject a spec field that is NaN or infinite: the terminal must be bounded."""
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValidationError("terminal", f"{name} must be finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # reaction-diffusion on (0, length)
 
@@ -81,6 +89,7 @@ class ReactionDiffusionSpec:
             raise ValueError("need at least one mode")
         if self.reaction_power % 2 == 0 or self.reaction_power < 1:
             raise ValueError("reaction power must be odd and positive (odd increasing drift)")
+        _require_finite(self, "terminal_base", "terminal_noise")
         gamma = float(self.reaction_power)
         if self.alpha > 0 and gamma * self.alpha >= 1.0:
             raise ValidationError(
@@ -211,6 +220,7 @@ class SpinSpec:
             raise ValueError("need half_width >= 1 and odd power k >= 1")
         if self.padding != "zero":
             raise ValueError("only zero padding is implemented")
+        _require_finite(self, "terminal_amp")
         n = 2 * self.half_width + 1
         if self.coefficients is None:
             sites = np.abs(np.arange(-self.half_width, self.half_width + 1))

@@ -63,7 +63,6 @@ __all__ = [
     "SolverReport",
     "WindowSelection",
     "SolverError",
-    "RadiusExceeded",
     "WindowCollapse",
     "PicardDivergence",
     "OuterDivergence",
@@ -87,10 +86,6 @@ _CONSTANTS_TRIALS = 192
 
 class SolverError(RuntimeError):
     pass
-
-
-class RadiusExceeded(SolverError):
-    """A drift evaluation left the invariant ball; the window is too long."""
 
 
 class WindowCollapse(SolverError):
@@ -248,8 +243,6 @@ class SolverConfig:
     max_outer: int = 25
     safety_margin: float = 1.2
     window_override: float | None = None
-    require_validated: bool = True
-    auto_shift: bool = True
     auto_refine_grid: bool = True
 
 
@@ -449,7 +442,11 @@ def select_local_radius_and_delta(
     delta_lip = math.inf if gl <= 0 else gl ** (-exponent)
     s = f0.growth_scale
     if s > 0.0:
-        denom = 2.0 * constants.c_alpha * s * ((1.0 + radius ** f0.growth_power) + problem.driver_bound)
+        try:
+            power = radius ** f0.growth_power
+        except OverflowError:  # a huge finite radius: no window keeps the drift in its ball
+            power = math.inf
+        denom = 2.0 * constants.c_alpha * s * ((1.0 + power) + problem.driver_bound)
         delta_ball = (radius * (1.0 - alpha) / denom) ** exponent
     else:
         delta_ball = math.inf
@@ -466,25 +463,6 @@ def select_local_radius_and_delta(
 # Picard machinery
 
 
-def _ball_check(norms: np.ndarray, radius: float) -> float:
-    """Largest of the supplied alpha-norm bounds; raises when it leaves the ball.
-
-    The bounds are those ``_project_to_ball`` returned for the states the drift
-    is about to see, so the check evaluates no norm itself.  Every bound that
-    can reach the radius is an exact norm there, so the decision is the one
-    exact norms would give.  The relative allowance matches the terminal-bound
-    check: states that the projection rescaled onto the radius can land a few
-    ulp outside it.
-    """
-    worst = float(norms.max()) if norms.size else 0.0
-    if worst > radius * (1.0 + 1e-9):
-        raise RadiusExceeded(
-            f"radius exceeded: drift evaluated at alpha norm {worst:g} > ball {radius:g} "
-            "(window too long)"
-        )
-    return worst
-
-
 def _picard_targets(
     problem: BsdeProblem,
     factors: tuple[np.ndarray, np.ndarray],
@@ -493,19 +471,17 @@ def _picard_targets(
     end: int,
     terminal_values: np.ndarray,
     u: np.ndarray | None,
-    u_norms: np.ndarray | None,
     f1_path: np.ndarray | None,
-    radius: float,
 ) -> np.ndarray:
     """Raw conditional-expectation targets of the window map, shape (W+1, M, N).
 
     target_l = exp(-(t_end - t_l) a) terminal
                + sum_{j=l}^{end-1} exp(-(t_j - t_l) a) I_j [f0(t_j, U_j) + f1_j],
     accumulated by one backward recursion (exact for the piecewise-constant
-    interpolant of the integrand).  ``u = None`` means drift-free.
-    ``u_norms`` are the alpha-norm bounds of ``u[:W]``, the states the drift
-    sees, as ``_project_to_ball`` returned them; a finite radius checks them
-    against the ball.  A non-finite drift value raises ``NonFiniteDrift``.
+    interpolant of the integrand).  ``u = None`` means drift-free.  The
+    states ``u[:W]`` the drift sees come from ``_project_to_ball`` (or are the
+    zero start), so they lie in the ball.  A non-finite drift value raises
+    ``NonFiniteDrift``.
     """
     decay, kernel_int = factors
     width = end - start
@@ -513,8 +489,6 @@ def _picard_targets(
     targets[width] = terminal_values
     f0 = problem.f0
     drift_on = u is not None and not f0.is_zero
-    if drift_on and math.isfinite(radius):
-        _ball_check(u_norms, radius)
     acc = targets[width]
     for j in range(width - 1, -1, -1):
         l = start + j
@@ -553,25 +527,23 @@ def _regress_window(
     return y, flagged
 
 
-def _project_to_ball(
-    problem: BsdeProblem, y: np.ndarray, radius: float
-) -> tuple[int, np.ndarray | None]:
+def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
     """Rescale interior states radially onto the alpha ball, in place.
 
     Polynomial regression can overshoot a bounded target on tail paths; the
     true conditional expectation lies in the (convex) ball, so pulling the
-    estimate back onto it never increases the pathwise error.  Returns the
-    number of rescaled states and alpha-norm bounds of ``y[:-1]`` after the
-    projection (None for an infinite radius, where nothing is measured).
+    estimate back onto it never increases the pathwise error.  This is the one
+    place that keeps the drift's states in the ball: afterwards every interior
+    state has an exact alpha norm within a few ulp of the radius or below it.
+    Returns the number of rescaled states (0 for an infinite radius).
 
     Each state is first measured by the one-matmul ``h_alpha_norm_bound``;
     only states whose bound can reach the radius (within a relative 1e-12,
     far above the bound's rounding) are normed exactly.  The others have an
     exact norm below the radius, so the clip mask is the one exact norms give.
-    Rescaled states are normed again rather than assumed to sit on the radius.
     """
     if not math.isfinite(radius):
-        return 0, None
+        return 0
     op, alpha = problem.operator, problem.alpha
     norms = h_alpha_norm_bound(op, alpha, y[:-1])
     near = norms * (1.0 + 1e-12) > radius
@@ -582,8 +554,7 @@ def _project_to_ball(
     if count:
         scale = np.where(mask, radius / np.maximum(norms, 1e-300), 1.0)
         y[:-1] *= scale[..., None]
-        norms[mask] = h_alpha_norm_batch(op, alpha, y[:-1][mask])
-    return count, norms
+    return count
 
 
 @dataclass
@@ -627,27 +598,22 @@ def local_solve(
     if initial == "zero":
         u = np.zeros((width + 1,) + terminal_values.shape)
         u[width] = terminal_values
-        u_norms = np.zeros((width, terminal_values.shape[0]))
     else:
         targets = _picard_targets(
-            problem, factors, times, start, end, terminal_values, None, None, f1_path, radius
+            problem, factors, times, start, end, terminal_values, None, f1_path
         )
         u, flagged = _regress_window(ensemble, basis, start, end, targets)
         rank_flags += flagged
-        clipped_now, u_norms = _project_to_ball(problem, u, radius)
-        clipped += clipped_now
+        clipped += _project_to_ball(problem, u, radius)
 
     distances: list[float] = []
     factors_seen: list[float] = []
     bad_streak = 0
     for it in range(1, max_iter + 1):
-        targets = _picard_targets(
-            problem, factors, times, start, end, terminal_values, u, u_norms, f1_path, radius
-        )
+        targets = _picard_targets(problem, factors, times, start, end, terminal_values, u, f1_path)
         y, flagged = _regress_window(ensemble, basis, start, end, targets)
         rank_flags += flagged
-        clipped_now, y_norms = _project_to_ball(problem, y, radius)
-        clipped += clipped_now
+        clipped += _project_to_ball(problem, y, radius)
         diff = y[:width] - u[:width]
         # sup over window nodes of the ensemble-L2 alpha norm
         node_norms = h_alpha_norm_batch(op, alpha, diff)  # (W, M)
@@ -661,7 +627,7 @@ def local_solve(
                     f"distance ratio above one twice in a row (last {factor:.3f})"
                 )
         distances.append(dist)
-        u, u_norms = y, y_norms
+        u = y
         if dist == 0.0 or (dist < tol and it >= min_iter):
             stats = WindowStats(start, end, radius, it, distances, factors_seen,
                                 ball_clipped=clipped)
@@ -727,9 +693,10 @@ def global_solve(
     constant C_2, which supplies the radius R_2 = 2 M_alpha C_2 /
     delta_1^(theta-alpha) and the constant window length delta_2 = delta_3 =
     ... for all remaining windows.  Pasted values agree at the joins by
-    construction.  A window whose Picard iteration diverges or leaves the ball
-    is halved.  Z is recovered window by window and never held: once a window
-    has converged and the paste selection has kept the grid, each of its nodes
+    construction.  A window whose Picard iteration diverges is halved; the
+    projection keeps each window's states in its ball, so nothing else halves
+    one.  Z is recovered window by window and never held: once a window has
+    converged and the paste selection has kept the grid, each of its nodes
     l gets Z_l = ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` and goes
     to ``node_sink(l, y_l, z_l)``, in strictly descending l over the whole
     sweep.  Each node is handed over exactly once; the sink may keep z_l but
@@ -769,7 +736,7 @@ def global_solve(
                     f1_path=f1_path,
                 )
                 break
-            except (PicardDivergence, RadiusExceeded) as err:
+            except PicardDivergence as err:
                 halvings += 1
                 steps //= 2
                 report.messages.append(f"window ending at node {end}: {err}; halving")
@@ -888,10 +855,9 @@ def general_solve(
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
-    if config.require_validated and not problem.validated:
+    if not problem.validated:
         raise SolverError(
-            "problem has not passed hypothesis validation; run validate_problem "
-            "or set require_validated=False"
+            "problem has not passed hypothesis validation; run models.validate_problem first"
         )
     if ensemble.n_noise != problem.noise_dim:
         raise SolverError(
@@ -899,7 +865,7 @@ def general_solve(
             f"{problem.noise_dim}"
         )
     mu = problem.f0.monotonicity
-    lam = mu if config.auto_shift and mu > 0.0 else 0.0
+    lam = mu if mu > 0.0 else 0.0
     work = exponential_shift(problem, lam)
     # The sweep sees f1 only as a frozen path, so window selection and the
     # a-priori bound C1 use driver bound 0.  C1 is a solve.csv column: using

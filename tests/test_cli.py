@@ -3,16 +3,16 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mildbsde.solver
 from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
-from mildbsde.config import ExperimentConfig, load_config
+from mildbsde.config import _SOLVER_KEYS, ExperimentConfig, load_config
 from mildbsde.models import ValidationError
-from mildbsde.solver import DissipativeDrift, RadiusExceeded, general_solve
+from mildbsde.solver import DissipativeDrift, SolverConfig, general_solve
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -84,6 +84,10 @@ class TestConfig:
         )
         with pytest.raises(ValidationError, match="config: unknown key.*max_iters"):
             load_config(cfg_file)
+
+    def test_every_solver_field_has_one_key(self):
+        # no SolverConfig switch is reachable only from the library
+        assert sorted(_SOLVER_KEYS.values()) == sorted(f.name for f in fields(SolverConfig))
 
     def test_empty_suite_parsed(self, tmp_path):
         cfg_file = tmp_path / "c.ini"
@@ -231,24 +235,32 @@ class TestSolveCommand:
         assert "solver failure: window length below one grid step" in err
 
     def test_window_collapse_exits_3(self, tmp_path, capsys):
-        # an unbounded terminal leaves no window on which the cubic drift stays
-        # in a ball
+        # a huge finite terminal overflows R^gamma: no window keeps the cubic
+        # drift in its ball
         cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x", paths=200)
-        cfg.write_text(cfg.read_text() + "\n[model]\nterminal_base = inf\n")
-        with np.errstate(invalid="ignore"):
+        cfg.write_text(cfg.read_text() + "\n[model]\nterminal_base = 1e120\n")
+        with np.errstate(over="ignore", invalid="ignore"):  # the sampled checks at 1e120
             assert main(["solve", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
-        assert "solver failure: unbounded terminal with a nonzero drift" in err
+        assert "solver failure: window length collapsed" in err
 
-    def test_radius_exceeded_exits_3(self, tmp_path, capsys, monkeypatch):
-        # a window that leaves its ball on every attempt exhausts the halvings
-        def always_outside(norms, radius):
-            raise RadiusExceeded(f"radius exceeded: norm above {radius:.3g}")
-
-        monkeypatch.setattr(mildbsde.solver, "_ball_check", always_outside)
-        cfg = write_spin_config(tmp_path, tmp_path / "r", paths=200, steps=30)
-        assert main(["solve", "--config", str(cfg)]) == 3
-        assert "solver failure: radius exceeded" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "preset, key, value",
+        [
+            ("reaction-diffusion-1d", "terminal_base", "inf"),
+            ("reaction-diffusion-1d", "terminal_noise", "-inf"),
+            ("reaction-diffusion-1d", "terminal_base", "nan"),
+            ("spin-chain", "terminal_amp", "inf"),
+        ],
+    )
+    def test_non_finite_terminal_exits_2(self, tmp_path, capsys, preset, key, value):
+        # an infinite amplitude would give NaN terminal values (inf * 0)
+        write = write_spin_config if preset == "spin-chain" else write_reaction_diffusion_config
+        cfg = write(tmp_path, tmp_path / "x", paths=200)
+        cfg.write_text(cfg.read_text() + f"\n[model]\n{key} = {value}\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"validation failure: terminal: {key} must be finite, got {value}" in err
 
     def test_nan_drift_exits_3_naming_the_node(self, tmp_path, capsys, monkeypatch):
         # the preset's drift turns NaN at t = 1/2, after validation has passed
