@@ -6,15 +6,10 @@ from .spectral import (
     EmpiricalConstants,
     dirichlet_laplacian_eigenvalues,
     estimate_constants,
-    h_alpha_norm,
     h_alpha_norm_batch,
-    interpolation_inequality_check,
     interpolation_norm,
-    operator_from_spec,
     semigroup_apply,
-    semigroup_convolution,
     smoothing_bound_check,
-    yosida_apply,
 )
 from .wiener import (
     Regression,
@@ -22,10 +17,8 @@ from .wiener import (
     TimeGrid,
     WienerEnsemble,
     conditional_expectation,
-    load_ensemble,
     martingale_z_estimate,
     sample_ensemble,
-    save_ensemble,
 )
 from .solver import (
     BoundedDriver,

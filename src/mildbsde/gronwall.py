@@ -23,7 +23,6 @@ __all__ = [
     "GronwallDivergence",
     "gronwall_constant",
     "gronwall_bound_iterative",
-    "recursion_envelope",
     "verify_on_process",
 ]
 
@@ -76,19 +75,6 @@ def gronwall_constant(params: GronwallInput) -> float:
     cutoff = params.horizon * (1.0 - 1e-3)
     keep = t <= cutoff
     return float(w[keep].max()) / params.a
-
-
-def recursion_envelope(params: GronwallInput, iterations: int = 200):
-    """Grid and limit values of the recursion; returns (times, values).
-
-    The recursion V^{k+1}(t) = a (T-t)^(-alpha) + b int_t^T (s-t)^(beta-1) V^k(s) ds
-    starting from V^0(t) = a (T-t)^(-alpha) increases monotonically to the
-    minimal solution of the corresponding integral equation.
-    """
-    t, w = _solve_recursion(params, iterations=iterations)
-    with np.errstate(divide="ignore"):
-        v = w * (params.horizon - t) ** (-params.alpha)
-    return t, v
 
 
 def gronwall_bound_iterative(params: GronwallInput, t: float, iterations: int = 200) -> float:

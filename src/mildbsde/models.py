@@ -213,13 +213,10 @@ class SpinSpec:
     coefficients: np.ndarray | None = None  # a_j, length 2n+1
     terminal_amp: float = 0.12
     horizon: float = 1.0
-    padding: str = "zero"
 
     def __post_init__(self):
         if self.half_width < 1 or self.odd_power < 1:
             raise ValueError("need half_width >= 1 and odd power k >= 1")
-        if self.padding != "zero":
-            raise ValueError("only zero padding is implemented")
         _require_finite(self, "terminal_amp")
         n = 2 * self.half_width + 1
         if self.coefficients is None:
@@ -381,13 +378,14 @@ def check_dissipativity(
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(rng)
-    allowance = 1e-12 * max(1.0, radius) ** 2
+    r = max(1.0, radius)
+    allowance = 1e-12 * (r * r)  # inf for a huge radius, where ** 2 would raise
     worst = -math.inf
     done = 0
     while done < trials:
         y1, y2 = sampler(rng)
         inner = np.sum((f0(y1) - f0(y2)) * (y1 - y2), axis=-1)
-        worst = max(worst, float(inner.max()))
+        worst = float(np.maximum(worst, inner.max()))  # a NaN stays and fails the check
         done += y1.shape[0] if y1.ndim > 1 else 1
     return DissipativityReport(
         max_inner_product=worst, allowance=allowance, passed=worst <= allowance, trials=done
@@ -425,16 +423,16 @@ def check_growth_and_lipschitz(
             vals = np.linalg.norm(drift(0.0, y1[keep]), axis=-1)
             denom = drift.growth_scale * (1.0 + norms1[keep] ** drift.growth_power)
             if drift.growth_scale > 0:
-                worst_growth = max(worst_growth, float((vals / denom).max()))
+                worst_growth = float(np.maximum(worst_growth, (vals / denom).max()))
             else:
-                worst_growth = max(worst_growth, float(vals.max()))
+                worst_growth = float(np.maximum(worst_growth, vals.max()))
         both = (norms1 <= radius) & (h_alpha_norm_batch(op, alpha, y2) <= radius)
         if np.any(both) and lip_const > 0:
             num = np.linalg.norm(drift(0.0, y1[both]) - drift(0.0, y2[both]), axis=-1)
             den = lip_const * h_alpha_norm_batch(op, alpha, y1[both] - y2[both])
             good = den > 0
             if np.any(good):
-                worst_lip = max(worst_lip, float((num[good] / den[good]).max()))
+                worst_lip = float(np.maximum(worst_lip, (num[good] / den[good]).max()))
         done += y1.shape[0]
     return GrowthReport(
         worst_growth_ratio=worst_growth,

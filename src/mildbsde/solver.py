@@ -752,8 +752,7 @@ def global_solve(
             delta1 = steps * dt
             window_nodes = slice(end, n_steps + 1)
             theta_gap = theta - alpha
-            theta_norms = h_alpha_norm_batch(op, theta, y_full[window_nodes]) \
-                if theta > 0 else np.linalg.norm(y_full[window_nodes], axis=-1)
+            theta_norms = h_alpha_norm_batch(op, theta, y_full[window_nodes])
             weights = (times[-1] - times[window_nodes]) ** theta_gap
             c2 = float((theta_norms.max(axis=1) * weights).max())
             if end > 0:

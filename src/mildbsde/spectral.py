@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,22 +25,15 @@ __all__ = [
     "DiagonalOperator",
     "AlphaNorm",
     "EmpiricalConstants",
-    "InterpolationCheck",
     "semigroup_apply",
-    "yosida_apply",
     "interpolation_norm",
-    "h_alpha_norm",
     "h_alpha_norm_batch",
     "h_alpha_norm_bound",
-    "h_alpha_seminorm_batch",
     "smoothing_bound_check",
-    "interpolation_inequality_check",
     "estimate_interp_constant",
-    "semigroup_convolution",
     "convolve_on_grid",
     "estimate_constants",
     "dirichlet_laplacian_eigenvalues",
-    "operator_from_spec",
 ]
 
 
@@ -89,18 +82,8 @@ class AlphaNorm:
     """Interpolation norm split into its two summands: value = |x|_H + seminorm."""
 
     alpha: float
-    p: float
     value: float
     seminorm: float
-
-
-@dataclass(frozen=True)
-class InterpolationCheck:
-    """One evaluation of the intermediate-space inequality (class J_{alpha/theta})."""
-
-    lhs: float
-    rhs: float
-    ratio: float
 
 
 def semigroup_apply(op: DiagonalOperator, t: float, x: np.ndarray) -> np.ndarray:
@@ -114,14 +97,6 @@ def semigroup_apply(op: DiagonalOperator, t: float, x: np.ndarray) -> np.ndarray
     if t == 0:
         return x.copy()
     return np.exp(-op.eigenvalues * t) * x
-
-
-def yosida_apply(op: DiagonalOperator, n: float, x: np.ndarray) -> np.ndarray:
-    """Resolvent smoothing J_n = n (nI - A)^{-1}: componentwise n / (n + a_m)."""
-    if n <= 0:
-        raise ValueError("Yosida parameter must be positive")
-    x = op._check_state(x)
-    return (n / (n + op.eigenvalues)) * x
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +193,12 @@ class _SeminormGrid:
         return np.sqrt(np.square(x) @ self.w_sq_max)
 
 
-def interpolation_norm(
-    op: DiagonalOperator, alpha: float, x: np.ndarray, p: float = math.inf
-) -> AlphaNorm:
-    """Norm of x in the real interpolation space of order alpha.
+def interpolation_norm(op: DiagonalOperator, alpha: float, x: np.ndarray) -> AlphaNorm:
+    """Norm of x in the real interpolation space (alpha, inf).
 
-    For p = inf the seminorm is sup_{0 < t <= 1} t^(1-alpha) |A exp(tA) x|_H,
-    maximized on a geometric t-grid of 512 points that is refined by doubling
-    until the supremum is stable to a relative 1e-6.  For finite p >= 1 the
-    L^p(0,1) integral of t^(1-alpha-1/p) |A exp(tA) x|_H is computed by
-    log-grid quadrature (quadrature path unused by the solver).
+    The seminorm is sup_{0 < t <= 1} t^(1-alpha) |A exp(tA) x|_H, maximized on
+    a geometric t-grid of 512 points that is refined by doubling until the
+    supremum is stable to a relative 1e-6.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -235,40 +206,20 @@ def interpolation_norm(
     if x.ndim != 1:
         raise ValueError("interpolation_norm expects a single state vector")
     h_norm = float(np.linalg.norm(x))
-    if p == math.inf:
-        t_lo, n_points = _grid_lo(op, alpha), 512
-        prev = None
-        while True:
-            t = np.geomspace(t_lo, 1.0, n_points)
-            w = _seminorm_values(op, alpha, t)
-            semi = float(np.sqrt((np.square(x) @ (w ** 2).T).max()))
-            if prev is not None and abs(semi - prev) <= 1e-6 * max(semi, 1e-300):
-                break
-            if n_points >= 1 << 16:
-                break
-            prev = semi
-            n_points *= 2
-            t_lo /= 2.0
-    else:
-        if p < 1:
-            raise ValueError("p must be >= 1 or inf")
-        # integrand t^((1-alpha-1/p)p) |A exp(tA)x|^p, log-substituted: t = e^u
-        u = np.linspace(math.log(1e-10), 0.0, 4097)
-        t = np.exp(u)
-        # _seminorm_values builds t^(1-b) a e^{-at}; b = alpha + 1/p gives the
-        # componentwise factors of t^(1-alpha-1/p) |A e^{tA} x|
-        amp = np.sqrt(np.square(x) @ (_seminorm_values(op, alpha + 1.0 / p, t) ** 2).T)
-        integrand = amp ** p * t  # extra t from dt = t du
-        semi = float(np.trapezoid(integrand, u) ** (1.0 / p))
-    return AlphaNorm(alpha=float(alpha), p=float(p), value=h_norm + semi, seminorm=semi)
-
-
-def h_alpha_seminorm_batch(op: DiagonalOperator, alpha: float, x: np.ndarray) -> np.ndarray:
-    """(alpha, inf) seminorm for a batch of states (last axis = state); 0 for alpha = 0."""
-    x = op._check_state(x)
-    if alpha == 0.0:
-        return np.zeros(x.shape[:-1])
-    return op.norm_grid(alpha).seminorm(x)
+    t_lo, n_points = _grid_lo(op, alpha), 512
+    prev = None
+    while True:
+        t = np.geomspace(t_lo, 1.0, n_points)
+        w = _seminorm_values(op, alpha, t)
+        semi = float(np.sqrt((np.square(x) @ (w ** 2).T).max()))
+        if prev is not None and abs(semi - prev) <= 1e-6 * max(semi, 1e-300):
+            break
+        if n_points >= 1 << 16:
+            break
+        prev = semi
+        n_points *= 2
+        t_lo /= 2.0
+    return AlphaNorm(alpha=float(alpha), value=h_norm + semi, seminorm=semi)
 
 
 def h_alpha_norm_batch(op: DiagonalOperator, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -293,15 +244,6 @@ def h_alpha_norm_bound(op: DiagonalOperator, alpha: float, x: np.ndarray) -> np.
     if alpha == 0.0:
         return h
     return h + op.norm_grid(alpha).seminorm_bound(x)
-
-
-def h_alpha_norm(op: DiagonalOperator, alpha: float, x: np.ndarray) -> AlphaNorm:
-    """AlphaNorm of one state; alpha = 0 reduces to the H norm with zero seminorm."""
-    x = op._check_state(x)
-    if alpha == 0.0:
-        return AlphaNorm(0.0, math.inf, float(np.linalg.norm(x)), 0.0)
-    semi = float(h_alpha_seminorm_batch(op, alpha, x[None, :])[0])
-    return AlphaNorm(alpha, math.inf, float(np.linalg.norm(x)) + semi, semi)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +280,7 @@ def smoothing_bound_check(
         raise ValueError("beta must be positive")
     rng = np.random.default_rng(rng)
     x = _unit_probes(op, trials, rng)
-    norms_a = (
-        np.linalg.norm(x, axis=-1)
-        if alpha == 0.0
-        else h_alpha_norm_batch(op, alpha, x)
-    )
+    norms_a = h_alpha_norm_batch(op, alpha, x)
     keep = norms_a > 0
     x = x[keep] / norms_a[keep][:, None]
     t_grid = np.geomspace(1e-4, 1.0, t_points)
@@ -357,21 +295,6 @@ def smoothing_bound_check(
             norms_b = h_alpha_norm_batch(op, beta, y)
         best = max(best, float((t ** (beta - alpha) * norms_b).max()))
     return best
-
-
-def interpolation_inequality_check(
-    op: DiagonalOperator, alpha: float, theta: float, x: np.ndarray
-) -> InterpolationCheck:
-    """Evaluate ||x||_(alpha,inf) against ||x||_(theta,inf)^(alpha/theta) |x|_H^(1-alpha/theta)."""
-    if not 0.0 < alpha < theta < 1.0:
-        raise ValueError("need 0 < alpha < theta < 1")
-    x = op._check_state(np.asarray(x, dtype=float))
-    if not np.any(x):
-        raise ValueError("ratio undefined for x = 0")
-    lhs = h_alpha_norm(op, alpha, x).value
-    frac = alpha / theta
-    rhs = h_alpha_norm(op, theta, x).value ** frac * float(np.linalg.norm(x)) ** (1.0 - frac)
-    return InterpolationCheck(lhs=lhs, rhs=rhs, ratio=lhs / rhs)
 
 
 def estimate_interp_constant(
@@ -429,28 +352,6 @@ def convolve_on_grid(op: DiagonalOperator, times: np.ndarray, phi: np.ndarray) -
     for l in range(n_steps - 1, -1, -1):
         out[l] = i[l] * phi[l] + e[l] * out[l + 1]
     return out
-
-
-def semigroup_convolution(
-    op: DiagonalOperator, times: np.ndarray, phi: np.ndarray, t: float
-) -> np.ndarray:
-    """v(t) for a single t in [times[0], times[-1]]; see ``convolve_on_grid``."""
-    times = np.asarray(times, dtype=float)
-    if not times[0] <= t <= times[-1]:
-        raise ValueError("t outside the grid interval")
-    grid_vals = convolve_on_grid(op, times, phi)
-    j = int(np.searchsorted(times, t, side="right") - 1)
-    if j >= times.size - 1:  # t == T
-        return grid_vals[-1]
-    if times[j] == t:
-        return grid_vals[j]
-    phi = np.asarray(phi, dtype=float)
-    a = op.eigenvalues
-    gap = times[j + 1] - t
-    e = np.exp(-a * gap)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        i = np.where(a > 0, (1.0 - e) / a, gap)
-    return i * phi[j] + e * grid_vals[j + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -607,20 +508,3 @@ def dirichlet_laplacian_eigenvalues(n: int, length: float = math.pi) -> np.ndarr
     m = np.arange(1, n + 1, dtype=float)
     return (m * math.pi / length) ** 2
 
-
-def operator_from_spec(spec: Mapping) -> DiagonalOperator:
-    """Build an operator from a config mapping.
-
-    Supported kinds: ``explicit`` (key ``eigenvalues``), ``laplacian-dirichlet-1d``
-    (keys ``n``, optional ``length``), ``lattice-diagonal`` (key ``coefficients``).
-    """
-    kind = spec.get("kind", "explicit")
-    if kind == "explicit":
-        return DiagonalOperator(np.asarray(spec["eigenvalues"], dtype=float))
-    if kind == "laplacian-dirichlet-1d":
-        return DiagonalOperator(
-            dirichlet_laplacian_eigenvalues(int(spec["n"]), float(spec.get("length", math.pi)))
-        )
-    if kind == "lattice-diagonal":
-        return DiagonalOperator(np.asarray(spec["coefficients"], dtype=float))
-    raise ValueError(f"unknown operator kind: {kind!r}")

@@ -20,8 +20,6 @@ __all__ = [
     "RegressionBasis",
     "Regression",
     "sample_ensemble",
-    "save_ensemble",
-    "load_ensemble",
     "conditional_expectation",
     "martingale_z_estimate",
 ]
@@ -118,27 +116,6 @@ def sample_ensemble(grid: TimeGrid, k: int, m: int, seed: int) -> WienerEnsemble
         out[lo:hi] = draw[: hi - lo]
     out *= scale
     return WienerEnsemble(grid=grid, increments=out, seed=int(seed))
-
-
-def save_ensemble(path, ensemble: WienerEnsemble) -> None:
-    """Checkpoint: binary arrays plus a (seed, M, L, K) header for reuse across runs."""
-    np.savez(
-        path,
-        times=ensemble.grid.times,
-        increments=ensemble.increments,
-        seed=np.array([ensemble.seed], dtype=np.int64),
-        shape_mlk=np.array(ensemble.increments.shape, dtype=np.int64),
-    )
-
-
-def load_ensemble(path) -> WienerEnsemble:
-    with np.load(path) as data:
-        grid = TimeGrid(data["times"])
-        inc = data["increments"]
-        seed = int(data["seed"][0])
-        if tuple(data["shape_mlk"]) != inc.shape:
-            raise ValueError("checkpoint header does not match array shape")
-    return WienerEnsemble(grid=grid, increments=inc, seed=seed)
 
 
 # ---------------------------------------------------------------------------

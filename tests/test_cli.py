@@ -235,14 +235,29 @@ class TestSolveCommand:
         assert "solver failure: window length below one grid step" in err
 
     def test_window_collapse_exits_3(self, tmp_path, capsys):
-        # a huge finite terminal overflows R^gamma: no window keeps the cubic
-        # drift in its ball
+        # a huge safety margin inflates the ball radius until the cubic drift's
+        # Lipschitz constant overflows: no window keeps the drift in its ball
         cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x", paths=200)
-        cfg.write_text(cfg.read_text() + "\n[model]\nterminal_base = 1e120\n")
-        with np.errstate(over="ignore", invalid="ignore"):  # the sampled checks at 1e120
+        cfg.write_text(cfg.read_text() + "\n[solver]\nsafety_margin = 1e100\n")
+        with np.errstate(over="ignore", invalid="ignore"):  # the Lipschitz fit at 1e100
             assert main(["solve", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "solver failure: window length collapsed" in err
+
+    @pytest.mark.parametrize(
+        "preset, key, value",
+        [
+            ("reaction-diffusion-1d", "terminal_base", "1e120"),  # the drift overflows to NaN
+            ("spin-chain", "terminal_amp", "1e160"),  # the squared validation radius overflows
+        ],
+    )
+    def test_huge_terminal_fails_dissipativity(self, tmp_path, capsys, preset, key, value):
+        write = write_spin_config if preset == "spin-chain" else write_reaction_diffusion_config
+        cfg = write(tmp_path, tmp_path / "x", paths=200, steps=20)
+        cfg.write_text(cfg.read_text() + f"\n[model]\n{key} = {value}\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", "--config", str(cfg)]) == 2
+        assert "validation failure: dissipativity" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "preset, key, value",

@@ -201,8 +201,6 @@ class TestSpinSystem:
             SpinSpec(coefficients=[1.0, 2.0])  # wrong length
         with pytest.raises(ValueError):
             SpinSpec(coefficients=[-1.0, 0.5, 0.5, 0.5, 0.5])
-        with pytest.raises(ValueError):
-            SpinSpec(padding="periodic")
 
 
 class TestDissipativityCheck:
@@ -257,6 +255,21 @@ class TestGrowthCheck:
         assert rep.worst_growth_ratio == 0.0
         assert rep.worst_lipschitz_ratio == 0.0
         assert rep.growth_ok and rep.lipschitz_ok
+
+    def test_nan_drift_fails_both_ratios(self):
+        from mildbsde.spectral import DiagonalOperator
+
+        op = DiagonalOperator([1.0, 2.0])
+        drift = DissipativeDrift(
+            fn=lambda t, y: np.full_like(y, np.nan), growth_scale=1.0, growth_power=2.0,
+            lipschitz=1.0,
+        )
+        rep = check_growth_and_lipschitz(
+            drift, lambda rng: rng.standard_normal((50, 2)),
+            trials=200, op=op, alpha=0.0, radius=3.0, rng=3,
+        )
+        assert math.isnan(rep.worst_growth_ratio) and math.isnan(rep.worst_lipschitz_ratio)
+        assert not rep.growth_ok and not rep.lipschitz_ok
 
 
 class TestValidateProblem:

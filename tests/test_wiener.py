@@ -6,10 +6,8 @@ from mildbsde.wiener import (
     RegressionBasis,
     TimeGrid,
     conditional_expectation,
-    load_ensemble,
     martingale_z_estimate,
     sample_ensemble,
-    save_ensemble,
 )
 
 
@@ -87,16 +85,6 @@ class TestSampling:
         assert w.tobytes() == expect.tobytes()
         for l in range(grid.n_steps + 1):
             assert w[:, l, :].flags.c_contiguous
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        grid = TimeGrid.uniform(1.0, 8)
-        ens = sample_ensemble(grid, 2, 50, seed=21)
-        path = tmp_path / "ens.npz"
-        save_ensemble(path, ens)
-        back = load_ensemble(path)
-        np.testing.assert_array_equal(back.increments, ens.increments)
-        np.testing.assert_array_equal(back.grid.times, ens.grid.times)
-        assert back.seed == 21
 
 
 @pytest.fixture(scope="module")
