@@ -28,7 +28,6 @@ from .solver import (
     SolverConfig,
     SolverReport,
     apriori_h_bound,
-    blowup_bound,
     exponential_shift,
     general_solve,
     global_solve,

@@ -14,7 +14,7 @@ import shutil
 import sys
 import tempfile
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -312,12 +312,11 @@ def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
     rows = []
     for m in m_ladder:
         for l in l_ladder:
-            grid = TimeGrid.uniform(problem.horizon, int(l))
             # the study reads the report only: Z is dropped node by node, and
             # the ensemble is not kept here, so a refined grid frees the coarse one
             _, report = general_solve(
-                problem, sample_ensemble(grid, problem.noise_dim, int(m), cfg.seed), basis,
-                cfg.solver, z_sink=_discard_z,
+                problem, replace(cfg, paths=int(m), steps=int(l)).make_ensemble(problem),
+                basis, cfg.solver, z_sink=_discard_z,
             )
             picard = max(report.picard_factors) if report.picard_factors else 0.0
             outer = 0.0

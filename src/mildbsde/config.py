@@ -2,8 +2,9 @@
 
 Schema (all keys optional unless noted; an unknown section or key, including
 a ``[model]`` key that is not a field of the preset's spec, is rejected as a
-``config`` validation failure, and so is a ``paths`` or ``steps`` that is not
-an integer of at least 1, or a ``window_override`` that is not positive):
+``config`` validation failure, and so is a ``paths``, ``steps``, ``max_iter``
+or ``max_outer`` that is not an integer of at least 1, or a
+``window_override`` that is not positive):
 
     [experiment]
     preset = spin-chain | reaction-diffusion-1d   (required unless --preset given)
@@ -22,7 +23,9 @@ an integer of at least 1, or a ``window_override`` that is not positive):
     ridge = 1e-8
 
     [solver]
-    tol = / tol_outer = / max_iter = / min_iter = / max_outer =
+    max_iter = 50
+    min_iter = 2
+    max_outer = 25
     safety_margin = 1.2
     window_override =
     auto_refine = true
@@ -129,8 +132,7 @@ class ExperimentConfig:
 
 # INI key -> SolverConfig field; every field has exactly one key
 _SOLVER_KEYS = {"auto_refine": "auto_refine_grid"} | {
-    k: k for k in ("tol", "tol_outer", "max_iter", "min_iter", "max_outer", "safety_margin",
-                   "window_override")
+    k: k for k in ("max_iter", "min_iter", "max_outer", "safety_margin", "window_override")
 }
 
 
@@ -174,6 +176,8 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
     solver = SolverConfig(**_section(sections, "solver", _SOLVER_KEYS))
     for key in ("paths", "steps"):
         _check_positive(f"[discretization] {key}", disc.get(key), integer=True)
+    for key in ("max_iter", "max_outer"):
+        _check_positive(f"[solver] {key}", getattr(solver, key), integer=True)
     _check_positive("[solver] window_override", solver.window_override, integer=False)
     val = _section(
         sections, "validation", {"suite": "validation_suite", "trials": "validation_trials"}

@@ -13,8 +13,9 @@ measured.  It has three layers:
 * ``local_solve``: a Picard iteration on one window whose length comes from
   the operator constants (contraction factor 1/2 in theory),
 * ``global_solve``: right-to-left pasting of windows for one frozen driver
-  path, with the radius of the invariant ball for later windows supplied by a
-  fitted blow-up envelope,
+  path.  It selects every window: the first from the terminal bound, the
+  later ones with the radius of the invariant ball supplied by a fitted
+  blow-up envelope,
 * ``general_solve``: the only solve driver.  It applies the exponential change
   of variables removing a positive monotonicity constant from f0, estimates
   the operator constants, refines the grid when a window is shorter than one
@@ -72,7 +73,6 @@ __all__ = [
     "exponential_shift",
     "unshift_solution",
     "apriori_h_bound",
-    "blowup_bound",
     "select_local_radius_and_delta",
     "local_solve",
     "global_solve",
@@ -236,8 +236,6 @@ class SolutionPair:
 
 @dataclass
 class SolverConfig:
-    tol: float | None = None
-    tol_outer: float | None = None
     max_iter: int = 50
     min_iter: int = 2
     max_outer: int = 25
@@ -286,7 +284,6 @@ class SolverReport:
     constants: dict = field(default_factory=dict)
     selection: dict = field(default_factory=dict)
     selection_paste: dict = field(default_factory=dict)
-    delta_schedule: list = field(default_factory=list)
     window_count_formula: int = 0
     grid_refined: int = 1
     windows: list = field(default_factory=list)
@@ -322,15 +319,6 @@ def apriori_h_bound(terminal_h_bound: float, s: float, c: float, horizon: float)
         (terminal_h_bound ** 2 + (s ** 2 + c ** 2) * horizon)
         * (1.0 + 2.0 * horizon * math.exp(2.0 * horizon))
     )
-
-
-def blowup_bound(c2: float, theta: float, alpha: float, horizon: float, t: float) -> float:
-    """Envelope C_2 (T-t)^(-(theta-alpha)) for the theta-space norm near the terminal."""
-    if t >= horizon:
-        raise ValueError("t must lie strictly before the horizon")
-    if theta < alpha:
-        raise ValueError("theta must be at least alpha")
-    return c2 * (horizon - t) ** (-(theta - alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +423,10 @@ def select_local_radius_and_delta(
     alpha = problem.alpha
     radius = 2.0 * constants.m_alpha * terminal_bound
     exponent = 1.0 / (1.0 - alpha)
-    lip = f0.lipschitz_at(radius) if math.isfinite(radius) else f0.lipschitz_at(1.0)
+    try:
+        lip = f0.lipschitz_at(radius if math.isfinite(radius) else 1.0)
+    except OverflowError:  # a huge finite radius, as for R^gamma below
+        lip = math.inf
     if math.isinf(radius) and f0.growth_scale > 0.0:
         raise WindowCollapse("unbounded terminal with a nonzero drift: no window length works")
     gl = 2.0 * constants.g_holder * lip
@@ -677,9 +668,6 @@ def global_solve(
     consts: EmpiricalConstants,
     factors: tuple[np.ndarray, np.ndarray],
     terminal_values: np.ndarray,
-    radius: float,
-    first_steps: int,
-    tol: float,
     report: SolverReport,
     f1_path: np.ndarray | None = None,
     *,
@@ -687,12 +675,15 @@ def global_solve(
 ) -> SolutionPair:
     """Right-to-left window sweep on [0, T] for one frozen driver path.
 
-    ``general_solve`` supplies the per-grid inputs: step factors, terminal
-    values, the first window's ball radius and step count, and the Picard
-    tolerance.  The first window ends at T; its solution fits the blow-up
-    constant C_2, which supplies the radius R_2 = 2 M_alpha C_2 /
+    ``general_solve`` supplies the grid's step factors and terminal values;
+    the whole window schedule is chosen here, on a uniform grid.  The first
+    window ends at T; its radius R_1 = 2 M_alpha ||xi|| and length delta_1
+    come from the terminal bound.  Its solution fits the blow-up constant
+    C_2, which supplies the radius R_2 = 2 M_alpha C_2 /
     delta_1^(theta-alpha) and the constant window length delta_2 = delta_3 =
-    ... for all remaining windows.  Pasted values agree at the joins by
+    ... for all remaining windows.  Every window iterates to the Picard
+    tolerance ``_auto_tol`` of the terminal values; a window shorter than one
+    step raises ``GridTooCoarse``.  Pasted values agree at the joins by
     construction.  A window whose Picard iteration diverges is halved; the
     projection keeps each window's states in its ball, so nothing else halves
     one.  Z is recovered window by window and never held: once a window has
@@ -703,7 +694,7 @@ def global_solve(
     must not write into y_l, from which the next window starts at a join.
     ``general_solve`` passes its node exit, or under the outer fixed point
     the distance to the previous iterate.  The returned pair carries Y only.
-    Window statistics, C_2 and the paste selection are written to ``report``,
+    Window statistics, C_2 and both selections are written to ``report``,
     and each halving is appended to ``report.messages``; ``problem.f1`` is
     ignored, the driver enters through ``f1_path``.
     """
@@ -712,6 +703,13 @@ def global_solve(
     times = grid.times
     n_steps = grid.n_steps
     dt = float(times[1] - times[0])
+    if not np.allclose(grid.deltas, dt, rtol=1e-9):
+        raise SolverError("window scheduling requires a uniform time grid")
+    sel1 = select_local_radius_and_delta(problem, problem.terminal_bound, consts)
+    radius = sel1.radius
+    steps_per_window = _window_steps(sel1.delta, dt, n_steps, config)
+    report.selection = asdict(sel1)
+    tol = _auto_tol(terminal_values)
 
     decay = factors[0]
     y_full = np.empty((n_steps + 1,) + terminal_values.shape)
@@ -723,7 +721,6 @@ def global_solve(
     window_count = 1
 
     end = n_steps
-    steps_per_window = first_steps
     while end > 0:
         first = end == n_steps
         steps = min(steps_per_window, end)
@@ -771,7 +768,6 @@ def global_solve(
     report.windows = windows
     report.picard_factors = [f for w in windows for f in w.factors]
     report.rank_deficient_count = rank_flags
-    report.delta_schedule = [(w.end_index - w.start_index) * dt for w in windows]
     report.c2_fit = c2
     report.selection_paste = paste
     report.window_count_formula = window_count
@@ -829,15 +825,16 @@ def general_solve(
     Once per solve: the validation gate, the exponential shift that removes a
     positive monotonicity constant from f0, and the empirical operator
     constants.  Once per grid: step factors, terminal values and their bound
-    check, the Picard tolerance and the first window selection.  A window
-    shorter than one grid step restarts on a grid refined by an integer factor
-    and resampled from the same seed, up to three grids in all.
+    check.  A window shorter than one grid step, as ``global_solve`` selects
+    it, restarts on a grid refined by an integer factor and resampled from the
+    same seed, up to three grids in all.
 
     The (y, z)-coupled driver f1 is handled by the weighted outer fixed point:
     each outer step freezes f1 along the current iterate's paths and runs the
     window sweep ``global_solve``.  Distances between successive (Y, Z) are
     measured in the exp(beta t)-weighted ensemble norm with beta = 4 K^2 + 1,
-    under which the squared distances contract by 1/2 in theory.  Without f1
+    under which the squared distances contract by 1/2 in theory; the loop
+    stops below max(1e-9, 0.02 d_1), with d_1 the first distance.  Without f1
     one sweep solves the equation; a driver independent of (y, z) (K = 0)
     ends the loop after one outer step.  The returned solution is shifted back.
 
@@ -895,9 +892,6 @@ def general_solve(
         grid = ensemble.grid
         times = grid.times
         try:
-            dt = float(times[1] - times[0])
-            if not np.allclose(grid.deltas, dt, rtol=1e-9):
-                raise SolverError("window scheduling requires a uniform time grid")
             factors = _step_factors(op, grid.deltas)
             terminal_values = np.asarray(work.terminal(ensemble), dtype=float)
             if terminal_values.shape != (ensemble.n_paths, op.dimension):
@@ -910,11 +904,7 @@ def general_solve(
                     f"terminal alpha norm {term_max:g} exceeds the declared bound "
                     f"{work.terminal_bound:g} on some path"
                 )
-            first = select_local_radius_and_delta(frozen, work.terminal_bound, consts)
-            first_steps = _window_steps(first.delta, dt, grid.n_steps, config)
-            tol = config.tol if config.tol is not None else _auto_tol(terminal_values)
             report.n_steps = grid.n_steps
-            report.selection = asdict(first)
 
             # the one exit of a node: shifted back, into the residual, then out
             y_scale, z_scale = _unshift_factors(times, lam)
@@ -940,8 +930,8 @@ def general_solve(
 
             if f1 is None:
                 shifted = global_solve(
-                    frozen, ensemble, basis, config, consts, factors, terminal_values,
-                    first.radius, first_steps, tol, report, node_sink=emit,
+                    frozen, ensemble, basis, config, consts, factors, terminal_values, report,
+                    node_sink=emit,
                 )
                 break
             w = np.exp(beta * times[:-1]) * grid.deltas
@@ -964,9 +954,8 @@ def general_solve(
                         "f1", f1(float(times[l]), u[l], v[l]), l, times[l]
                     )
                 shifted = global_solve(
-                    frozen, ensemble, basis, config, consts, factors, terminal_values,
-                    first.radius, first_steps, tol, report, f1_path=f1_path,
-                    node_sink=to_previous,
+                    frozen, ensemble, basis, config, consts, factors, terminal_values, report,
+                    f1_path=f1_path, node_sink=to_previous,
                 )
                 dist = math.sqrt(float((w * y_sq).sum()) + float((w * z_sq).sum()))
                 if distances:
@@ -980,10 +969,7 @@ def general_solve(
                         )
                 distances.append(dist)
                 u = shifted.y
-                tol_outer = config.tol_outer
-                if tol_outer is None:
-                    tol_outer = max(1e-9, 0.02 * distances[0])
-                if dist == 0.0 or dist < tol_outer or k_lip == 0.0:
+                if dist == 0.0 or dist < max(1e-9, 0.02 * distances[0]) or k_lip == 0.0:
                     break
             else:
                 raise OuterDivergence(

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mildbsde.config
 from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
 from mildbsde.config import _SOLVER_KEYS, ExperimentConfig, load_config
 from mildbsde.models import ValidationError
@@ -84,6 +85,19 @@ class TestConfig:
         )
         with pytest.raises(ValidationError, match="config: unknown key.*max_iters"):
             load_config(cfg_file)
+
+    @pytest.mark.parametrize("key", ["tol", "tol_outer"])
+    def test_removed_solver_key_rejected(self, tmp_path, capsys, key):
+        # the Picard and outer tolerances follow from the data; no key sets them
+        cfg = write_spin_config(tmp_path, tmp_path / "x")
+        cfg.write_text(cfg.read_text() + f"\n[solver]\n{key} = 1e-9\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert f"config: unknown key(s) in [solver]: {key}" in capsys.readouterr().err
+
+    def test_solver_schema_names_every_key(self):
+        # the documented [solver] block lists exactly the keys load_config accepts
+        block = mildbsde.config.__doc__.split("[solver]")[1].split("\n\n")[0]
+        assert sorted(re.findall(r"^\s*(\w+) =", block, re.M)) == sorted(_SOLVER_KEYS)
 
     def test_every_solver_field_has_one_key(self):
         # no SolverConfig switch is reachable only from the library
@@ -234,6 +248,13 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "solver failure: window length below one grid step" in err
 
+    def test_lipschitz_overflow_exits_3(self, tmp_path, capsys):
+        # spin-chain's Lipschitz profile overflows a float at the inflated radius
+        cfg = write_spin_config(tmp_path, tmp_path / "x", paths=200, steps=20)
+        cfg.write_text(cfg.read_text() + "\n[solver]\nsafety_margin = 1e300\n")
+        assert main(["solve", "--config", str(cfg)]) == 3
+        assert "solver failure: window length collapsed" in capsys.readouterr().err
+
     def test_window_collapse_exits_3(self, tmp_path, capsys):
         # a huge safety margin inflates the ball radius until the cubic drift's
         # Lipschitz constant overflows: no window keeps the drift in its ball
@@ -327,13 +348,16 @@ class TestSolveCommand:
              "[solver] window_override must be a positive number, got -0.1"),
             ("paths", 0, "[discretization] paths must be a positive integer, got 0"),
             ("steps", 0, "[discretization] steps must be a positive integer, got 0"),
+            ("max_iter", 0, "[solver] max_iter must be a positive integer, got 0"),
+            ("max_iter", 2.5, "[solver] max_iter must be a positive integer, got 2.5"),
+            ("max_outer", 0, "[solver] max_outer must be a positive integer, got 0"),
         ],
     )
     def test_nonpositive_numeric_value_exits_2(self, tmp_path, capsys, key, value, message):
         # rejected when the config is read, before any path is drawn
-        if key == "window_override":
+        if key in _SOLVER_KEYS:
             cfg = write_spin_config(tmp_path, tmp_path / "x")
-            cfg.write_text(cfg.read_text() + f"\n[solver]\nwindow_override = {value}\n")
+            cfg.write_text(cfg.read_text() + f"\n[solver]\n{key} = {value}\n")
         else:
             cfg = write_spin_config(tmp_path, tmp_path / "x", **{key: value})
         with pytest.raises(ValidationError, match=re.escape(message)):

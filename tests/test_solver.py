@@ -1,6 +1,6 @@
 """Solver mechanics: shift, window selection, Picard maps, pasting, residuals."""
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest.mock import patch
 
 import numpy as np
@@ -18,11 +18,11 @@ from mildbsde.solver import (
     SolutionPair,
     SolverConfig,
     SolverError,
+    SolverReport,
     WindowCollapse,
     _picard_targets,
     _project_to_ball,
     apriori_h_bound,
-    blowup_bound,
     exponential_shift,
     general_solve,
     local_solve,
@@ -72,22 +72,6 @@ class TestClosedFormBounds:
     def test_apriori_rejects_negative(self):
         with pytest.raises(ValueError):
             apriori_h_bound(-1.0, 0.0, 0.0, 1.0)
-
-    def test_blowup_degenerate_exponent(self):
-        assert blowup_bound(2.5, 0.3, 0.3, 1.0, 0.2) == 2.5
-
-    def test_blowup_arithmetic(self):
-        assert blowup_bound(1.0, 0.75, 0.25, 1.0, 0.75) == pytest.approx(2.0)
-
-    def test_blowup_power_law(self):
-        gap = 0.5
-        near = blowup_bound(1.0, 0.25 + gap, 0.25, 1.0, 1.0 - 0.125)
-        far = blowup_bound(1.0, 0.25 + gap, 0.25, 1.0, 1.0 - 0.25)
-        assert near == pytest.approx(far * 2 ** gap, rel=1e-12)
-
-    def test_blowup_rejects_t_past_horizon(self):
-        with pytest.raises(ValueError):
-            blowup_bound(1.0, 0.5, 0.25, 1.0, 1.0)
 
 
 class TestExponentialShift:
@@ -542,7 +526,7 @@ class TestGlobalSolve:
         # declared monotonicity 0: no shift, mu y stays inside f0
         folded = make_problem(op, terminal, bound=0.4, f0=replace(f0, monotonicity=0.0))
         basis = RegressionBasis(degree=2)
-        cfg = SolverConfig(tol=1e-9, auto_refine_grid=False)
+        cfg = SolverConfig(auto_refine_grid=False)
         sol_a, rep_a = general_solve(prob, ens, basis, cfg)
         sol_b, rep_b = general_solve(folded, ens, basis, cfg)
         assert rep_a.lambda_shift == mu and rep_b.lambda_shift == 0.0
@@ -641,6 +625,43 @@ class TestGeneralSolve:
         assert calls == {"constants": 1, "terminal": grids}
         # the refinement is reported and survives the later outer sweeps
         assert sum("grid refined" in m for m in rep.messages) == grids - 1
+
+    def test_every_sweep_selects_first_and_paste_window(self, monkeypatch):
+        # each outer sweep selects its first window from the terminal bound
+        # and its paste windows from the C_2 it fitted on that first window
+        select, sweep = mildbsde.solver.select_local_radius_and_delta, mildbsde.solver.global_solve
+        calls, fits = [], []
+
+        def recorded_select(problem, bound, consts):
+            calls.append((bound, select(problem, bound, consts)))
+            return calls[-1][1]
+
+        def recorded_sweep(*args, **kwargs):
+            solution = sweep(*args, **kwargs)
+            report = next(a for a in args if isinstance(a, SolverReport))
+            first, dt = report.windows[0], ens.grid.times[1]
+            fits.append((report.c2_fit, (first.end_index - first.start_index) * dt))
+            return solution
+
+        monkeypatch.setattr(mildbsde.solver, "select_local_radius_and_delta", recorded_select)
+        monkeypatch.setattr(mildbsde.solver, "global_solve", recorded_sweep)
+        prob, ens = self._coupled()
+        _, rep = general_solve(prob, ens, RegressionBasis(degree=2),
+                               SolverConfig(window_override=0.2))
+        assert len(rep.windows) == 5 and rep.outer["iterations"] > 1
+        assert len(fits) == rep.outer["iterations"] and len(calls) == 2 * len(fits)
+        gap = rep.theta - rep.alpha
+        for (first_bound, _), (paste_bound, _), (c2, delta1) in zip(calls[::2], calls[1::2], fits):
+            assert first_bound == prob.terminal_bound
+            assert paste_bound == c2 / delta1 ** gap
+        assert rep.selection == asdict(calls[-2][1])
+        assert rep.selection_paste == asdict(calls[-1][1])
+
+    def test_non_uniform_grid_rejected(self):
+        ens = sample_ensemble(TimeGrid(np.array([0.0, 0.1, 0.3, 0.6, 1.0])), 1, 200, seed=3)
+        prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
+        with pytest.raises(SolverError, match="uniform time grid"):
+            general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
 
 
 class TestWeightedDistance:
