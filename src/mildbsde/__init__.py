@@ -34,7 +34,6 @@ from .solver import (
     local_solve,
     residual,
     select_local_radius_and_delta,
-    unshift_solution,
     zero_drift,
 )
 from .gronwall import (

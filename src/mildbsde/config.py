@@ -2,8 +2,9 @@
 
 Schema (all keys optional unless noted; an unknown section or key, including
 a ``[model]`` key that is not a field of the preset's spec, is rejected as a
-``config`` validation failure, and so is a ``paths``, ``steps``, ``max_iter``
-or ``max_outer`` that is not an integer of at least 1, or a
+``config`` validation failure, and so is a ``paths``, ``steps``,
+``basis_coords``, ``max_iter`` or ``max_outer`` that is not an integer of at
+least 1, a ``basis_degree`` that is not an integer of at least 0, or a
 ``window_override`` that is not positive):
 
     [experiment]
@@ -24,7 +25,6 @@ or ``max_outer`` that is not an integer of at least 1, or a
 
     [solver]
     max_iter = 50
-    min_iter = 2
     max_outer = 25
     safety_margin = 1.2
     window_override =
@@ -132,7 +132,7 @@ class ExperimentConfig:
 
 # INI key -> SolverConfig field; every field has exactly one key
 _SOLVER_KEYS = {"auto_refine": "auto_refine_grid"} | {
-    k: k for k in ("max_iter", "min_iter", "max_outer", "safety_margin", "window_override")
+    k: k for k in ("max_iter", "max_outer", "safety_margin", "window_override")
 }
 
 
@@ -145,13 +145,15 @@ def _section(sections: dict, name: str, keys: dict) -> dict:
     return {keys[k]: v for k, v in values.items()}
 
 
-def _check_positive(name: str, value, integer: bool) -> None:
-    """Reject a set value that is not a positive number (integer if asked), naming the key."""
+def _check_number(name: str, value, integer: bool, zero_ok: bool = False) -> None:
+    """Reject a set value that is not positive (nonnegative if ``zero_ok``), naming the key."""
     if value is None:
         return
     kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not value > 0:
-        what = "a positive integer" if integer else "a positive number"
+    if isinstance(value, bool) or not isinstance(value, kinds) or not (
+        value >= 0 if zero_ok else value > 0
+    ):
+        what = ("a nonnegative " if zero_ok else "a positive ") + ("integer" if integer else "number")
         raise ValidationError("config", f"{name} must be {what}, got {value!r}")
 
 
@@ -174,11 +176,14 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
         {k: k for k in ("paths", "steps", "basis_degree", "basis_coords", "ridge")},
     )
     solver = SolverConfig(**_section(sections, "solver", _SOLVER_KEYS))
-    for key in ("paths", "steps"):
-        _check_positive(f"[discretization] {key}", disc.get(key), integer=True)
+    for key in ("paths", "steps", "basis_coords"):
+        _check_number(f"[discretization] {key}", disc.get(key), integer=True)
+    _check_number(
+        "[discretization] basis_degree", disc.get("basis_degree"), integer=True, zero_ok=True
+    )
     for key in ("max_iter", "max_outer"):
-        _check_positive(f"[solver] {key}", getattr(solver, key), integer=True)
-    _check_positive("[solver] window_override", solver.window_override, integer=False)
+        _check_number(f"[solver] {key}", getattr(solver, key), integer=True)
+    _check_number("[solver] window_override", solver.window_override, integer=False)
     val = _section(
         sections, "validation", {"suite": "validation_suite", "trials": "validation_trials"}
     )

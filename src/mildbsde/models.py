@@ -392,6 +392,13 @@ def check_dissipativity(
     )
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Row norms that do not overflow: each finite row is divided by its largest entry first."""
+    peak = np.abs(x).max(axis=-1)
+    scale = np.where(np.isfinite(peak) & (peak > 0), peak, 1.0)
+    return scale * np.linalg.norm(x / scale[..., None], axis=-1)
+
+
 def check_growth_and_lipschitz(
     drift: DissipativeDrift,
     sampler: Callable[[np.random.Generator], np.ndarray],
@@ -420,7 +427,7 @@ def check_growth_and_lipschitz(
         norms1 = h_alpha_norm_batch(op, alpha, y1)
         keep = norms1 <= radius
         if np.any(keep):
-            vals = np.linalg.norm(drift(0.0, y1[keep]), axis=-1)
+            vals = _row_norms(drift(0.0, y1[keep]))
             denom = drift.growth_scale * (1.0 + norms1[keep] ** drift.growth_power)
             if drift.growth_scale > 0:
                 worst_growth = float(np.maximum(worst_growth, (vals / denom).max()))
@@ -428,7 +435,7 @@ def check_growth_and_lipschitz(
                 worst_growth = float(np.maximum(worst_growth, vals.max()))
         both = (norms1 <= radius) & (h_alpha_norm_batch(op, alpha, y2) <= radius)
         if np.any(both) and lip_const > 0:
-            num = np.linalg.norm(drift(0.0, y1[both]) - drift(0.0, y2[both]), axis=-1)
+            num = _row_norms(drift(0.0, y1[both]) - drift(0.0, y2[both]))
             den = lip_const * h_alpha_norm_batch(op, alpha, y1[both] - y2[both])
             good = den > 0
             if np.any(good):

@@ -71,7 +71,6 @@ __all__ = [
     "NonFiniteDrift",
     "zero_drift",
     "exponential_shift",
-    "unshift_solution",
     "apriori_h_bound",
     "select_local_radius_and_delta",
     "local_solve",
@@ -237,7 +236,6 @@ class SolutionPair:
 @dataclass
 class SolverConfig:
     max_iter: int = 50
-    min_iter: int = 2
     max_outer: int = 25
     safety_margin: float = 1.2
     window_override: float | None = None
@@ -268,6 +266,7 @@ class WindowStats:
     factors: list
     halvings: int = 0
     ball_clipped: int = 0
+    rank_deficient: int = 0
 
 
 @dataclass
@@ -386,23 +385,6 @@ def exponential_shift(problem: BsdeProblem, lam: float) -> BsdeProblem:
     )
 
 
-def _unshift_factors(times: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node factors exp(-lam t) of Y (every node) and of Z (left nodes)."""
-    return np.exp(-lam * times), np.exp(-lam * times[:-1])
-
-
-def unshift_solution(solution: SolutionPair, lam: float) -> SolutionPair:
-    """Undo the exponential rescaling path by path: (Y, Z) -> exp(-lam t)(Y, Z)."""
-    if lam == 0.0:
-        return solution
-    y_scale, z_scale = _unshift_factors(solution.grid.times, lam)
-    y = solution.y * y_scale[:, None, None]
-    z = None
-    if solution.z is not None:
-        z = solution.z * z_scale[:, None, None, None]
-    return SolutionPair(grid=solution.grid, y=y, z=z)
-
-
 # ---------------------------------------------------------------------------
 # window selection
 
@@ -470,9 +452,8 @@ def _picard_targets(
                + sum_{j=l}^{end-1} exp(-(t_j - t_l) a) I_j [f0(t_j, U_j) + f1_j],
     accumulated by one backward recursion (exact for the piecewise-constant
     interpolant of the integrand).  ``u = None`` means drift-free.  The
-    states ``u[:W]`` the drift sees come from ``_project_to_ball`` (or are the
-    zero start), so they lie in the ball.  A non-finite drift value raises
-    ``NonFiniteDrift``.
+    states ``u[:W]`` the drift sees come from ``_project_to_ball``, so they
+    lie in the ball.  A non-finite drift value raises ``NonFiniteDrift``.
     """
     decay, kernel_int = factors
     width = end - start
@@ -548,11 +529,8 @@ def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
     return count
 
 
-@dataclass
-class LocalSolveResult:
-    y: np.ndarray  # (W+1, M, N)
-    stats: WindowStats
-    rank_flags: int = 0
+# Picard steps a window takes before the tolerance may stop it
+_MIN_ITER = 2
 
 
 def local_solve(
@@ -566,63 +544,48 @@ def local_solve(
     radius: float,
     tol: float,
     max_iter: int = 50,
-    min_iter: int = 2,
     f1_path: np.ndarray | None = None,
-    initial: str = "terminal",
-) -> LocalSolveResult:
-    """Fixed point of the window map by Picard iteration.
+) -> tuple[np.ndarray, WindowStats]:
+    """Fixed point y (W+1, M, N) of the window map by Picard iteration, with its stats.
 
-    ``factors`` are the grid's per-step decays and kernel integrals, as
-    ``spectral._step_factors`` returns them.  Starts from the drift-free
-    solution (conditional expectation of the propagated terminal) or from
-    zero, and stops when the sup-over-nodes ensemble-L2 alpha-norm distance of
-    successive iterates drops below tol.  Distances and their ratios are
-    recorded; two consecutive ratios above one raise ``PicardDivergence`` (the
-    caller may then halve the window).
+    ``factors`` are the grid's step decays and kernel integrals.  Pass 0 is the
+    drift-free start, passes 1 to ``max_iter`` are Picard steps; each pass
+    regresses its targets and projects them onto the ball.  The loop stops when
+    the sup-over-nodes ensemble-L2 alpha distance of successive passes is zero,
+    or below tol after ``_MIN_ITER`` steps; two consecutive distance ratios
+    above one raise ``PicardDivergence``, and the caller may halve the window.
     """
     times = ensemble.grid.times
     op, alpha = problem.operator, problem.alpha
-    width = end - start
-    rank_flags = 0
+    rank_deficient = 0
     clipped = 0
-
-    if initial == "zero":
-        u = np.zeros((width + 1,) + terminal_values.shape)
-        u[width] = terminal_values
-    else:
-        targets = _picard_targets(
-            problem, factors, times, start, end, terminal_values, None, f1_path
-        )
-        u, flagged = _regress_window(ensemble, basis, start, end, targets)
-        rank_flags += flagged
-        clipped += _project_to_ball(problem, u, radius)
-
+    u = None
     distances: list[float] = []
     factors_seen: list[float] = []
     bad_streak = 0
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
         targets = _picard_targets(problem, factors, times, start, end, terminal_values, u, f1_path)
         y, flagged = _regress_window(ensemble, basis, start, end, targets)
-        rank_flags += flagged
+        rank_deficient += flagged
         clipped += _project_to_ball(problem, y, radius)
-        diff = y[:width] - u[:width]
-        # sup over window nodes of the ensemble-L2 alpha norm
-        node_norms = h_alpha_norm_batch(op, alpha, diff)  # (W, M)
-        dist = float(np.sqrt(np.mean(node_norms ** 2, axis=1)).max())
-        if distances:
-            factor = dist / distances[-1] if distances[-1] > 0 else 0.0
-            factors_seen.append(factor)
-            bad_streak = bad_streak + 1 if factor > 1.0 else 0
-            if bad_streak >= 2:
-                raise PicardDivergence(
-                    f"distance ratio above one twice in a row (last {factor:.3f})"
-                )
-        distances.append(dist)
+        if it:  # pass 0 has no previous pass to measure against
+            diff = y[:-1] - u[:-1]
+            # sup over window nodes of the ensemble-L2 alpha norm
+            node_norms = h_alpha_norm_batch(op, alpha, diff)  # (W, M)
+            dist = float(np.sqrt(np.mean(node_norms ** 2, axis=1)).max())
+            if distances:
+                factor = dist / distances[-1] if distances[-1] > 0 else 0.0
+                factors_seen.append(factor)
+                bad_streak = bad_streak + 1 if factor > 1.0 else 0
+                if bad_streak >= 2:
+                    raise PicardDivergence(
+                        f"distance ratio above one twice in a row (last {factor:.3f})"
+                    )
+            distances.append(dist)
+            if dist == 0.0 or (dist < tol and it >= _MIN_ITER):
+                return y, WindowStats(start, end, radius, it, distances, factors_seen,
+                                      ball_clipped=clipped, rank_deficient=rank_deficient)
         u = y
-        if dist == 0.0 or (dist < tol and it >= min_iter):
-            stats = WindowStats(start, end, radius, it, distances, factors_seen,
-                                ball_clipped=clipped)
-            return LocalSolveResult(y=u, stats=stats, rank_flags=rank_flags)
     raise PicardDivergence(
         f"no convergence within {max_iter} iterations (last distance {distances[-1]:.3e})"
     )
@@ -715,7 +678,6 @@ def global_solve(
     y_full = np.empty((n_steps + 1,) + terminal_values.shape)
     y_full[n_steps] = terminal_values
     windows: list[WindowStats] = []
-    rank_flags = 0
     paste: dict = {}
     c2 = math.nan
     window_count = 1
@@ -727,10 +689,9 @@ def global_solve(
         halvings = 0
         while True:
             try:
-                result = local_solve(
+                y, stats = local_solve(
                     problem, ensemble, basis, factors, end - steps, end, y_full[end], radius,
-                    tol=tol, max_iter=config.max_iter, min_iter=config.min_iter,
-                    f1_path=f1_path,
+                    tol=tol, max_iter=config.max_iter, f1_path=f1_path,
                 )
                 break
             except PicardDivergence as err:
@@ -739,10 +700,9 @@ def global_solve(
                 report.messages.append(f"window ending at node {end}: {err}; halving")
                 if steps < 1:
                     raise
-        result.stats.halvings = halvings
-        windows.append(result.stats)
-        rank_flags += result.rank_flags
-        y_full[end - steps : end + 1] = result.y
+        stats.halvings = halvings
+        windows.append(stats)
+        y_full[end - steps : end + 1] = y
         end -= steps
 
         if first:
@@ -753,7 +713,7 @@ def global_solve(
             weights = (times[-1] - times[window_nodes]) ** theta_gap
             c2 = float((theta_norms.max(axis=1) * weights).max())
             if end > 0:
-                bound2 = c2 / delta1 ** theta_gap if theta_gap > 0 else c2
+                bound2 = c2 / delta1 ** theta_gap
                 sel2 = select_local_radius_and_delta(problem, bound2, consts)
                 paste = asdict(sel2)
                 radius = sel2.radius
@@ -767,7 +727,7 @@ def global_solve(
 
     report.windows = windows
     report.picard_factors = [f for w in windows for f in w.factors]
-    report.rank_deficient_count = rank_flags
+    report.rank_deficient_count = sum(w.rank_deficient for w in windows)
     report.c2_fit = c2
     report.selection_paste = paste
     report.window_count_formula = window_count
@@ -792,15 +752,12 @@ def _record_bound_checks(work: BsdeProblem, report: SolverReport, sol: SolutionP
         h_alpha_norm_batch(op, theta, sol.y) if theta > 0 else h_norms
     )
     report.max_y_theta_per_node = theta_norms.max(axis=1).tolist()
-    gap = theta - alpha
     with np.errstate(divide="ignore"):
-        bounds = report.c2_fit * (times[-1] - times) ** (-gap) if gap > 0 else np.full(
-            times.shape, report.c2_fit
-        )
-    report.blowup_bound_per_node = np.asarray(bounds).tolist()
+        bounds = report.c2_fit * (times[-1] - times) ** (alpha - theta)
+    report.blowup_bound_per_node = bounds.tolist()
     finite = np.isfinite(bounds) & (bounds > 0)
     if np.any(finite):
-        margins = theta_norms.max(axis=1)[finite] / np.asarray(bounds)[finite]
+        margins = theta_norms.max(axis=1)[finite] / bounds[finite]
         report.blowup_margin = float(margins.max())
 
 
@@ -836,11 +793,12 @@ def general_solve(
     under which the squared distances contract by 1/2 in theory; the loop
     stops below max(1e-9, 0.02 d_1), with d_1 the first distance.  Without f1
     one sweep solves the equation; a driver independent of (y, z) (K = 0)
-    ends the loop after one outer step.  The returned solution is shifted back.
+    ends the loop after one outer step.
 
-    Every node leaves the solve through one exit: it is shifted back, added
-    to the residual, and then ``z_sink(l, z_l)``, when given, receives its Z;
-    each node passes exactly once, in strictly descending l, and the returned
+    Every node leaves the solve through one exit: it is shifted back by
+    exp(-lam t_l), which also scales the returned Y, added to the residual,
+    and then ``z_sink(l, z_l)``, when given, receives its Z; each node passes
+    exactly once, in strictly descending l, and the returned
     ``SolutionPair.z`` is None.  Without a sink Z is kept in the returned
     pair.  Without f1 the sweep feeds the exit as it produces each node, so
     the full Z array is never formed.  With f1 the outer distance and the
@@ -888,7 +846,7 @@ def general_solve(
     )
 
     base_steps = ensemble.grid.n_steps
-    for _ in range(3):
+    for attempt in range(3):
         grid = ensemble.grid
         times = grid.times
         try:
@@ -907,7 +865,7 @@ def general_solve(
             report.n_steps = grid.n_steps
 
             # the one exit of a node: shifted back, into the residual, then out
-            y_scale, z_scale = _unshift_factors(times, lam)
+            y_scale = np.exp(-lam * times)
             sweep = _ResidualSweep(
                 problem, grid, ensemble, factors, terminal_values * y_scale[-1]
             )
@@ -921,7 +879,7 @@ def general_solve(
 
             def emit(l, y_l, z_l):
                 if lam:
-                    y_l, z_l = y_l * y_scale[l], z_l * z_scale[l]
+                    y_l, z_l = y_l * y_scale[l], z_l * y_scale[l]
                 sweep.add(l, y_l, z_l)
                 if z_kept is None:
                     z_sink(l, z_l)
@@ -981,14 +939,16 @@ def general_solve(
         except GridTooCoarse as need:
             if not config.auto_refine_grid:
                 raise
+            if attempt == 2:
+                raise GridTooCoarse(
+                    "grid refinement did not reach the required window resolution"
+                ) from need
             finer = TimeGrid.uniform(grid.horizon, grid.n_steps * need.factor)
             report.messages.append(
                 f"window below one grid step: grid refined x{need.factor} to "
                 f"{finer.n_steps} steps and resampled (seed {ensemble.seed})"
             )
             ensemble = sample_ensemble(finer, ensemble.n_noise, ensemble.n_paths, ensemble.seed)
-    else:
-        raise GridTooCoarse("grid refinement did not reach the required window resolution")
 
     report.grid_refined = ensemble.grid.n_steps // base_steps
     if f1 is not None:
@@ -1000,8 +960,8 @@ def general_solve(
             "squared_factors": sq_factors,
         }
     _record_bound_checks(frozen, report, shifted)
-    solution = unshift_solution(shifted, lam)
-    solution.z = z_kept
+    y = shifted.y * y_scale[:, None, None] if lam else shifted.y
+    solution = SolutionPair(grid=shifted.grid, y=y, z=z_kept)
     report.residual_value = sweep.value()
     report.runtime_seconds = time.perf_counter() - t0
     return solution, report

@@ -109,11 +109,8 @@ def sample_ensemble(grid: TimeGrid, k: int, m: int, seed: int) -> WienerEnsemble
     out = np.empty((m, n_steps, k))
     children = np.random.SeedSequence(seed).spawn((m + _PATH_BLOCK - 1) // _PATH_BLOCK)
     for b, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        draw = rng.standard_normal((_PATH_BLOCK, n_steps, k))
         lo = b * _PATH_BLOCK
-        hi = min(lo + _PATH_BLOCK, m)
-        out[lo:hi] = draw[: hi - lo]
+        np.random.default_rng(child).standard_normal(out=out[lo : lo + _PATH_BLOCK])
     out *= scale
     return WienerEnsemble(grid=grid, increments=out, seed=int(seed))
 

@@ -1,4 +1,5 @@
 """Command-line harness: artifacts, determinism, exit codes."""
+import configparser
 import json
 import math
 import re
@@ -86,9 +87,10 @@ class TestConfig:
         with pytest.raises(ValidationError, match="config: unknown key.*max_iters"):
             load_config(cfg_file)
 
-    @pytest.mark.parametrize("key", ["tol", "tol_outer"])
+    @pytest.mark.parametrize("key", ["tol", "tol_outer", "min_iter"])
     def test_removed_solver_key_rejected(self, tmp_path, capsys, key):
-        # the Picard and outer tolerances follow from the data; no key sets them
+        # the Picard and outer tolerances follow from the data and every window
+        # takes at least two Picard steps; no key sets them
         cfg = write_spin_config(tmp_path, tmp_path / "x")
         cfg.write_text(cfg.read_text() + f"\n[solver]\n{key} = 1e-9\n")
         assert main(["solve", "--config", str(cfg)]) == 2
@@ -223,7 +225,6 @@ class TestSolveCommand:
                     "",
                     "[solver]",
                     "max_iter = 1",
-                    "min_iter = 2",
                 ]
             )
         )
@@ -351,15 +352,23 @@ class TestSolveCommand:
             ("max_iter", 0, "[solver] max_iter must be a positive integer, got 0"),
             ("max_iter", 2.5, "[solver] max_iter must be a positive integer, got 2.5"),
             ("max_outer", 0, "[solver] max_outer must be a positive integer, got 0"),
+            ("basis_degree", 2.5,
+             "[discretization] basis_degree must be a nonnegative integer, got 2.5"),
+            ("basis_degree", -1,
+             "[discretization] basis_degree must be a nonnegative integer, got -1"),
+            ("basis_coords", 0, "[discretization] basis_coords must be a positive integer, got 0"),
+            ("basis_coords", -1,
+             "[discretization] basis_coords must be a positive integer, got -1"),
         ],
     )
     def test_nonpositive_numeric_value_exits_2(self, tmp_path, capsys, key, value, message):
         # rejected when the config is read, before any path is drawn
-        if key in _SOLVER_KEYS:
-            cfg = write_spin_config(tmp_path, tmp_path / "x")
-            cfg.write_text(cfg.read_text() + f"\n[solver]\n{key} = {value}\n")
-        else:
-            cfg = write_spin_config(tmp_path, tmp_path / "x", **{key: value})
+        cfg = write_spin_config(tmp_path, tmp_path / "x")
+        ini = configparser.ConfigParser()
+        ini.read(cfg)
+        ini.read_dict({"solver" if key in _SOLVER_KEYS else "discretization": {key: value}})
+        with cfg.open("w") as f:
+            ini.write(f)
         with pytest.raises(ValidationError, match=re.escape(message)):
             load_config(cfg)
         assert main(["solve", "--config", str(cfg)]) == 2

@@ -16,6 +16,7 @@ from mildbsde.models import (
     build_spin_system,
     check_dissipativity,
     check_growth_and_lipschitz,
+    sample_growth_and_lipschitz,
     spin_drift_fn,
     validate_problem,
 )
@@ -270,6 +271,16 @@ class TestGrowthCheck:
         )
         assert math.isnan(rep.worst_growth_ratio) and math.isnan(rep.worst_lipschitz_ratio)
         assert not rep.growth_ok and not rep.lipschitz_ok
+
+    def test_drift_above_1e154_keeps_finite_norms(self):
+        # drift entries reach about 1e280: squared, they overflow, so the norms
+        # are taken on rows scaled by their largest entry
+        with np.errstate(over="ignore"):  # the dissipativity products overflow
+            prob = build_preset("spin-chain", odd_power=50, terminal_amp=170)
+            rep = sample_growth_and_lipschitz(prob, trials=400, rng=0)
+        assert prob.validated
+        assert 0.0 < rep.worst_growth_ratio <= 1.0 and 0.0 < rep.worst_lipschitz_ratio <= 1.0
+        assert rep.growth_ok and rep.lipschitz_ok
 
 
 class TestValidateProblem:

@@ -238,6 +238,8 @@ class TestSmoothingBound:
             smoothing_bound_check(op, 0.5, 0.25)
         with pytest.raises(ValueError):
             smoothing_bound_check(op, 0.0, 0.0)
+        with pytest.raises(ValueError, match="beta < 1"):
+            smoothing_bound_check(op, 0.5, 1.0)
 
 
 class TestInterpolationInequality:
