@@ -37,7 +37,7 @@ SOLVE_CSV_SCHEMA = "mildbsde-solve-csv-v1"
 STUDY_CSV_SCHEMA = "mildbsde-study-csv-v1"
 GRONWALL_CSV_SCHEMA = "mildbsde-gronwall-csv-v1"
 
-# bytes per read when z.npy is copied into solution.npz
+# bytes per read when y.npy and z.npy are copied into solution.npz
 _COPY_CHUNK = 1 << 22
 
 
@@ -86,28 +86,26 @@ def _config_from_args(args) -> ExperimentConfig:
 # solve
 
 
-def _write_solution_npz(path: Path, solution, z_file, z_shape: tuple) -> None:
-    """solution.npz with the members np.savez would write; z.npy is copied from z_file.
+def _write_solution_npz(path: Path, times: np.ndarray, streamed) -> None:
+    """solution.npz with the members np.savez would write.
 
-    ``z_file`` holds Z as C-ordered float32 bytes, so z.npy is its format-1.0
-    header followed by the file's bytes, copied in bounded chunks.
+    ``streamed`` lists (name, file, shape) for the arrays written node by node:
+    each file holds its array as C-ordered float32 bytes, so its .npy member is
+    the format-1.0 header followed by the file's bytes, copied in bounded chunks.
     """
-    z_dtype = np.dtype(np.float32)
-    z_file.seek(0)
-    if os.fstat(z_file.fileno()).st_size != math.prod(z_shape) * z_dtype.itemsize:
-        raise RuntimeError(f"the Z file does not hold every node of shape {z_shape}")
+    dtype = np.dtype(np.float32)
+    descr = np.lib.format.dtype_to_descr(dtype)
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for name, arr in (("times", solution.grid.times), ("y", solution.y.astype(np.float32))):
+        with zf.open("times.npy", "w", force_zip64=True) as fh:
+            np.lib.format.write_array(fh, times, allow_pickle=False)
+        for name, node_file, shape in streamed:
+            node_file.seek(0)
+            if os.fstat(node_file.fileno()).st_size != math.prod(shape) * dtype.itemsize:
+                raise RuntimeError(f"the {name} file does not hold every node of shape {shape}")
             with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, arr, allow_pickle=False)
-        with zf.open("z.npy", "w", force_zip64=True) as fh:
-            header = {
-                "descr": np.lib.format.dtype_to_descr(z_dtype),
-                "fortran_order": False,
-                "shape": z_shape,
-            }
-            np.lib.format.write_array_header_1_0(fh, header)
-            shutil.copyfileobj(z_file, fh, _COPY_CHUNK)
+                header = {"descr": descr, "fortran_order": False, "shape": shape}
+                np.lib.format.write_array_header_1_0(fh, header)
+                shutil.copyfileobj(node_file, fh, _COPY_CHUNK)
 
 
 def run_solve(cfg: ExperimentConfig) -> Path:
@@ -115,22 +113,28 @@ def run_solve(cfg: ExperimentConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     problem = cfg.make_problem()
     basis = cfg.make_basis()
-    # Z arrives node by node, right to left, and goes straight to a temporary
-    # file at its node's offset; a plain file, since mapped pages count in RSS
-    with tempfile.TemporaryFile(dir=out) as z_file:
+    # Y and Z arrive node by node, right to left, and go straight to temporary
+    # files at their node's offset; plain files, since mapped pages count in RSS
+    with tempfile.TemporaryFile(dir=out) as y_file, tempfile.TemporaryFile(dir=out) as z_file:
 
-        def z_sink(l: int, z_l: np.ndarray) -> None:
-            node = z_l.astype(np.float32)
-            z_file.seek(l * node.nbytes)
-            z_file.write(node)
+        def sink(l: int, y_l: np.ndarray, z_l: np.ndarray | None) -> None:
+            for node_file, node in ((y_file, y_l), (z_file, z_l)):
+                if node is not None:
+                    node = node.astype(np.float32)
+                    node_file.seek(l * node.nbytes)
+                    node_file.write(node)
 
         # the ensemble is not kept here, so a refined grid frees the coarse one
         solution, report = general_solve(
-            problem, cfg.make_ensemble(problem), basis, cfg.solver, z_sink=z_sink
+            problem, cfg.make_ensemble(problem), basis, cfg.solver, sink=sink
         )
-        z_shape = (report.n_steps, report.n_paths, problem.operator.dimension, report.n_noise)
+        y_shape = (report.n_steps + 1, report.n_paths, problem.operator.dimension)
+        z_shape = (report.n_steps,) + y_shape[1:] + (report.n_noise,)
         # snapshots are for inspection; the report carries the full-precision numbers
-        _write_solution_npz(out / "solution.npz", solution, z_file, z_shape)
+        _write_solution_npz(
+            out / "solution.npz", solution.grid.times,
+            [("y", y_file, y_shape), ("z", z_file, z_shape)],
+        )
 
     doc = _json_ready({"config": asdict(cfg), "report": asdict(report)})
     (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -153,7 +157,7 @@ def run_solve(cfg: ExperimentConfig) -> Path:
     manifest = {
         "schema": "mildbsde-solution-v1",
         "files": {"arrays": "solution.npz", "report": "report.json", "csv": "solve.csv"},
-        "shapes": {"y": list(solution.y.shape), "z": list(z_shape)},
+        "shapes": {"y": list(y_shape), "z": list(z_shape)},
         "dtype": "float32",
         "seed": cfg.seed,
         "preset": cfg.preset,
@@ -298,7 +302,7 @@ def run_validation(cfg: ExperimentConfig, f0_override=None) -> dict:
 # convergence study
 
 
-def _discard_z(l: int, z_l: np.ndarray) -> None:
+def _discard_node(l: int, y_l: np.ndarray, z_l: np.ndarray | None) -> None:
     pass
 
 
@@ -312,11 +316,11 @@ def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
     rows = []
     for m in m_ladder:
         for l in l_ladder:
-            # the study reads the report only: Z is dropped node by node, and
+            # the study reads the report only: Y and Z are dropped node by node, and
             # the ensemble is not kept here, so a refined grid frees the coarse one
             _, report = general_solve(
                 problem, replace(cfg, paths=int(m), steps=int(l)).make_ensemble(problem),
-                basis, cfg.solver, z_sink=_discard_z,
+                basis, cfg.solver, sink=_discard_node,
             )
             picard = max(report.picard_factors) if report.picard_factors else 0.0
             outer = 0.0

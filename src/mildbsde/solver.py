@@ -15,7 +15,7 @@ measured.  It has three layers:
 * ``global_solve``: right-to-left pasting of windows for one frozen driver
   path.  It selects every window: the first from the terminal bound, the
   later ones with the radius of the invariant ball supplied by a fitted
-  blow-up envelope,
+  blow-up envelope; it holds Y one window at a time,
 * ``general_solve``: the only solve driver.  It applies the exponential change
   of variables removing a positive monotonicity constant from f0, estimates
   the operator constants, refines the grid when a window is shorter than one
@@ -32,8 +32,10 @@ Carlo noise floor.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from decimal import Decimal
 from typing import Callable
 
 import numpy as np
@@ -224,12 +226,12 @@ class BsdeProblem:
 class SolutionPair:
     """Adapted grid processes: y at every node, z on left nodes of each step.
 
-    ``z`` is None when ``general_solve`` handed Z node by node to a ``z_sink``
-    instead of keeping it.
+    ``y`` and ``z`` are None when ``general_solve`` handed the nodes one by
+    one to a ``sink`` instead of keeping them.
     """
 
     grid: TimeGrid
-    y: np.ndarray  # (L+1, M, N)
+    y: np.ndarray | None  # (L+1, M, N)
     z: np.ndarray | None = None  # (L, M, N, K)
 
 
@@ -634,8 +636,8 @@ def global_solve(
     report: SolverReport,
     f1_path: np.ndarray | None = None,
     *,
-    node_sink: Callable[[int, np.ndarray, np.ndarray], None],
-) -> SolutionPair:
+    node_sink: Callable[[int, np.ndarray, np.ndarray | None], None],
+) -> None:
     """Right-to-left window sweep on [0, T] for one frozen driver path.
 
     ``general_solve`` supplies the grid's step factors and terminal values;
@@ -649,17 +651,17 @@ def global_solve(
     step raises ``GridTooCoarse``.  Pasted values agree at the joins by
     construction.  A window whose Picard iteration diverges is halved; the
     projection keeps each window's states in its ball, so nothing else halves
-    one.  Z is recovered window by window and never held: once a window has
+    one.  Only the active window and its join are held.  Once a window has
     converged and the paste selection has kept the grid, each of its nodes
     l gets Z_l = ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` and goes
-    to ``node_sink(l, y_l, z_l)``, in strictly descending l over the whole
-    sweep.  Each node is handed over exactly once; the sink may keep z_l but
-    must not write into y_l, from which the next window starts at a join.
-    ``general_solve`` passes its node exit, or under the outer fixed point
-    the distance to the previous iterate.  The returned pair carries Y only.
-    Window statistics, C_2 and both selections are written to ``report``,
-    and each halving is appended to ``report.messages``; ``problem.f1`` is
-    ignored, the driver enters through ``f1_path``.
+    to ``node_sink(l, y_l, z_l)``; node L goes first, with z_L = None, and the
+    others follow in strictly descending l.  Each node is handed over exactly
+    once; the sink may keep y_l and z_l but must not write into y_l, from
+    which Z of the node to its left is estimated.  ``general_solve`` passes
+    its node exit, or under the outer fixed point the distance to the
+    previous iterate.  Window statistics, C_2 and both selections are written
+    to ``report``, and each halving is appended to ``report.messages``;
+    ``problem.f1`` is ignored, the driver enters through ``f1_path``.
     """
     op, alpha, theta = problem.operator, problem.alpha, problem.theta
     grid = ensemble.grid
@@ -675,8 +677,7 @@ def global_solve(
     tol = _auto_tol(terminal_values)
 
     decay = factors[0]
-    y_full = np.empty((n_steps + 1,) + terminal_values.shape)
-    y_full[n_steps] = terminal_values
+    join = terminal_values
     windows: list[WindowStats] = []
     paste: dict = {}
     c2 = math.nan
@@ -690,7 +691,7 @@ def global_solve(
         while True:
             try:
                 y, stats = local_solve(
-                    problem, ensemble, basis, factors, end - steps, end, y_full[end], radius,
+                    problem, ensemble, basis, factors, end - steps, end, join, radius,
                     tol=tol, max_iter=config.max_iter, f1_path=f1_path,
                 )
                 break
@@ -702,15 +703,13 @@ def global_solve(
                     raise
         stats.halvings = halvings
         windows.append(stats)
-        y_full[end - steps : end + 1] = y
         end -= steps
 
         if first:
             delta1 = steps * dt
-            window_nodes = slice(end, n_steps + 1)
             theta_gap = theta - alpha
-            theta_norms = h_alpha_norm_batch(op, theta, y_full[window_nodes])
-            weights = (times[-1] - times[window_nodes]) ** theta_gap
+            theta_norms = h_alpha_norm_batch(op, theta, y)
+            weights = (times[-1] - times[end:]) ** theta_gap
             c2 = float((theta_norms.max(axis=1) * weights).max())
             if end > 0:
                 bound2 = c2 / delta1 ** theta_gap
@@ -719,11 +718,13 @@ def global_solve(
                 radius = sel2.radius
                 steps_per_window = _window_steps(sel2.delta, dt, n_steps, config)
                 window_count = 1 + math.ceil(end / steps_per_window)
+            node_sink(n_steps, terminal_values, None)
         # Z on the converged window, once the paste selection has kept the grid
         for l in range(end + steps - 1, end - 1, -1):
             node_sink(
-                l, y_full[l], martingale_z_estimate(ensemble, basis, l, decay[l] * y_full[l + 1])
+                l, y[l - end], martingale_z_estimate(ensemble, basis, l, decay[l] * y[l - end + 1])
             )
+        join = y[0].copy()  # the next window starts here; this one is released
 
     report.windows = windows
     report.picard_factors = [f for w in windows for f in w.factors]
@@ -731,33 +732,32 @@ def global_solve(
     report.c2_fit = c2
     report.selection_paste = paste
     report.window_count_formula = window_count
-    return SolutionPair(grid=grid, y=y_full)
 
 
-def _record_bound_checks(work: BsdeProblem, report: SolverReport, sol: SolutionPair) -> None:
-    """Fill the per-node norm columns and the closed-form bound values."""
-    op, alpha, theta = work.operator, work.alpha, work.theta
-    times = sol.grid.times
-    h_norms = np.empty(sol.y.shape[:2])  # (L+1, M), node by node: no full-size temporaries
-    for l, y_l in enumerate(sol.y):
-        h_norms[l] = np.linalg.norm(y_l, axis=-1)
+def _record_bound_checks(
+    work: BsdeProblem, report: SolverReport, times: np.ndarray,
+    mean_h: np.ndarray, max_h: np.ndarray, max_theta: np.ndarray,
+) -> None:
+    """Fill the per-node norm columns and the closed-form bound values.
+
+    Per node, the node exit records the mean and max over paths of |Y|_H and
+    the max of the theta norm.
+    """
+    alpha, theta = work.alpha, work.theta
     report.times = times.tolist()
-    report.mean_y_h = h_norms.mean(axis=1).tolist()
-    report.max_y_h_per_node = h_norms.max(axis=1).tolist()
-    report.max_y_h = float(h_norms.max())
+    report.mean_y_h = mean_h.tolist()
+    report.max_y_h_per_node = max_h.tolist()
+    report.max_y_h = float(max_h.max())
     report.c1_bound = apriori_h_bound(
         work.terminal_bound_h, work.f0.growth_scale, work.driver_bound, work.horizon
     )
-    theta_norms = (
-        h_alpha_norm_batch(op, theta, sol.y) if theta > 0 else h_norms
-    )
-    report.max_y_theta_per_node = theta_norms.max(axis=1).tolist()
+    report.max_y_theta_per_node = max_theta.tolist()
     with np.errstate(divide="ignore"):
         bounds = report.c2_fit * (times[-1] - times) ** (alpha - theta)
     report.blowup_bound_per_node = bounds.tolist()
     finite = np.isfinite(bounds) & (bounds > 0)
     if np.any(finite):
-        margins = theta_norms.max(axis=1)[finite] / bounds[finite]
+        margins = max_theta[finite] / bounds[finite]
         report.blowup_margin = float(margins.max())
 
 
@@ -775,7 +775,7 @@ def general_solve(
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
     config: SolverConfig | None = None,
-    z_sink: Callable[[int, np.ndarray], None] | None = None,
+    sink: Callable[[int, np.ndarray, np.ndarray | None], None] | None = None,
 ) -> tuple[SolutionPair, SolverReport]:
     """Solve the equation on [0, T]: the one solve driver.
 
@@ -784,7 +784,8 @@ def general_solve(
     constants.  Once per grid: step factors, terminal values and their bound
     check.  A window shorter than one grid step, as ``global_solve`` selects
     it, restarts on a grid refined by an integer factor and resampled from the
-    same seed, up to three grids in all.
+    same seed, up to three grids in all, once the coarse attempt is released;
+    a grid whose paths would not fit in physical memory is not drawn.
 
     The (y, z)-coupled driver f1 is handled by the weighted outer fixed point:
     each outer step freezes f1 along the current iterate's paths and runs the
@@ -795,17 +796,17 @@ def general_solve(
     one sweep solves the equation; a driver independent of (y, z) (K = 0)
     ends the loop after one outer step.
 
-    Every node leaves the solve through one exit: it is shifted back by
-    exp(-lam t_l), which also scales the returned Y, added to the residual,
-    and then ``z_sink(l, z_l)``, when given, receives its Z; each node passes
-    exactly once, in strictly descending l, and the returned
-    ``SolutionPair.z`` is None.  Without a sink Z is kept in the returned
-    pair.  Without f1 the sweep feeds the exit as it produces each node, so
-    the full Z array is never formed.  With f1 the outer distance and the
-    next frozen driver path need all of Z: the loop holds one Z, which each
-    sweep overwrites node by node once that node's distance to the previous
-    iterate is taken, and the converged iterate replays through the same
-    exit.
+    Every node leaves the solve through one exit: its norms are recorded for
+    the bound checks, it is shifted back by exp(-lam t_l), added to the
+    residual, and then ``sink(l, y_l, z_l)``, when given, receives it: node L
+    first with ``z_l = None``, then nodes L-1 down to 0, each exactly once,
+    and the returned pair has ``y = z = None``.  Without a sink Y and Z are
+    kept in the returned pair.  Without f1 the sweep feeds the exit as it
+    produces each node, so a solve with a sink holds the ensemble and one
+    window.  With f1 the outer distance and the next frozen driver path need
+    all of Y and Z: the loop holds one of each, which each sweep overwrites
+    node by node once that node's distance to the previous iterate is taken,
+    and the converged iterate replays through the same exit.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -828,10 +829,10 @@ def general_solve(
     f1 = work.f1
     k_lip = problem.driver_lipschitz
     beta = 4.0 * k_lip ** 2 + 1.0
-    op, alpha = work.operator, work.alpha
+    op, alpha, theta = work.operator, work.alpha, work.theta
 
     raw = estimate_constants(
-        op, alpha, work.horizon, theta=work.theta if work.theta > alpha else None,
+        op, alpha, work.horizon, theta=theta if theta > alpha else None,
         rng=_estimator_rng(ensemble.seed), trials=_CONSTANTS_TRIALS,
     )
     consts = raw.scaled(config.safety_margin)
@@ -864,30 +865,40 @@ def general_solve(
                 )
             report.n_steps = grid.n_steps
 
-            # the one exit of a node: shifted back, into the residual, then out
+            # the one exit of a node: its norms, shifted back, into the residual, then out
             y_scale = np.exp(-lam * times)
-            sweep = _ResidualSweep(
-                problem, grid, ensemble, factors, terminal_values * y_scale[-1]
-            )
+            sweep = _ResidualSweep(problem, grid, ensemble, factors, terminal_values * y_scale[-1])
+            # per node: mean and max of |Y|_H and max of the theta norm, on the shifted Y
+            node_norms = np.empty((3, grid.n_steps + 1))
+            y_shape = (grid.n_steps + 1,) + terminal_values.shape
             z_shape = (grid.n_steps,) + terminal_values.shape + (ensemble.n_noise,)
             if f1 is not None:
-                u = np.zeros((grid.n_steps + 1,) + terminal_values.shape)
+                u = np.zeros(y_shape)
+                u[-1] = terminal_values
                 v = np.zeros(z_shape)
-            z_kept = None
-            if z_sink is None:
+            y_kept = z_kept = None
+            if sink is None:
+                y_kept = u if f1 is not None else np.empty(y_shape)
                 z_kept = v if f1 is not None else np.empty(z_shape)
 
             def emit(l, y_l, z_l):
+                h = np.linalg.norm(y_l, axis=-1)
+                theta_h = h_alpha_norm_batch(op, theta, y_l) if theta > 0 else h
+                node_norms[:, l] = h.mean(), h.max(), theta_h.max()
                 if lam:
-                    y_l, z_l = y_l * y_scale[l], z_l * y_scale[l]
-                sweep.add(l, y_l, z_l)
-                if z_kept is None:
-                    z_sink(l, z_l)
-                else:
+                    y_l = y_l * y_scale[l]
+                    z_l = None if z_l is None else z_l * y_scale[l]
+                if z_l is not None:
+                    sweep.add(l, y_l, z_l)
+                if sink is not None:
+                    sink(l, y_l, z_l)
+                    return
+                y_kept[l] = y_l
+                if z_l is not None:
                     z_kept[l] = z_l
 
             if f1 is None:
-                shifted = global_solve(
+                global_solve(
                     frozen, ensemble, basis, config, consts, factors, terminal_values, report,
                     node_sink=emit,
                 )
@@ -897,9 +908,13 @@ def general_solve(
             z_sq = np.empty(grid.n_steps)
 
             def to_previous(l, y_l, z_l):
-                # the distance to the previous iterate, then its Z is overwritten
+                # the distance to the previous iterate, which is then overwritten;
+                # node L carries no Z and u[L] already holds the terminal values
+                if z_l is None:
+                    return
                 y_sq[l] = np.square(y_l - u[l]).sum(axis=-1).mean()
                 z_sq[l] = np.square(z_l - v[l]).sum(axis=(-1, -2)).mean()
+                u[l] = y_l
                 v[l] = z_l
 
             distances: list[float] = []
@@ -911,7 +926,7 @@ def general_solve(
                     f1_path[l] = _finite_drift(
                         "f1", f1(float(times[l]), u[l], v[l]), l, times[l]
                     )
-                shifted = global_solve(
+                global_solve(
                     frozen, ensemble, basis, config, consts, factors, terminal_values, report,
                     f1_path=f1_path, node_sink=to_previous,
                 )
@@ -926,13 +941,13 @@ def general_solve(
                             f"weighted squared factor at or above one twice (last {sq:.3f})"
                         )
                 distances.append(dist)
-                u = shifted.y
                 if dist == 0.0 or dist < max(1e-9, 0.02 * distances[0]) or k_lip == 0.0:
                     break
             else:
                 raise OuterDivergence(
                     f"outer iteration did not converge within {config.max_outer} steps"
                 )
+            emit(grid.n_steps, u[-1], None)
             for l in range(grid.n_steps - 1, -1, -1):
                 emit(l, u[l], v[l])
             break
@@ -943,12 +958,23 @@ def general_solve(
                 raise GridTooCoarse(
                     "grid refinement did not reach the required window resolution"
                 ) from need
-            finer = TimeGrid.uniform(grid.horizon, grid.n_steps * need.factor)
-            report.messages.append(
-                f"window below one grid step: grid refined x{need.factor} to "
-                f"{finer.n_steps} steps and resampled (seed {ensemble.seed})"
+            factor = need.factor
+        # the coarse attempt is released before the finer ensemble is drawn; the
+        # closures hold their arrays through these names
+        n_noise, n_paths, seed = ensemble.n_noise, ensemble.n_paths, ensemble.seed
+        ensemble = sweep = u = v = y_kept = z_kept = f1_path = terminal_values = None
+        steps = grid.n_steps * factor
+        path_bytes = 8 * n_paths * n_noise * (2 * steps + 1)  # increments and paths
+        if path_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise GridTooCoarse(
+                f"a grid refined to {Decimal(steps):.3e} steps needs {Decimal(path_bytes):.3e} "
+                "bytes of paths, more than this machine's physical memory"
             )
-            ensemble = sample_ensemble(finer, ensemble.n_noise, ensemble.n_paths, ensemble.seed)
+        report.messages.append(
+            f"window below one grid step: grid refined x{factor} to "
+            f"{steps} steps and resampled (seed {seed})"
+        )
+        ensemble = sample_ensemble(TimeGrid.uniform(grid.horizon, steps), n_noise, n_paths, seed)
 
     report.grid_refined = ensemble.grid.n_steps // base_steps
     if f1 is not None:
@@ -959,9 +985,8 @@ def general_solve(
             "distances": distances,
             "squared_factors": sq_factors,
         }
-    _record_bound_checks(frozen, report, shifted)
-    y = shifted.y * y_scale[:, None, None] if lam else shifted.y
-    solution = SolutionPair(grid=shifted.grid, y=y, z=z_kept)
+    _record_bound_checks(frozen, report, times, *node_norms)
+    solution = SolutionPair(grid=ensemble.grid, y=y_kept, z=z_kept)
     report.residual_value = sweep.value()
     report.runtime_seconds = time.perf_counter() - t0
     return solution, report

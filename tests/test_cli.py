@@ -172,6 +172,21 @@ class TestSolveCommand:
         assert z_shape == [200, 2000, 5, 5]
         assert peak < math.prod(z_shape) * np.dtype(np.float64).itemsize
 
+    def test_solve_never_holds_y_in_full(self, tmp_path):
+        # refined to 200 steps, Y is 201 x 2000 x 5 float64 (15.3 MiB); it
+        # leaves the solve node by node, so a whole solve and write stays
+        # below 2.6 of it, of which the ensemble's increments and paths take 2
+        cfg = load_config(write_spin_config(tmp_path, tmp_path / "mem", paths=2000, steps=100))
+        tracemalloc.start()
+        try:
+            run_solve(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        y_shape = json.loads((tmp_path / "mem" / "manifest.json").read_text())["shapes"]["y"]
+        assert y_shape == [201, 2000, 5]
+        assert peak < 2.6 * math.prod(y_shape) * np.dtype(np.float64).itemsize
+
     def test_coupled_solve_holds_one_z(self, tmp_path):
         # the outer fixed point keeps one Z of 40 x 2000 x 6 x 6 float64 (22.0 MiB)
         # and overwrites it each outer step, so a whole solve and write stays
@@ -248,6 +263,15 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "solver failure: window length below one grid step" in err
+
+    def test_refinement_beyond_memory_exits_3(self, tmp_path, capsys):
+        # odd_power = 50 at a terminal amplitude of 170 asks for a window some
+        # 6e304 times shorter than a step; no memory holds those paths
+        cfg = write_spin_config(tmp_path, tmp_path / "x", paths=200, steps=20, seed=13)
+        cfg.write_text(cfg.read_text() + "\n[model]\nodd_power = 50\nterminal_amp = 170\n")
+        assert main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"solver failure: a grid refined to \S+ steps .* physical memory", err)
 
     def test_lipschitz_overflow_exits_3(self, tmp_path, capsys):
         # spin-chain's Lipschitz profile overflows a float at the inflated radius

@@ -1,5 +1,6 @@
 """Solver mechanics: shift, window selection, Picard maps, pasting, residuals."""
 import math
+import weakref
 from dataclasses import asdict, replace
 from unittest.mock import patch
 
@@ -15,7 +16,6 @@ from mildbsde.solver import (
     DissipativeDrift,
     NonFiniteDrift,
     PicardDivergence,
-    SolutionPair,
     SolverConfig,
     SolverError,
     SolverReport,
@@ -672,6 +672,50 @@ class TestGeneralSolve:
             general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
         assert drawn == [20, 40]
 
+    def test_refinement_beyond_memory_draws_nothing(self, monkeypatch):
+        # a refinement factor no memory can hold is a solver failure named
+        # before any ensemble is drawn, not numpy's "maximum allowed size"
+        drawn = []
+        sample = mildbsde.solver.sample_ensemble
+
+        def counted_sample(grid, *args):
+            drawn.append(grid.n_steps)
+            return sample(grid, *args)
+
+        def far_too_coarse(*args):
+            raise mildbsde.solver.GridTooCoarse("window length below one grid step", factor=10 ** 12)
+
+        monkeypatch.setattr(mildbsde.solver, "sample_ensemble", counted_sample)
+        monkeypatch.setattr(mildbsde.solver, "_window_steps", far_too_coarse)
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 10), 1, 200, seed=3)
+        prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
+        with pytest.raises(mildbsde.solver.GridTooCoarse,
+                           match=r"refined to 1\.000e\+13 steps .* physical memory"):
+            general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
+        assert drawn == []
+
+    def test_refinement_frees_the_coarse_attempt(self, monkeypatch):
+        # the 100-step attempt, its ensemble included, is gone before the
+        # 200-step ensemble is drawn
+        coarse, alive = [], []
+        sample = mildbsde.solver.sample_ensemble
+
+        def checked_sample(grid, *args):
+            alive.append((grid.n_steps, coarse[0]() is not None))
+            return sample(grid, *args)
+
+        def coarse_ensemble():
+            ens = sample_ensemble(TimeGrid.uniform(1.0, 100), 1, 200, seed=5)
+            coarse.append(weakref.ref(ens.increments))
+            return ens
+
+        monkeypatch.setattr(mildbsde.solver, "sample_ensemble", checked_sample)
+        prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
+        _, rep = general_solve(prob, coarse_ensemble(), RegressionBasis(degree=2),
+                               SolverConfig(window_override=0.006))
+        assert rep.grid_refined == 2
+        assert alive == [(200, False)]
+
     def test_non_uniform_grid_rejected(self):
         ens = sample_ensemble(TimeGrid(np.array([0.0, 0.1, 0.3, 0.6, 1.0])), 1, 200, seed=3)
         prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
@@ -711,11 +755,12 @@ class TestWeightedDistance:
         iterates = iter([(y0, z0)] + [(y1, z1)] * 24)
 
         def sweep(*args, node_sink, **kwargs):
-            # each outer step's sweep hands over the next iterate, node L-1 first
+            # each outer step's sweep hands over the next iterate: node L
+            # without Z first, then node L-1 down to node 0
             y, z = next(iterates)
+            node_sink(steps, y[steps], None)
             for l in range(steps - 1, -1, -1):
                 node_sink(l, y[l], z[l])
-            return SolutionPair(grid=grid, y=y)
 
         f1 = BoundedDriver(
             fn=lambda t, y, z: np.zeros_like(y), lipschitz_const=lipschitz, bound=1.0
@@ -765,7 +810,7 @@ def _whole_grid_residual(problem, solution, ensemble):
 
 
 class TestZSink:
-    """``general_solve(..., z_sink=...)`` against the solve that keeps Z."""
+    """``general_solve(..., sink=...)`` against the solve that keeps Y and Z."""
 
     @staticmethod
     def _problem(case):
@@ -802,18 +847,22 @@ class TestZSink:
         assert len(kept_rep.windows) > 1
         seen = []
 
-        def rec(l, z_l):
-            seen.append((l, z_l.copy()))
+        def rec(l, y_l, z_l):
+            seen.append((l, y_l.copy(), None if z_l is None else z_l.copy()))
 
-        streamed, rep = general_solve(prob, ens, basis, cfg, z_sink=rec)
-        assert [l for l, _ in seen] == list(range(ens.grid.n_steps - 1, -1, -1))
-        for l, z_l in seen:
-            np.testing.assert_array_equal(z_l, kept.z[l])
-        assert streamed.z is None
-        np.testing.assert_array_equal(streamed.y, kept.y)
+        streamed, rep = general_solve(prob, ens, basis, cfg, sink=rec)
+        n_steps = ens.grid.n_steps
+        assert [l for l, _, _ in seen] == list(range(n_steps, -1, -1))
+        assert seen[0][2] is None
+        for l, y_l, z_l in seen:
+            np.testing.assert_array_equal(y_l, kept.y[l])
+            if l < n_steps:
+                np.testing.assert_array_equal(z_l, kept.z[l])
+        assert streamed.y is None and streamed.z is None
         assert rep.residual_value == residual(prob, kept, ens)
         assert rep.residual_value == kept_rep.residual_value
         assert rep.residual_value == _whole_grid_residual(prob, kept, ens)
+        shifted_y = kept.y
         if case == "shifted":
             # the kept pair is the shifted equation's solution, shifted back
             direct, _ = general_solve(
@@ -822,6 +871,16 @@ class TestZSink:
             scale = np.exp(-kept_rep.lambda_shift * ens.grid.times)
             np.testing.assert_array_equal(kept.y, direct.y * scale[:, None, None])
             np.testing.assert_array_equal(kept.z, direct.z * scale[:-1, None, None, None])
+            shifted_y = direct.y
+        # the node exit's norm columns are the whole-array norms of the shifted Y
+        h_norms = np.linalg.norm(shifted_y, axis=-1)
+        theta_norms = (
+            h_alpha_norm_batch(prob.operator, prob.theta, shifted_y) if prob.theta > 0 else h_norms
+        )
+        for r in (rep, kept_rep):
+            assert r.mean_y_h == h_norms.mean(axis=1).tolist()
+            assert r.max_y_h_per_node == h_norms.max(axis=1).tolist()
+            assert r.max_y_theta_per_node == theta_norms.max(axis=1).tolist()
 
     def test_residual_takes_nodes_right_to_left_only(self, small_ensemble):
         prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
