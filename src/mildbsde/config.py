@@ -3,9 +3,10 @@
 Schema (all keys optional unless noted; an unknown section or key, including
 a ``[model]`` key that is not a field of the preset's spec, is rejected as a
 ``config`` validation failure, and so is a ``paths``, ``steps``,
-``basis_coords``, ``max_iter`` or ``max_outer`` that is not an integer of at
-least 1, a ``basis_degree`` that is not an integer of at least 0, or a
-``window_override`` that is not positive):
+``basis_coords``, ``max_iter``, ``max_outer`` or ``trials`` that is not an
+integer of at least 1, a ``seed`` or ``basis_degree`` that is not an integer of
+at least 0, a ``ridge`` that is not a finite number of at least 0, or a
+``safety_margin`` that is not a finite number of at least 1):
 
     [experiment]
     preset = spin-chain | reaction-diffusion-1d   (required unless --preset given)
@@ -27,8 +28,6 @@ least 1, a ``basis_degree`` that is not an integer of at least 0, or a
     max_iter = 50
     max_outer = 25
     safety_margin = 1.2
-    window_override =
-    auto_refine = true
 
     [validation]
     suite = dissipativity,growth-lipschitz,smoothing-bound,interpolation-inequality,gronwall,gaussian-regression
@@ -37,6 +36,7 @@ least 1, a ``basis_degree`` that is not an integer of at least 0, or a
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,9 +131,7 @@ class ExperimentConfig:
 
 
 # INI key -> SolverConfig field; every field has exactly one key
-_SOLVER_KEYS = {"auto_refine": "auto_refine_grid"} | {
-    k: k for k in ("max_iter", "max_outer", "safety_margin", "window_override")
-}
+_SOLVER_KEYS = {k: k for k in ("max_iter", "max_outer", "safety_margin")}
 
 
 def _section(sections: dict, name: str, keys: dict) -> dict:
@@ -145,16 +143,35 @@ def _section(sections: dict, name: str, keys: dict) -> dict:
     return {keys[k]: v for k, v in values.items()}
 
 
-def _check_number(name: str, value, integer: bool, zero_ok: bool = False) -> None:
-    """Reject a set value that is not positive (nonnegative if ``zero_ok``), naming the key."""
-    if value is None:
-        return
-    kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not (
-        value >= 0 if zero_ok else value > 0
-    ):
-        what = ("a nonnegative " if zero_ok else "a positive ") + ("integer" if integer else "number")
-        raise ValidationError("config", f"{name} must be {what}, got {value!r}")
+# (section, key) -> (integer, least, empty_ok): a set number must be finite
+# and at least ``least``, and an integer if ``integer``; only an optional key
+# may be left empty (a missing seed is named later)
+_NUMBERS = {
+    ("experiment", "seed"): (True, 0, True),
+    ("discretization", "paths"): (True, 1, True),
+    ("discretization", "steps"): (True, 1, True),
+    ("discretization", "basis_degree"): (True, 0, False),
+    ("discretization", "basis_coords"): (True, 1, True),
+    ("discretization", "ridge"): (False, 0, False),
+    ("solver", "max_iter"): (True, 1, False),
+    ("solver", "max_outer"): (True, 1, False),
+    ("solver", "safety_margin"): (False, 1, False),
+    ("validation", "trials"): (True, 1, False),
+}
+
+
+def _check_numbers(sections: dict) -> None:
+    """Reject a set number that breaks its ``_NUMBERS`` rule, naming the key."""
+    for (section, key), (integer, least, empty_ok) in _NUMBERS.items():
+        value = sections.get(section, {}).get(key, least)  # an absent key passes
+        if value is None and empty_ok:
+            continue
+        kinds = int if integer else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds) or not least <= value < math.inf:
+            what = f"a finite number of at least {least}"
+            if integer:
+                what = ("a positive" if least else "a nonnegative") + " integer"
+            raise ValidationError("config", f"[{section}] {key} must be {what}, got {value!r}")
 
 
 def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig:
@@ -169,6 +186,7 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
     sections = {
         name: {k: _convert(v) for k, v in parser.items(name)} for name in parser.sections()
     }
+    _check_numbers(sections)
     exp = _section(sections, "experiment", {"preset": "preset", "seed": "seed", "out": "out_dir"})
     model = sections.pop("model", {})
     disc = _section(
@@ -176,14 +194,6 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
         {k: k for k in ("paths", "steps", "basis_degree", "basis_coords", "ridge")},
     )
     solver = SolverConfig(**_section(sections, "solver", _SOLVER_KEYS))
-    for key in ("paths", "steps", "basis_coords"):
-        _check_number(f"[discretization] {key}", disc.get(key), integer=True)
-    _check_number(
-        "[discretization] basis_degree", disc.get("basis_degree"), integer=True, zero_ok=True
-    )
-    for key in ("max_iter", "max_outer"):
-        _check_number(f"[solver] {key}", getattr(solver, key), integer=True)
-    _check_number("[solver] window_override", solver.window_override, integer=False)
     val = _section(
         sections, "validation", {"suite": "validation_suite", "trials": "validation_trials"}
     )
@@ -196,7 +206,7 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
         raise ValidationError("config", "[experiment] preset is required")
     if exp.get("seed") is None:
         raise ValidationError("config", "[experiment] seed is required")
-    exp["preset"], exp["seed"] = str(exp["preset"]), int(exp["seed"])
+    exp["preset"] = str(exp["preset"])
     if "out_dir" in exp:
         exp["out_dir"] = str(exp["out_dir"])
 

@@ -57,12 +57,12 @@ class ValidationError(RuntimeError):
         self.check = check
 
 
-def _require_finite(spec, *names: str) -> None:
-    """Reject a spec field that is NaN or infinite: the terminal must be bounded."""
+def _require_finite(spec, check: str, *names: str) -> None:
+    """Reject a spec field that is NaN or infinite, naming ``check`` and the field."""
     for name in names:
         value = getattr(spec, name)
         if not math.isfinite(value):
-            raise ValidationError("terminal", f"{name} must be finite, got {value!r}")
+            raise ValidationError(check, f"{name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,8 @@ class ReactionDiffusionSpec:
             raise ValueError("need at least one mode")
         if self.reaction_power % 2 == 0 or self.reaction_power < 1:
             raise ValueError("reaction power must be odd and positive (odd increasing drift)")
-        _require_finite(self, "terminal_base", "terminal_noise")
+        _require_finite(self, "terminal", "terminal_base", "terminal_noise")
+        _require_finite(self, "driver-bound", "driver_strength")
         gamma = float(self.reaction_power)
         if self.alpha > 0 and gamma * self.alpha >= 1.0:
             raise ValidationError(
@@ -217,7 +218,7 @@ class SpinSpec:
     def __post_init__(self):
         if self.half_width < 1 or self.odd_power < 1:
             raise ValueError("need half_width >= 1 and odd power k >= 1")
-        _require_finite(self, "terminal_amp")
+        _require_finite(self, "terminal", "terminal_amp")
         n = 2 * self.half_width + 1
         if self.coefficients is None:
             sites = np.abs(np.arange(-self.half_width, self.half_width + 1))
@@ -508,7 +509,7 @@ def validate_problem(problem: BsdeProblem, trials: int = 400, seed: int = 0) -> 
         z = rng.standard_normal((_BATCH, op.dimension, problem.noise_dim))
         vals = np.linalg.norm(problem.f1(0.0, y, z), axis=-1)
         results["driver-bound"] = worst = float(vals.max())
-        if worst > problem.f1.bound * (1.0 + 1e-9):
+        if not worst <= problem.f1.bound * (1.0 + 1e-9):  # a NaN fails too
             raise ValidationError(
                 "driver-bound",
                 f"sampled |f1| = {worst:.3e} exceeds declared bound {problem.f1.bound:.3e}",

@@ -106,7 +106,7 @@ class NonFiniteDrift(SolverError):
 
 
 class GridTooCoarse(SolverError):
-    """A window shorter than one grid step was requested and refinement is off."""
+    """A window is shorter than one grid step; ``factor`` refines the grid enough."""
 
     def __init__(self, message: str, factor: int = 2):
         super().__init__(message)
@@ -190,8 +190,8 @@ class BsdeProblem:
     validated: bool = False
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
         if self.f0 is None:
@@ -240,8 +240,6 @@ class SolverConfig:
     max_iter: int = 50
     max_outer: int = 25
     safety_margin: float = 1.2
-    window_override: float | None = None
-    auto_refine_grid: bool = True
 
 
 @dataclass(frozen=True)
@@ -327,36 +325,30 @@ def apriori_h_bound(terminal_h_bound: float, s: float, c: float, horizon: float)
 
 
 def exponential_shift(problem: BsdeProblem, lam: float) -> BsdeProblem:
-    """Rescale the unknowns by exp(lam t); lam equal to the monotonicity
+    """Rescale the unknowns by exp(lam t), lam >= 0; lam equal to the monotonicity
     constant makes the shifted f0 dissipative with constant zero.
 
     The shifted data are terminal' = exp(lam T) xi, f0'(t, y) =
     exp(lam t) f0(t, exp(-lam t) y) - lam y and f1'(t, y, z) =
-    exp(lam t) f1(t, exp(-lam t) y, exp(-lam t) z); the declared constants are
-    transported conservatively.
+    exp(lam t) f1(t, exp(-lam t) y, exp(-lam t) z); the declared constants
+    are transported by the factor exp(lam T), plus lam for f0's.
     """
+    if lam < 0.0:
+        raise ValueError(f"the shift needs lam >= 0, got {lam!r}")
     if lam == 0.0:
         return problem
-    T = problem.horizon
     f0 = problem.f0
+    outer_factor = math.exp(lam * problem.horizon)
 
     def shifted_f0(t, y, _f0=f0, _lam=lam):
         return math.exp(_lam * t) * _f0(t, math.exp(-_lam * t) * y) - _lam * y
 
-    growth_scale = (
-        f0.growth_scale
-        * max(math.exp(max(lam, 0.0) * T), math.exp(max(-lam, 0.0) * (f0.growth_power - 1.0) * T))
-        + abs(lam)
-    )
-    inner_radius_factor = math.exp(max(-lam, 0.0) * T)
-    outer_factor = math.exp(max(lam, 0.0) * T)
-
     def shifted_lipschitz(radius, _f0=f0):
-        return outer_factor * _f0.lipschitz_at(radius * inner_radius_factor) + abs(lam)
+        return outer_factor * _f0.lipschitz_at(radius) + lam
 
     new_f0 = DissipativeDrift(
         fn=shifted_f0,
-        growth_scale=growth_scale,
+        growth_scale=f0.growth_scale * outer_factor + lam,
         growth_power=f0.growth_power,
         monotonicity=f0.monotonicity - lam,
         lipschitz=shifted_lipschitz,
@@ -374,13 +366,11 @@ def exponential_shift(problem: BsdeProblem, lam: float) -> BsdeProblem:
             lipschitz_const=f1.lipschitz_const,
             bound=outer_factor * f1.bound,
         )
-    terminal_scale = math.exp(lam * T)
-    old_terminal = problem.terminal
     return replace(
         problem,
-        terminal=lambda ens, _t=old_terminal: terminal_scale * _t(ens),
-        terminal_bound=problem.terminal_bound * terminal_scale,
-        terminal_bound_h=problem.terminal_bound_h * terminal_scale,
+        terminal=lambda ens, _t=problem.terminal: outer_factor * _t(ens),
+        terminal_bound=problem.terminal_bound * outer_factor,
+        terminal_bound_h=problem.terminal_bound_h * outer_factor,
         f0=new_f0,
         f1=new_f1,
         label=problem.label + f"[shift {lam:g}]" if problem.label else f"[shift {lam:g}]",
@@ -606,14 +596,12 @@ def _auto_tol(terminal_values: np.ndarray) -> float:
     return max(3.0 * se, 1e-12 * max(scale, 1.0), 1e-14)
 
 
-def _window_steps(delta: float, dt: float, n_steps: int, config: SolverConfig) -> int:
-    """Whole grid steps in a window of length delta, capped by the override.
+def _window_steps(delta: float, dt: float, n_steps: int) -> int:
+    """Whole grid steps in a window of length delta, at most ``n_steps``.
 
     Raises ``GridTooCoarse`` with the refinement factor when the window is
     shorter than one step.
     """
-    if config.window_override is not None:
-        delta = min(delta, config.window_override)
     if delta < dt:
         factor = max(2, math.ceil(dt / delta))
         raise GridTooCoarse(
@@ -672,7 +660,7 @@ def global_solve(
         raise SolverError("window scheduling requires a uniform time grid")
     sel1 = select_local_radius_and_delta(problem, problem.terminal_bound, consts)
     radius = sel1.radius
-    steps_per_window = _window_steps(sel1.delta, dt, n_steps, config)
+    steps_per_window = _window_steps(sel1.delta, dt, n_steps)
     report.selection = asdict(sel1)
     tol = _auto_tol(terminal_values)
 
@@ -716,7 +704,7 @@ def global_solve(
                 sel2 = select_local_radius_and_delta(problem, bound2, consts)
                 paste = asdict(sel2)
                 radius = sel2.radius
-                steps_per_window = _window_steps(sel2.delta, dt, n_steps, config)
+                steps_per_window = _window_steps(sel2.delta, dt, n_steps)
                 window_count = 1 + math.ceil(end / steps_per_window)
             node_sink(n_steps, terminal_values, None)
         # Z on the converged window, once the paste selection has kept the grid
@@ -952,8 +940,6 @@ def general_solve(
                 emit(l, u[l], v[l])
             break
         except GridTooCoarse as need:
-            if not config.auto_refine_grid:
-                raise
             if attempt == 2:
                 raise GridTooCoarse(
                     "grid refinement did not reach the required window resolution"

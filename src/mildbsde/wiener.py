@@ -133,8 +133,8 @@ class RegressionBasis:
     ridge: float = 1e-8
 
     def __post_init__(self):
-        if self.degree < 0 or self.ridge < 0:
-            raise ValueError("degree and ridge must be nonnegative")
+        if self.degree < 0 or not 0 <= self.ridge < np.inf:
+            raise ValueError("degree must be nonnegative and ridge finite and nonnegative")
 
     def design(self, ensemble: WienerEnsemble, t_index: int) -> np.ndarray:
         k = ensemble.n_noise if self.n_coords is None else min(self.n_coords, ensemble.n_noise)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mildbsde.config
 from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
@@ -63,7 +65,59 @@ def write_reaction_diffusion_config(path: Path, out: Path, paths=400, steps=20, 
     return cfg
 
 
+# (section, key) -> (the loaded value, integer, least): a config that loads
+# holds a finite number of at least ``least`` there, an integer if ``integer``
+_NUMBER_RULES = {
+    ("experiment", "seed"): (lambda c: c.seed, True, 0),
+    ("discretization", "paths"): (lambda c: c.paths, True, 1),
+    ("discretization", "steps"): (lambda c: c.steps, True, 1),
+    ("discretization", "basis_degree"): (lambda c: c.basis_degree, True, 0),
+    ("discretization", "basis_coords"): (lambda c: c.basis_coords, True, 1),
+    ("discretization", "ridge"): (lambda c: c.ridge, False, 0),
+    ("solver", "max_iter"): (lambda c: c.solver.max_iter, True, 1),
+    ("solver", "max_outer"): (lambda c: c.solver.max_outer, True, 1),
+    ("solver", "safety_margin"): (lambda c: c.solver.safety_margin, False, 1),
+    ("validation", "trials"): (lambda c: c.validation_trials, True, 1),
+}
+
+_NUMBER_TEXTS = st.one_of(
+    st.sampled_from(
+        ["0", "-0.0", "-1", "0.5", "1", "2.5", "nan", "-nan", "inf", "-inf", "1e300", "1e999",
+         str(10 ** 30)]
+    ),
+    st.integers(-(10 ** 30), 10 ** 30).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
 class TestConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(section_key=st.sampled_from(sorted(_NUMBER_RULES)), text=_NUMBER_TEXTS)
+    @example(section_key=("solver", "safety_margin"), text="0")
+    def test_numbers_load_only_within_their_rule(self, tmp_path_factory, section_key, text):
+        # every numeric key either loads a value that keeps its rule or is
+        # rejected by name; no other exception escapes load_config
+        section, key = section_key
+        values = {"experiment": {"preset": "spin-chain", "seed": "5"}}
+        values.setdefault(section, {})[key] = text
+        path = tmp_path_factory.getbasetemp() / "numbers.ini"
+        path.write_text(
+            "".join(
+                f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                for name, items in values.items()
+            )
+        )
+        loaded, integer, least = _NUMBER_RULES[section_key]
+        try:
+            cfg = load_config(path)
+        except ValidationError as err:
+            assert f"config: [{section}] {key} must be " in str(err)
+            return
+        value = loaded(cfg)
+        assert not isinstance(value, bool)
+        assert isinstance(value, int if integer else (int, float))
+        assert least <= value < math.inf
+
     def test_load_shipped_configs(self):
         for name in ("spin-chain", "reaction-diffusion-1d"):
             cfg = load_config(REPO / "configs" / f"{name}.ini")
@@ -87,12 +141,17 @@ class TestConfig:
         with pytest.raises(ValidationError, match="config: unknown key.*max_iters"):
             load_config(cfg_file)
 
-    @pytest.mark.parametrize("key", ["tol", "tol_outer", "min_iter"])
+    @pytest.mark.parametrize(
+        "key", ["tol", "tol_outer", "min_iter", "window_override", "auto_refine"]
+    )
     def test_removed_solver_key_rejected(self, tmp_path, capsys, key):
-        # the Picard and outer tolerances follow from the data and every window
-        # takes at least two Picard steps; no key sets them
+        # the Picard and outer tolerances follow from the data, every window
+        # takes at least two Picard steps, the operator constants alone set
+        # each window length and a window below one step always refines the
+        # grid; no key sets any of these
+        value = {"window_override": "0.1", "auto_refine": "false"}.get(key, "1e-9")
         cfg = write_spin_config(tmp_path, tmp_path / "x")
-        cfg.write_text(cfg.read_text() + f"\n[solver]\n{key} = 1e-9\n")
+        cfg.write_text(cfg.read_text() + f"\n[solver]\n{key} = {value}\n")
         assert main(["solve", "--config", str(cfg)]) == 2
         assert f"config: unknown key(s) in [solver]: {key}" in capsys.readouterr().err
 
@@ -254,16 +313,6 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "solver failure: outer iteration did not converge within 1 steps" in err
 
-    def test_grid_too_coarse_exits_3(self, tmp_path, capsys):
-        # a window capped below one step of the 40-step grid, with refinement off
-        cfg = write_spin_config(tmp_path, tmp_path / "x")
-        cfg.write_text(
-            cfg.read_text() + "\n[solver]\nauto_refine = false\nwindow_override = 0.001\n"
-        )
-        assert main(["solve", "--config", str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert "solver failure: window length below one grid step" in err
-
     def test_refinement_beyond_memory_exits_3(self, tmp_path, capsys):
         # odd_power = 50 at a terminal amplitude of 170 asks for a window some
         # 6e304 times shorter than a step; no memory holds those paths
@@ -323,6 +372,25 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert f"validation failure: terminal: {key} must be finite, got {value}" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_driver_strength_exits_2(self, tmp_path, capsys, value):
+        # a non-finite K1 gives a non-finite driver bound; it must not validate
+        cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x", paths=200)
+        cfg.write_text(cfg.read_text() + f"\n[model]\ndriver_strength = {value}\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        message = f"driver-bound: driver_strength must be finite, got {value}"
+        assert f"validation failure: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset", ["spin-chain", "reaction-diffusion-1d"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_horizon_exits_2(self, tmp_path, capsys, preset, value):
+        write = write_spin_config if preset == "spin-chain" else write_reaction_diffusion_config
+        cfg = write(tmp_path, tmp_path / "x", paths=200)
+        cfg.write_text(cfg.read_text() + f"\n[model]\nhorizon = {value}\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"validation failure: horizon must be positive and finite, got {value}" in err
+
     def test_nan_drift_exits_3_naming_the_node(self, tmp_path, capsys, monkeypatch):
         # the preset's drift turns NaN at t = 1/2, after validation has passed
         build = ExperimentConfig.make_problem
@@ -368,9 +436,20 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("window_override", 0, "[solver] window_override must be a positive number, got 0"),
-            ("window_override", -0.1,
-             "[solver] window_override must be a positive number, got -0.1"),
+            ("safety_margin", 0,
+             "[solver] safety_margin must be a finite number of at least 1, got 0"),
+            ("safety_margin", -1,
+             "[solver] safety_margin must be a finite number of at least 1, got -1"),
+            ("safety_margin", 0.5,
+             "[solver] safety_margin must be a finite number of at least 1, got 0.5"),
+            ("safety_margin", math.nan,
+             "[solver] safety_margin must be a finite number of at least 1, got nan"),
+            ("ridge", math.nan,
+             "[discretization] ridge must be a finite number of at least 0, got nan"),
+            ("ridge", math.inf,
+             "[discretization] ridge must be a finite number of at least 0, got inf"),
+            ("ridge", -1e-8,
+             "[discretization] ridge must be a finite number of at least 0, got -1e-08"),
             ("paths", 0, "[discretization] paths must be a positive integer, got 0"),
             ("steps", 0, "[discretization] steps must be a positive integer, got 0"),
             ("max_iter", 0, "[solver] max_iter must be a positive integer, got 0"),
@@ -421,6 +500,14 @@ class TestValidateCommand:
         cfg_file.write_text("[experiment]\nseed = 5\n")
         assert main(["validate", "--config", str(cfg_file), "--preset", "spin-chain"]) == 0
         assert main(["validate", "--config", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-5", "2.5", "nan", "inf"])
+    def test_bad_trials_exit_2(self, tmp_path, capsys, value):
+        cfg = write_spin_config(tmp_path, tmp_path / "v")
+        cfg.write_text(cfg.read_text().replace("trials = 400", f"trials = {value}"))
+        assert main(["validate", "--config", str(cfg)]) == 2
+        message = f"[validation] trials must be a positive integer, got {value}"
+        assert f"validation failure: config: {message}" in capsys.readouterr().err
 
     def test_injected_anti_dissipative_fails(self, tmp_path):
         cfg = ExperimentConfig(preset="spin-chain", seed=11, validation_trials=500)

@@ -1,5 +1,6 @@
 """Model builders against finite-difference, direct-summation and symbolic oracles."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,6 +326,15 @@ class TestValidateProblem:
         prob.validated = False
         with pytest.raises(ValidationError, match="growth"):
             validate_problem(prob, trials=400, seed=2)
+
+    def test_nan_driver_fails_the_driver_bound(self):
+        # a NaN compares False with any bound; the sampled check must still fail
+        prob = build_reaction_diffusion(ReactionDiffusionSpec())
+        prob.f1 = replace(prob.f1, fn=lambda t, y, z: np.full_like(y, np.nan))
+        prob.validated = False
+        with pytest.raises(ValidationError, match="driver-bound"):
+            validate_problem(prob, trials=200, seed=1)
+        assert not prob.validated
 
     def test_unknown_preset(self):
         with pytest.raises(ValidationError, match="preset"):

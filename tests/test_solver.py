@@ -49,6 +49,21 @@ def make_problem(op, terminal, bound=math.inf, f0=None, f1=None, noise=1, alpha=
     return prob
 
 
+@pytest.fixture
+def window_cap(monkeypatch):
+    """``window_cap(length)`` caps every window at ``length`` where the solver
+    turns a window length into grid steps; a cap below one step refines the grid."""
+    window_steps = mildbsde.solver._window_steps
+
+    def cap(length):
+        monkeypatch.setattr(
+            mildbsde.solver, "_window_steps",
+            lambda delta, dt, n_steps: window_steps(min(delta, length), dt, n_steps),
+        )
+
+    return cap
+
+
 def constants(alpha=0.0, horizon=1.0, m_alpha=1.0, c_alpha=1.0, g=1.0):
     return EmpiricalConstants(
         alpha=alpha, horizon=horizon, m_alpha=m_alpha, c_alpha=c_alpha, g_holder=g
@@ -78,6 +93,12 @@ class TestExponentialShift:
         op = DiagonalOperator([1.0])
         prob = make_problem(op, lambda e: e.paths()[:, -1, :1], bound=2.0)
         assert exponential_shift(prob, 0.0) is prob
+
+    def test_negative_shift_rejected(self):
+        # the solver shifts by a positive monotonicity constant only
+        prob = make_problem(DiagonalOperator([1.0]), lambda e: e.paths()[:, -1, :1], bound=2.0)
+        with pytest.raises(ValueError, match="lam >= 0"):
+            exponential_shift(prob, -0.5)
 
     def test_pure_drift_cancellation(self):
         # f0(y) = mu y shifted by lambda = mu vanishes
@@ -424,7 +445,7 @@ class TestGlobalSolve:
         assert sol.z.shape == (50, small_ensemble.n_paths, 1, 1)
         assert len(rep.windows) == 1  # drift-free: one window covers [0, T]
 
-    def test_window_joins_exact_and_schedule(self):
+    def test_window_joins_exact_and_schedule(self, window_cap):
         # bounded drift forces several windows; pasted values agree exactly
         grid = TimeGrid.uniform(1.0, 40)
         ens = sample_ensemble(grid, 1, 3000, seed=55)
@@ -435,8 +456,8 @@ class TestGlobalSolve:
         )
         prob = make_problem(op, lambda e: 0.5 * np.tanh(e.paths()[:, -1, :1]),
                             bound=0.5, f0=f0)
-        cfg = SolverConfig(window_override=0.15)
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2), cfg)
+        window_cap(0.15)
+        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
         assert len(rep.windows) > 1
         # joins share the same stored values: reconstruct per-window ends
         for w in rep.windows:
@@ -448,7 +469,7 @@ class TestGlobalSolve:
         assert len(rep.windows) == rep.window_count_formula
         assert rep.residual_value < 0.1
 
-    def test_z_recovered_per_window_matches_estimator(self, monkeypatch):
+    def test_z_recovered_per_window_matches_estimator(self, monkeypatch, window_cap):
         # zero monotonicity (no shift), at least three windows, and one forced
         # halving: Z at every node, joins included, is the estimator applied
         # to the pasted Y at the next node
@@ -472,7 +493,8 @@ class TestGlobalSolve:
 
         monkeypatch.setattr(mildbsde.solver, "local_solve", first_call_diverges)
         basis = RegressionBasis(degree=2)
-        sol, rep = general_solve(prob, ens, basis, SolverConfig(window_override=0.15))
+        window_cap(0.15)
+        sol, rep = general_solve(prob, ens, basis, SolverConfig())
         assert rep.lambda_shift == 0.0 and rep.grid_refined == 1
         assert len(rep.windows) >= 3
         assert [w.halvings for w in rep.windows] == [1] + [0] * (len(rep.windows) - 1)
@@ -503,7 +525,7 @@ class TestGlobalSolve:
         # declared monotonicity 0: no shift, mu y stays inside f0
         folded = make_problem(op, terminal, bound=0.4, f0=replace(f0, monotonicity=0.0))
         basis = RegressionBasis(degree=2)
-        cfg = SolverConfig(auto_refine_grid=False)
+        cfg = SolverConfig()
         sol_a, rep_a = general_solve(prob, ens, basis, cfg)
         sol_b, rep_b = general_solve(folded, ens, basis, cfg)
         assert rep_a.lambda_shift == mu and rep_b.lambda_shift == 0.0
@@ -578,10 +600,10 @@ class TestGeneralSolve:
         np.testing.assert_array_equal(warm.y, cold.y)
         np.testing.assert_array_equal(warm.z, cold.z)
 
-    @pytest.mark.parametrize("window_override, grids", [(None, 1), (0.015, 2)])
-    def test_per_solve_work_runs_once(self, monkeypatch, window_override, grids):
+    @pytest.mark.parametrize("cap, grids", [(None, 1), (0.015, 2)])
+    def test_per_solve_work_runs_once(self, monkeypatch, window_cap, cap, grids):
         # the constants depend on no grid and the terminal values on no outer
-        # iterate; an override below one step (0.025) forces one refinement
+        # iterate; a window cap below one step (0.025) forces one refinement
         calls = {"constants": 0, "terminal": 0}
         estimate = mildbsde.solver.estimate_constants
 
@@ -595,15 +617,16 @@ class TestGeneralSolve:
 
         monkeypatch.setattr(mildbsde.solver, "estimate_constants", counted_estimate)
         prob, ens = self._coupled(counted_terminal)
-        cfg = SolverConfig(window_override=window_override)
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2), cfg)
+        if cap is not None:
+            window_cap(cap)
+        _, rep = general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
         assert rep.outer["iterations"] > 1
         assert rep.grid_refined == grids
         assert calls == {"constants": 1, "terminal": grids}
         # the refinement is reported and survives the later outer sweeps
         assert sum("grid refined" in m for m in rep.messages) == grids - 1
 
-    def test_every_sweep_selects_first_and_paste_window(self, monkeypatch):
+    def test_every_sweep_selects_first_and_paste_window(self, monkeypatch, window_cap):
         # each outer sweep selects its first window from the terminal bound
         # and its paste windows from the C_2 it fitted on that first window
         select, sweep = mildbsde.solver.select_local_radius_and_delta, mildbsde.solver.global_solve
@@ -623,8 +646,8 @@ class TestGeneralSolve:
         monkeypatch.setattr(mildbsde.solver, "select_local_radius_and_delta", recorded_select)
         monkeypatch.setattr(mildbsde.solver, "global_solve", recorded_sweep)
         prob, ens = self._coupled()
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2),
-                               SolverConfig(window_override=0.2))
+        window_cap(0.2)
+        _, rep = general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
         assert len(rep.windows) == 5 and rep.outer["iterations"] > 1
         assert len(fits) == rep.outer["iterations"] and len(calls) == 2 * len(fits)
         gap = rep.theta - rep.alpha
@@ -634,7 +657,7 @@ class TestGeneralSolve:
         assert rep.selection == asdict(calls[-2][1])
         assert rep.selection_paste == asdict(calls[-1][1])
 
-    def test_rank_deficient_count_sums_the_windows(self):
+    def test_rank_deficient_count_sums_the_windows(self, window_cap):
         # without a ridge the constant-only design at node 0 has rank 1, so the
         # window that starts at node 0 flags it on every pass
         ens = sample_ensemble(TimeGrid.uniform(1.0, 40), 1, 2000, seed=57)
@@ -643,8 +666,8 @@ class TestGeneralSolve:
         )
         prob = make_problem(DiagonalOperator([1.0]), lambda e: 0.5 * np.tanh(e.paths()[:, -1, :1]),
                             bound=0.5, f0=f0)
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2, ridge=0.0),
-                               SolverConfig(window_override=0.15))
+        window_cap(0.15)
+        _, rep = general_solve(prob, ens, RegressionBasis(degree=2, ridge=0.0), SolverConfig())
         assert len(rep.windows) > 1
         assert rep.rank_deficient_count == sum(w.rank_deficient for w in rep.windows)
         first = next(w for w in rep.windows if w.start_index == 0)
@@ -694,7 +717,7 @@ class TestGeneralSolve:
             general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
         assert drawn == []
 
-    def test_refinement_frees_the_coarse_attempt(self, monkeypatch):
+    def test_refinement_frees_the_coarse_attempt(self, monkeypatch, window_cap):
         # the 100-step attempt, its ensemble included, is gone before the
         # 200-step ensemble is drawn
         coarse, alive = [], []
@@ -711,8 +734,8 @@ class TestGeneralSolve:
 
         monkeypatch.setattr(mildbsde.solver, "sample_ensemble", checked_sample)
         prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
-        _, rep = general_solve(prob, coarse_ensemble(), RegressionBasis(degree=2),
-                               SolverConfig(window_override=0.006))
+        window_cap(0.006)
+        _, rep = general_solve(prob, coarse_ensemble(), RegressionBasis(degree=2), SolverConfig())
         assert rep.grid_refined == 2
         assert alive == [(200, False)]
 
@@ -836,10 +859,11 @@ class TestZSink:
         return make_problem(DiagonalOperator([1.0]), terminal, bound=0.4, f1=f1)
 
     @pytest.mark.parametrize("case", ["shifted", "unshifted", "f1"])
-    def test_each_node_once_in_descending_order(self, case):
+    def test_each_node_once_in_descending_order(self, window_cap, case):
         prob = self._problem(case)
         ens = sample_ensemble(TimeGrid.uniform(1.0, 40), 1, 1000, seed=61)
-        basis, cfg = RegressionBasis(degree=2), SolverConfig(window_override=0.3)
+        basis, cfg = RegressionBasis(degree=2), SolverConfig()
+        window_cap(0.3)
         kept, kept_rep = general_solve(prob, ens, basis, cfg)
         assert kept_rep.grid_refined == 1
         assert (kept_rep.lambda_shift > 0.0) == (case == "shifted")
@@ -989,6 +1013,11 @@ class TestProblemValidation:
                 operator=op, horizon=1.0, alpha=0.4,
                 terminal=lambda e: np.ones((e.n_paths, 1)), terminal_bound=1.0, f0=f0,
             )
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_positive_and_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be positive and finite"):
+            make_problem(DiagonalOperator([1.0]), lambda e: np.ones((e.n_paths, 1)), T=horizon)
 
     def test_alpha_zero_allows_any_power(self):
         op = DiagonalOperator([1.0])

@@ -186,6 +186,12 @@ class TestConditionalExpectation:
 
 
 class TestRegressionBasis:
+    @pytest.mark.parametrize("ridge", [-1e-8, np.nan, np.inf])
+    def test_bad_ridge_rejected(self, ridge):
+        # a NaN ridge would silently take the ridge-free path: NaN > 0 is False
+        with pytest.raises(ValueError, match="ridge finite and nonnegative"):
+            RegressionBasis(ridge=ridge)
+
     def test_design_is_left_to_right_monomial_products(self):
         ens = sample_ensemble(TimeGrid.uniform(1.0, 5), 3, 64, seed=15)
         w0, w1 = ens.paths()[:, 4, 0], ens.paths()[:, 4, 1]
