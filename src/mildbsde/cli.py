@@ -1,6 +1,10 @@
 """Batch front end: solve runs, validation suites, convergence studies.
 
-Exit codes: 0 success, 2 hypothesis/validation failure, 3 solver failure.
+Exit codes follow the exception's class: 0 success; 1 a bug, with its traceback;
+2 a ``ValidationError`` naming the key, argument or hypothesis check that failed;
+3 a ``SolverError``, a validated solve that cannot finish.  ``[model]`` sizes,
+powers and ``fit_trials`` are integers >= 1 (``reaction_power`` odd), ``fit_seed``
+an integer >= 0; every other number is finite and >= 0, ``length`` and ``horizon`` > 0.
 All outputs are reproducible from (config, seed); CSV files carry a schema
 version in their first line and contain no volatile fields.
 """
@@ -20,17 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gronwall, models, spectral
-from .config import ExperimentConfig, load_config
-from .models import ValidationError
-from .solver import (
-    GridTooCoarse,
-    NonFiniteDrift,
-    OuterDivergence,
-    PicardDivergence,
-    SolverError,
-    WindowCollapse,
-    general_solve,
-)
+from .config import ExperimentConfig, _convert, load_config
+from .solver import SolverError, ValidationError, _check_number, general_solve
 from .wiener import RegressionBasis, TimeGrid, conditional_expectation, sample_ensemble
 
 SOLVE_CSV_SCHEMA = "mildbsde-solve-csv-v1"
@@ -76,7 +71,7 @@ def _config_from_args(args) -> ExperimentConfig:
     else:
         raise ValidationError("config", "either --config or --preset is required")
     if args.seed is not None:
-        cfg.seed = int(args.seed)
+        cfg.seed = _check_number("config", "--seed", args.seed, True, 0)
     if args.out:
         cfg.out_dir = args.out
     return cfg
@@ -319,16 +314,14 @@ def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
             # the study reads the report only: Y and Z are dropped node by node, and
             # the ensemble is not kept here, so a refined grid frees the coarse one
             _, report = general_solve(
-                problem, replace(cfg, paths=int(m), steps=int(l)).make_ensemble(problem),
+                problem, replace(cfg, paths=m, steps=l).make_ensemble(problem),
                 basis, cfg.solver, sink=_discard_node,
             )
             picard = max(report.picard_factors) if report.picard_factors else 0.0
             outer = 0.0
             if report.outer and report.outer["squared_factors"]:
                 outer = max(report.outer["squared_factors"])
-            rows.append(
-                (int(m), int(l), report.residual_value, picard, outer, len(report.windows))
-            )
+            rows.append((m, l, report.residual_value, picard, outer, len(report.windows)))
             print(
                 f"M={m} L={l}: residual {report.residual_value:.4e}, "
                 f"picard {picard:.3f}, outer^2 {outer:.3f}"
@@ -348,8 +341,9 @@ def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
 
 def run_gronwall_check(a, b, alpha, beta, horizon, points, out_path=None) -> list[tuple]:
     params = gronwall.GronwallInput(a=a, b=b, alpha=alpha, beta=beta, horizon=horizon)
+    _check_number("config", "--points", points, True, 1)
     m = gronwall.gronwall_constant(params)
-    upper = horizon * (1.0 - 1e-3) if alpha > 0 else horizon * (1.0 - 1e-9)
+    upper = min(horizon * (1.0 - (1e-3 if alpha > 0 else 1e-9)), np.nextafter(horizon, 0.0))
     rows = []
     for t in np.linspace(0.0, upper, points):
         rec = gronwall.gronwall_bound_iterative(params, float(t))
@@ -388,14 +382,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("--l-ladder", type=str, default=None, help="comma list of step counts")
 
     p_gron = sub.add_parser("gronwall-check", help="tabulate the recursion against its bound")
-    p_gron.add_argument("--a", type=float, required=True)
-    p_gron.add_argument("--b", type=float, required=True)
-    p_gron.add_argument("--alpha", type=float, required=True)
-    p_gron.add_argument("--beta", type=float, required=True)
-    p_gron.add_argument("--horizon", type=float, required=True)
+    for name in ("--a", "--b", "--alpha", "--beta", "--horizon"):
+        p_gron.add_argument(name, type=float, required=True)
     p_gron.add_argument("--points", type=int, default=21)
     p_gron.add_argument("--out", type=str, default=None)
     return parser
+
+
+def _ladder(flag: str, text: str) -> list[int]:
+    """The entries of a comma list, each a positive integer checked by name."""
+    entries = [_convert(x) for x in text.split(",") if x.strip()]
+    return [_check_number("config", flag, m, True, 1) for m in entries]
 
 
 def main(argv=None) -> int:
@@ -412,27 +409,19 @@ def main(argv=None) -> int:
             run_validation(cfg)
         elif args.command == "convergence-study":
             cfg = _config_from_args(args)
-            m_ladder = [int(x) for x in args.m_ladder.split(",") if x.strip()]
-            if args.l_ladder:
-                l_ladder = [int(x) for x in args.l_ladder.split(",") if x.strip()]
-            else:
-                l_ladder = [cfg.resolved_discretization()[1]]
+            steps = args.l_ladder or str(cfg.resolved_discretization()[1])
+            m_ladder, l_ladder = _ladder("--m-ladder", args.m_ladder), _ladder("--l-ladder", steps)
             run_convergence_study(cfg, m_ladder, l_ladder)
         elif args.command == "gronwall-check":
             run_gronwall_check(
                 args.a, args.b, args.alpha, args.beta, args.horizon, args.points, args.out
             )
-    except (ValidationError, ValueError) as err:
+    except ValidationError as err:
         print(f"validation failure: {err}", file=sys.stderr)
         return 2
-    except (
-        PicardDivergence, OuterDivergence, WindowCollapse, GridTooCoarse, NonFiniteDrift,
-    ) as err:
+    except SolverError as err:
         print(f"solver failure: {err}", file=sys.stderr)
         return 3
-    except SolverError as err:
-        print(f"solver error: {err}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -1,12 +1,12 @@
 """Experiment configuration: INI files with sections, presets, and defaults.
 
-Schema (all keys optional unless noted; an unknown section or key, including
-a ``[model]`` key that is not a field of the preset's spec, is rejected as a
-``config`` validation failure, and so is a ``paths``, ``steps``,
-``basis_coords``, ``max_iter``, ``max_outer`` or ``trials`` that is not an
-integer of at least 1, a ``seed`` or ``basis_degree`` that is not an integer of
-at least 0, a ``ridge`` that is not a finite number of at least 0, or a
-``safety_margin`` that is not a finite number of at least 1):
+Schema (all keys optional unless noted).  An unknown section or key, including
+a ``[model]`` key that is not a field of the preset's spec, is a ``config``
+validation failure.  So is a number that breaks its rule: ``paths``, ``steps``,
+``basis_coords``, ``max_iter``, ``max_outer`` and ``trials`` are integers of at
+least 1, ``seed`` and ``basis_degree`` integers of at least 0, and ``ridge`` and
+``safety_margin`` finite numbers of at least 0 and 1.  ``[model]`` numbers are
+checked by the same rule in their spec, which names the failing field.
 
     [experiment]
     preset = spin-chain | reaction-diffusion-1d   (required unless --preset given)
@@ -36,14 +36,11 @@ at least 0, a ``ridge`` that is not a finite number of at least 0, or a
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .models import BsdeProblem, ValidationError, build_preset
-from .solver import SolverConfig
+from .models import BsdeProblem, build_preset
+from .solver import SolverConfig, ValidationError, _check_number
 from .wiener import RegressionBasis, TimeGrid, WienerEnsemble, sample_ensemble
 
 __all__ = ["ExperimentConfig", "load_config", "VALIDATION_SUITE"]
@@ -160,20 +157,6 @@ _NUMBERS = {
 }
 
 
-def _check_numbers(sections: dict) -> None:
-    """Reject a set number that breaks its ``_NUMBERS`` rule, naming the key."""
-    for (section, key), (integer, least, empty_ok) in _NUMBERS.items():
-        value = sections.get(section, {}).get(key, least)  # an absent key passes
-        if value is None and empty_ok:
-            continue
-        kinds = int if integer else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds) or not least <= value < math.inf:
-            what = f"a finite number of at least {least}"
-            if integer:
-                what = ("a positive" if least else "a nonnegative") + " integer"
-            raise ValidationError("config", f"[{section}] {key} must be {what}, got {value!r}")
-
-
 def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig:
     """Read an INI config; absent keys keep the dataclass defaults.
 
@@ -186,7 +169,10 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
     sections = {
         name: {k: _convert(v) for k, v in parser.items(name)} for name in parser.sections()
     }
-    _check_numbers(sections)
+    for (section, key), (integer, least, empty_ok) in _NUMBERS.items():
+        value = sections.get(section, {}).get(key, least)  # an absent key passes
+        if value is not None or not empty_ok:
+            _check_number("config", f"[{section}] {key}", value, integer, least)
     exp = _section(sections, "experiment", {"preset": "preset", "seed": "seed", "out": "out_dir"})
     model = sections.pop("model", {})
     disc = _section(
@@ -209,9 +195,6 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
     exp["preset"] = str(exp["preset"])
     if "out_dir" in exp:
         exp["out_dir"] = str(exp["out_dir"])
-
-    if "coefficients" in model and isinstance(model["coefficients"], list):
-        model["coefficients"] = np.asarray(model["coefficients"], dtype=float)
 
     if "validation_suite" in val:
         suite = val["validation_suite"]

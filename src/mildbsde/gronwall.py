@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .solver import SolverError, ValidationError, _check_number
+
 __all__ = [
     "GronwallInput",
     "GronwallVerdict",
@@ -27,7 +29,7 @@ __all__ = [
 ]
 
 
-class GronwallDivergence(RuntimeError):
+class GronwallDivergence(SolverError):
     """Recursion failed to stabilize within the iteration cap."""
 
 
@@ -40,14 +42,12 @@ class GronwallInput:
     horizon: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise ValueError("a and b must be nonnegative")
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if not 0.0 < self.horizon < math.inf:
-            raise ValueError("horizon must be finite and positive")
+        for key in ("a", "b", "alpha", "beta", "horizon"):
+            _check_number("gronwall", key, getattr(self, key), False, 0)
+        if not self.alpha < 1.0:
+            raise ValidationError("gronwall", "alpha must lie in [0, 1)")
+        if self.beta == 0 or self.horizon == 0:
+            raise ValidationError("gronwall", "beta and horizon must be positive")
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,11 @@ def gronwall_constant(params: GronwallInput) -> float:
     grid that stays 1e-3 T away from the singular endpoint.
     """
     if params.beta == 1.0:
-        return 1.0 + params.b * math.exp(params.b * params.horizon) * params.horizon / (
-            1.0 - params.alpha
-        )
+        try:
+            growth = math.exp(params.b * params.horizon)
+        except OverflowError:
+            raise GronwallDivergence(f"e^(bT) overflowed (b T = {params.b * params.horizon:g})")
+        return 1.0 + params.b * growth * params.horizon / (1.0 - params.alpha)
     if params.a == 0.0:
         return 1.0
     t, w = _solve_recursion(params)

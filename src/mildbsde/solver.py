@@ -32,7 +32,9 @@ Carlo noise floor.
 from __future__ import annotations
 
 import math
+import numbers
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal
@@ -66,6 +68,7 @@ __all__ = [
     "SolverReport",
     "WindowSelection",
     "SolverError",
+    "ValidationError",
     "WindowCollapse",
     "PicardDivergence",
     "OuterDivergence",
@@ -85,8 +88,29 @@ __all__ = [
 _CONSTANTS_TRIALS = 192
 
 
+class ValidationError(ValueError):
+    """Outside input or a declared hypothesis breaks its rule; names the failing check."""
+
+    def __init__(self, check: str, message: str):
+        super().__init__(f"{check}: {message}")
+        self.check = check
+
+
+def _check_number(check: str, key: str, value, integer: bool, least: float):
+    """Return ``value`` if it is a finite number of at least ``least`` (an integer
+    if ``integer``); otherwise raise a ``ValidationError(check, ...)`` naming ``key``."""
+    # where a float is meant, an int too large for a float is not finite
+    kinds, top = (numbers.Integral, math.inf) if integer else (numbers.Real, sys.float_info.max)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not least <= value <= top:
+        what = f"a finite number of at least {least}"
+        if integer:
+            what = ("a positive" if least else "a nonnegative") + " integer"
+        raise ValidationError(check, f"{key} must be {what}, got {value!r}")
+    return value
+
+
 class SolverError(RuntimeError):
-    pass
+    """A validated solve cannot finish."""
 
 
 class WindowCollapse(SolverError):
@@ -191,17 +215,19 @@ class BsdeProblem:
 
     def __post_init__(self):
         if not 0.0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+            raise ValidationError(
+                "problem", f"horizon must be positive and finite, got {self.horizon!r}"
+            )
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError("alpha must lie in [0, 1)")
+            raise ValidationError("problem", "alpha must lie in [0, 1)")
         if self.f0 is None:
             self.f0 = zero_drift()
         if self.f0.growth_power <= 1.0:
-            raise ValueError("growth power must exceed 1")
+            raise ValidationError("problem", "growth power must exceed 1")
         if self.alpha > 0.0 and not self.f0.is_zero and self.f0.growth_power * self.alpha >= 1.0:
-            raise ValueError(
-                "growth-exponent constraint violated: need growth_power < 1/alpha "
-                f"(got {self.f0.growth_power} * {self.alpha} >= 1)"
+            raise ValidationError(
+                "growth-exponent",
+                f"need growth_power < 1/alpha (got {self.f0.growth_power} * {self.alpha} >= 1)",
             )
         if self.terminal_bound_h is None:
             self.terminal_bound_h = self.terminal_bound
@@ -657,7 +683,7 @@ def global_solve(
     n_steps = grid.n_steps
     dt = float(times[1] - times[0])
     if not np.allclose(grid.deltas, dt, rtol=1e-9):
-        raise SolverError("window scheduling requires a uniform time grid")
+        raise ValueError("window scheduling requires a uniform time grid")
     sel1 = select_local_radius_and_delta(problem, problem.terminal_bound, consts)
     radius = sel1.radius
     steps_per_window = _window_steps(sel1.delta, dt, n_steps)
@@ -799,11 +825,11 @@ def general_solve(
     config = config or SolverConfig()
     t0 = time.perf_counter()
     if not problem.validated:
-        raise SolverError(
-            "problem has not passed hypothesis validation; run models.validate_problem first"
+        raise ValidationError(
+            "validation", "the problem has not passed it; run models.validate_problem first"
         )
     if ensemble.n_noise != problem.noise_dim:
-        raise SolverError(
+        raise ValueError(
             f"ensemble carries {ensemble.n_noise} noise coordinates, problem declares "
             f"{problem.noise_dim}"
         )
@@ -842,13 +868,13 @@ def general_solve(
             factors = _step_factors(op, grid.deltas)
             terminal_values = np.asarray(work.terminal(ensemble), dtype=float)
             if terminal_values.shape != (ensemble.n_paths, op.dimension):
-                raise SolverError("terminal map returned the wrong shape")
+                raise ValueError("terminal map returned the wrong shape")
             term_max = float(h_alpha_norm_batch(op, alpha, terminal_values).max())
             if math.isfinite(work.terminal_bound) and term_max > work.terminal_bound * (
                 1.0 + 1e-9
             ):
-                raise SolverError(
-                    f"terminal alpha norm {term_max:g} exceeds the declared bound "
+                raise ValidationError(
+                    "terminal", f"alpha norm {term_max:g} exceeds the declared bound "
                     f"{work.terminal_bound:g} on some path"
                 )
             report.n_steps = grid.n_steps
@@ -1012,7 +1038,7 @@ class _ResidualSweep:
 
     def add(self, l: int, y_l: np.ndarray, z_l: np.ndarray) -> None:
         if l != self.next_node:
-            raise SolverError(f"residual expected node {self.next_node}, got node {l}")
+            raise ValueError(f"residual expected node {self.next_node}, got node {l}")
         self.next_node -= 1
         t = float(self.times[l])
         f0, f1 = self.problem.f0, self.problem.f1
@@ -1031,7 +1057,7 @@ class _ResidualSweep:
 
     def value(self) -> float:
         if self.next_node != -1:
-            raise SolverError(f"residual is missing nodes 0..{self.next_node}")
+            raise ValueError(f"residual is missing nodes 0..{self.next_node}")
         return math.sqrt(self.total / self.horizon)
 
 
@@ -1052,7 +1078,7 @@ def residual(
     """
     y, z = solution.y, solution.z
     if z is None:
-        raise SolverError("residual needs the stochastic-integral component")
+        raise ValueError("residual needs the stochastic-integral component")
     grid = solution.grid
     factors = _step_factors(problem.operator, grid.deltas)
     sweep = _ResidualSweep(problem, grid, ensemble, factors, y[-1])

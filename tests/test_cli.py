@@ -2,7 +2,10 @@
 import configparser
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -12,11 +15,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mildbsde.cli
 import mildbsde.config
 from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
 from mildbsde.config import _SOLVER_KEYS, ExperimentConfig, load_config
 from mildbsde.models import ValidationError
-from mildbsde.solver import DissipativeDrift, SolverConfig, general_solve
+from mildbsde.solver import DissipativeDrift, SolverConfig, SolverError, general_solve
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -369,8 +373,8 @@ class TestSolveCommand:
         cfg = write(tmp_path, tmp_path / "x", paths=200)
         cfg.write_text(cfg.read_text() + f"\n[model]\n{key} = {value}\n")
         assert main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert f"validation failure: terminal: {key} must be finite, got {value}" in err
+        message = f"terminal: {key} must be a finite number of at least 0, got {value}"
+        assert f"validation failure: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_driver_strength_exits_2(self, tmp_path, capsys, value):
@@ -378,8 +382,8 @@ class TestSolveCommand:
         cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x", paths=200)
         cfg.write_text(cfg.read_text() + f"\n[model]\ndriver_strength = {value}\n")
         assert main(["solve", "--config", str(cfg)]) == 2
-        message = f"driver-bound: driver_strength must be finite, got {value}"
-        assert f"validation failure: {message}" in capsys.readouterr().err
+        rule = "driver_strength must be a finite number of at least 0"
+        assert f"validation failure: driver-bound: {rule}, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("preset", ["spin-chain", "reaction-diffusion-1d"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -388,8 +392,8 @@ class TestSolveCommand:
         cfg = write(tmp_path, tmp_path / "x", paths=200)
         cfg.write_text(cfg.read_text() + f"\n[model]\nhorizon = {value}\n")
         assert main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert f"validation failure: horizon must be positive and finite, got {value}" in err
+        message = f"model: horizon must be a finite number of at least 0, got {value}"
+        assert f"validation failure: {message}" in capsys.readouterr().err
 
     def test_nan_drift_exits_3_naming_the_node(self, tmp_path, capsys, monkeypatch):
         # the preset's drift turns NaN at t = 1/2, after validation has passed
@@ -561,3 +565,83 @@ class TestGronwallCommand:
             ["gronwall-check", "--a", "1", "--b", "0", "--alpha", "0",
              "--beta", "1", "--horizon", "1"]
         ) == 0
+
+    @pytest.mark.parametrize(
+        "beta, message", [("0.5", "recursion overflowed"), ("1", "e^(bT) overflowed")]
+    )
+    def test_overflow_exits_3(self, capsys, beta, message):
+        # b = 1e6 has no finite Gronwall constant: the solve cannot finish
+        argv = ["gronwall-check", "--a", "1", "--b", "1e6", "--alpha", "0.5", "--beta", beta,
+                "--horizon", "1"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 3
+        assert f"solver failure: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--alpha", "1.5", "alpha must lie in [0, 1)"),
+         ("--points", "-1", "--points must be a positive integer, got -1")],
+    )
+    def test_out_of_range_argument_exits_2(self, capsys, flag, value, message):
+        args = {"--a": "1", "--b": "1", "--alpha": "0", "--beta": "1", "--horizon": "1"}
+        args[flag] = value
+        argv = ["gronwall-check"] + [x for item in args.items() for x in item]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """The exception's class alone picks the exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
+            (["convergence-study", "--m-ladder", "abc"],
+             "--m-ladder must be a positive integer, got 'abc'"),
+            (["convergence-study", "--m-ladder", "0"],
+             "--m-ladder must be a positive integer, got 0"),
+            (["convergence-study", "--m-ladder", "200", "--l-ladder", "0"],
+             "--l-ladder must be a positive integer, got 0"),
+        ],
+    )
+    def test_bad_argument_exits_2_naming_it(self, tmp_path, capsys, argv, message):
+        cfg = write_spin_config(tmp_path, tmp_path / "x", paths=200, steps=20)
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert f"validation failure: config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error, code, line",
+        [
+            (ValidationError("terminal", "declared bound"), 2,
+             "validation failure: terminal: declared bound"),
+            (SolverError("no window fits"), 3, "solver failure: no window fits"),
+        ],
+    )
+    def test_error_class_picks_the_code(self, tmp_path, capsys, monkeypatch, error, code, line):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(mildbsde.cli, "general_solve", fail)
+        cfg = write_spin_config(tmp_path, tmp_path / "x", paths=200, steps=20)
+        assert main(["solve", "--config", str(cfg)]) == code
+        assert line in capsys.readouterr().err
+
+    def test_programming_error_exits_1_with_traceback(self, tmp_path):
+        # a ValueError raised inside the program is a bug, not a validation failure
+        cfg = write_spin_config(tmp_path, tmp_path / "x", paths=200, steps=20)
+        script = (
+            "import runpy, mildbsde.solver\n"
+            "def boom(*args, **kwargs):\n"
+            "    raise ValueError('boom')\n"
+            "mildbsde.solver.general_solve = boom\n"
+            "runpy.run_module('mildbsde.cli', run_name='__main__')\n"
+        )
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "solve", "--config", str(cfg)],
+            capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert done.returncode == 1
+        assert "Traceback (most recent call last)" in done.stderr
+        assert done.stderr.rstrip().endswith("ValueError: boom")

@@ -1,10 +1,11 @@
 """Model builders against finite-difference, direct-summation and symbolic oracles."""
 import math
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -203,6 +204,80 @@ class TestSpinSystem:
             SpinSpec(coefficients=[1.0, 2.0])  # wrong length
         with pytest.raises(ValueError):
             SpinSpec(coefficients=[-1.0, 0.5, 0.5, 0.5, 0.5])
+
+
+# spec -> field -> (integer, least): a spec that is built holds a finite number
+# of at least ``least`` there, an integer if ``integer`` (one per site for the
+# spin chain's coefficients)
+_SPEC_RULES = {
+    SpinSpec: {
+        "half_width": (True, 1), "odd_power": (True, 1), "coefficients": (False, 0),
+        "terminal_amp": (False, 0), "horizon": (False, 0),
+    },
+    ReactionDiffusionSpec: {
+        "modes": (True, 1), "length": (False, 0), "reaction_power": (True, 1),
+        "driver_strength": (False, 0), "terminal_base": (False, 0),
+        "terminal_noise": (False, 0), "alpha": (False, 0), "horizon": (False, 0),
+        "fit_trials": (True, 1), "fit_seed": (True, 0),
+    },
+}
+
+# the largest int drawn for a size or a power: sizes that exhaust memory or
+# time are not a rule's concern, and powers past 600 fail as 600 does
+_INT_CAPS = {
+    "half_width": 64, "modes": 64, "fit_trials": 64, "odd_power": 600, "reaction_power": 600,
+}
+
+_SPEC_VALUES = st.one_of(
+    st.sampled_from(
+        [0, -0.0, -1, 0.5, 2.5, math.nan, math.inf, -math.inf, "abc", True, None,
+         1e300, -1e300, 1e-300, 10 ** 400, 256, 300, 510, 511, 600]
+    ),
+    st.integers(-3, 12),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestSpecNumbers:
+    def test_rules_cover_every_field(self):
+        for spec_type, rules in _SPEC_RULES.items():
+            assert {f.name for f in fields(spec_type)} == set(rules)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        spec_field=st.sampled_from(
+            [(spec, name) for spec, rules in _SPEC_RULES.items() for name in rules]
+        ),
+        value=st.one_of(_SPEC_VALUES, st.lists(_SPEC_VALUES, min_size=5, max_size=5)),
+    )
+    @example(spec_field=(SpinSpec, "odd_power"), value=600)
+    @example(spec_field=(ReactionDiffusionSpec, "length"), value=1e-300)
+    @example(spec_field=(SpinSpec, "coefficients"), value=[0.0, 0.5, 1.0, 0.5, 0.0])
+    def test_numbers_build_only_within_their_rule(self, spec_field, value):
+        # every numeric field either keeps its rule in the built spec or is
+        # rejected by name; the preset built from a kept value fails, if at
+        # all, on a named hypothesis check; no other exception escapes
+        spec_type, name = spec_field
+        assume(not (isinstance(value, int) and value > _INT_CAPS.get(name, math.inf)))
+        try:
+            spec = spec_type(**{name: value})
+        except ValidationError as err:
+            assert name in str(err)
+            return
+        integer, least = _SPEC_RULES[spec_type][name]
+        kept = getattr(spec, name)
+        for number in np.ravel(kept).tolist() if name == "coefficients" else [kept]:
+            assert not isinstance(number, bool)
+            assert isinstance(number, int if integer else (int, float))
+            assert least <= number <= (math.inf if integer else sys.float_info.max)
+        if name == "coefficients":
+            assert kept.shape == (spec.sites,)
+        build = {SpinSpec: build_spin_system, ReactionDiffusionSpec: build_reaction_diffusion}
+        try:
+            with np.errstate(all="ignore"):
+                build[spec_type](spec)
+        except ValidationError:
+            pass
 
 
 class TestDissipativityCheck:

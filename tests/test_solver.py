@@ -17,8 +17,8 @@ from mildbsde.solver import (
     NonFiniteDrift,
     PicardDivergence,
     SolverConfig,
-    SolverError,
     SolverReport,
+    ValidationError,
     WindowCollapse,
     _picard_targets,
     _project_to_ball,
@@ -434,7 +434,7 @@ class TestGlobalSolve:
             operator=op, horizon=1.0, alpha=0.0,
             terminal=lambda e: e.paths()[:, -1, :1], terminal_bound=math.inf,
         )
-        with pytest.raises(SolverError):
+        with pytest.raises(ValidationError):
             general_solve(prob, small_ensemble, RegressionBasis(), SolverConfig())
 
     def test_terminal_bit_exact_and_z_shape(self, small_ensemble):
@@ -742,7 +742,7 @@ class TestGeneralSolve:
     def test_non_uniform_grid_rejected(self):
         ens = sample_ensemble(TimeGrid(np.array([0.0, 0.1, 0.3, 0.6, 1.0])), 1, 200, seed=3)
         prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
-        with pytest.raises(SolverError, match="uniform time grid"):
+        with pytest.raises(ValueError, match="uniform time grid"):
             general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
 
 
@@ -911,10 +911,10 @@ class TestZSink:
         sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         factors = _step_factors(prob.operator, sol.grid.deltas)
         sweep = mildbsde.solver._ResidualSweep(prob, sol.grid, small_ensemble, factors, sol.y[-1])
-        with pytest.raises(SolverError, match="expected node 49, got node 0"):
+        with pytest.raises(ValueError, match="expected node 49, got node 0"):
             sweep.add(0, sol.y[0], sol.z[0])
         sweep.add(49, sol.y[49], sol.z[49])
-        with pytest.raises(SolverError, match="missing nodes 0..48"):
+        with pytest.raises(ValueError, match="missing nodes 0..48"):
             sweep.value()
 
 
@@ -1033,7 +1033,7 @@ class TestProblemValidation:
     def test_terminal_bound_enforced(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, lambda e: e.paths()[:, -1, :1], bound=0.001)
-        with pytest.raises(SolverError, match="declared bound"):
+        with pytest.raises(ValidationError, match="declared bound"):
             general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
 
     def test_zero_drift_sentinel(self):
