@@ -11,6 +11,9 @@ version in their first line and contain no volatile fields.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
+import glob
 import json
 import math
 import os
@@ -77,6 +80,19 @@ def _config_from_args(args) -> ExperimentConfig:
     return cfg
 
 
+@functools.cache
+def _openblas_threads():
+    """(set, get) of the thread count of numpy's bundled OpenBLAS; None when unknown."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            if get is not None:
+                get.restype = ctypes.c_int
+                return getattr(lib, f"{prefix}set_num_threads{suffix}"), get
+    return None
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -131,7 +147,9 @@ def run_solve(cfg: ExperimentConfig) -> Path:
             [("y", y_file, y_shape), ("z", z_file, z_shape)],
         )
 
-    doc = _json_ready({"config": asdict(cfg), "report": asdict(report)})
+    blas = _openblas_threads()
+    doc = _json_ready({"config": asdict(cfg), "report": asdict(report),
+                       "blas_threads": blas[1]() if blas else "unpinned"})
     (out / "report.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     rows = zip(
@@ -397,6 +415,12 @@ def _ladder(flag: str, text: str) -> list[int]:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # solve.csv bytes depend on the BLAS thread count; one thread is also the fastest here
+    blas = _openblas_threads()
+    if blas:
+        blas[0](1)
+    else:
+        print("warning: BLAS thread count unknown and unpinned", file=sys.stderr)
     try:
         if args.command == "solve":
             run_solve(_config_from_args(args))

@@ -51,6 +51,7 @@ from .spectral import (
     _step_factors,
 )
 from .wiener import (
+    Regression,
     RegressionBasis,
     TimeGrid,
     WienerEnsemble,
@@ -192,8 +193,9 @@ class BsdeProblem:
     ``terminal`` maps a Wiener ensemble to per-path terminal states (M, N) and
     must be measurable with respect to the full path; ``terminal_bound`` is the
     declared essential bound of its alpha norm (may be inf for test problems
-    with Gaussian tails).  ``terminal_bound_h`` optionally sharpens the H-norm
-    bound used by the a-priori estimate; it defaults to ``terminal_bound``.
+    with Gaussian tails, must be positive when f0 grows).  ``terminal_bound_h``
+    optionally sharpens the H-norm bound used by the a-priori estimate; it
+    defaults to ``terminal_bound``.
     ``pair_sampler(op, alpha, radius, count, rng) -> (y1, y2)`` optionally
     draws the state pairs on which dissipativity is sampled, e.g. pairs that
     agree on the boundary sites of a lattice window; by default the pairs are
@@ -228,6 +230,11 @@ class BsdeProblem:
             raise ValidationError(
                 "growth-exponent",
                 f"need growth_power < 1/alpha (got {self.f0.growth_power} * {self.alpha} >= 1)",
+            )
+        if self.f0.growth_scale > 0.0 and not self.terminal_bound > 0.0:
+            raise ValidationError(
+                "terminal", f"a positive terminal bound is required, got {self.terminal_bound:g}: "
+                "the window radius 2 M_alpha |xi| is then 0 and admits no window"
             )
         if self.terminal_bound_h is None:
             self.terminal_bound_h = self.terminal_bound
@@ -438,7 +445,10 @@ def select_local_radius_and_delta(
         except OverflowError:  # a huge finite radius: no window keeps the drift in its ball
             power = math.inf
         denom = 2.0 * constants.c_alpha * s * ((1.0 + power) + problem.driver_bound)
-        delta_ball = (radius * (1.0 - alpha) / denom) ** exponent
+        try:
+            delta_ball = (radius * (1.0 - alpha) / denom) ** exponent
+        except (ZeroDivisionError, OverflowError):  # the ball condition holds at every length
+            delta_ball = math.inf
     else:
         delta_ball = math.inf
     delta = min(delta_lip, delta_ball)
@@ -650,7 +660,7 @@ def global_solve(
     report: SolverReport,
     f1_path: np.ndarray | None = None,
     *,
-    node_sink: Callable[[int, np.ndarray, np.ndarray | None], None],
+    node_sink: Callable[[int, np.ndarray, Regression | None], None],
 ) -> None:
     """Right-to-left window sweep on [0, T] for one frozen driver path.
 
@@ -667,15 +677,16 @@ def global_solve(
     projection keeps each window's states in its ball, so nothing else halves
     one.  Only the active window and its join are held.  Once a window has
     converged and the paste selection has kept the grid, each of its nodes
-    l gets Z_l = ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` and goes
-    to ``node_sink(l, y_l, z_l)``; node L goes first, with z_L = None, and the
-    others follow in strictly descending l.  Each node is handed over exactly
-    once; the sink may keep y_l and z_l but must not write into y_l, from
-    which Z of the node to its left is estimated.  ``general_solve`` passes
-    its node exit, or under the outer fixed point the distance to the
-    previous iterate.  Window statistics, C_2 and both selections are written
-    to ``report``, and each halving is appended to ``report.messages``;
-    ``problem.f1`` is ignored, the driver enters through ``f1_path``.
+    l gets the fit ``martingale_z_estimate`` of ``decay[l] * y[l + 1]``, whose
+    fitted values are Z_l, and goes to ``node_sink(l, y_l, z_fit)``; node L
+    goes first, with z_fit = None, and the others follow in strictly
+    descending l.  Each node is handed over exactly once; the sink may keep
+    y_l and the fit but must not write into y_l, from which Z of the node to
+    its left is estimated.  ``general_solve`` passes its node exit, or under
+    the outer fixed point the distance to the previous iterate.  Window
+    statistics, C_2 and both selections are written to ``report``, and each
+    halving is appended to ``report.messages``; ``problem.f1`` is ignored,
+    the driver enters through ``f1_path``.
     """
     op, alpha, theta = problem.operator, problem.alpha, problem.theta
     grid = ensemble.grid
@@ -766,7 +777,7 @@ def _record_bound_checks(
         work.terminal_bound_h, work.f0.growth_scale, work.driver_bound, work.horizon
     )
     report.max_y_theta_per_node = max_theta.tolist()
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * inf at t = T when C_2 = 0
         bounds = report.c2_fit * (times[-1] - times) ** (alpha - theta)
     report.blowup_bound_per_node = bounds.tolist()
     finite = np.isfinite(bounds) & (bounds > 0)
@@ -818,9 +829,12 @@ def general_solve(
     kept in the returned pair.  Without f1 the sweep feeds the exit as it
     produces each node, so a solve with a sink holds the ensemble and one
     window.  With f1 the outer distance and the next frozen driver path need
-    all of Y and Z: the loop holds one of each, which each sweep overwrites
-    node by node once that node's distance to the previous iterate is taken,
-    and the converged iterate replays through the same exit.
+    the whole previous iterate: the loop holds all of Y, and Z only as each
+    node's regression coefficients, a (B, N K) matrix in place of the (M, N,
+    K) values.  Each sweep overwrites a node once its distance to the
+    previous iterate is taken; every read of Z rebuilds it as design @ coef,
+    which equals the fitted values bit for bit.  The converged iterate
+    replays through the same exit.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -885,15 +899,14 @@ def general_solve(
             # per node: mean and max of |Y|_H and max of the theta norm, on the shifted Y
             node_norms = np.empty((3, grid.n_steps + 1))
             y_shape = (grid.n_steps + 1,) + terminal_values.shape
-            z_shape = (grid.n_steps,) + terminal_values.shape + (ensemble.n_noise,)
+            z_node = terminal_values.shape + (ensemble.n_noise,)
             if f1 is not None:
                 u = np.zeros(y_shape)
                 u[-1] = terminal_values
-                v = np.zeros(z_shape)
             y_kept = z_kept = None
             if sink is None:
                 y_kept = u if f1 is not None else np.empty(y_shape)
-                z_kept = v if f1 is not None else np.empty(z_shape)
+                z_kept = np.empty((grid.n_steps,) + z_node)
 
             def emit(l, y_l, z_l):
                 h = np.linalg.norm(y_l, axis=-1)
@@ -914,22 +927,34 @@ def general_solve(
             if f1 is None:
                 global_solve(
                     frozen, ensemble, basis, config, consts, factors, terminal_values, report,
-                    node_sink=emit,
+                    node_sink=lambda l, y_l, fit: emit(l, y_l, None if fit is None else fit.fitted),
                 )
                 break
             w = np.exp(beta * times[:-1]) * grid.deltas
             y_sq = np.empty(grid.n_steps)
             z_sq = np.empty(grid.n_steps)
+            # Z of the previous iterate, per node its coefficients on the node's
+            # design; None until the first sweep, whose frozen Z is zero
+            z_coef: list = [None] * grid.n_steps
+            z_zero = np.zeros(z_node)
 
-            def to_previous(l, y_l, z_l):
+            def previous_z(l, design=None):
+                if z_coef[l] is None:
+                    return z_zero
+                if design is None:
+                    design = basis.design(ensemble, l)
+                return (design @ z_coef[l]).reshape(z_node)
+
+            def to_previous(l, y_l, z_fit):
                 # the distance to the previous iterate, which is then overwritten;
                 # node L carries no Z and u[L] already holds the terminal values
-                if z_l is None:
+                if z_fit is None:
                     return
                 y_sq[l] = np.square(y_l - u[l]).sum(axis=-1).mean()
-                z_sq[l] = np.square(z_l - v[l]).sum(axis=(-1, -2)).mean()
+                z_prev = previous_z(l, z_fit.design)  # the design this fit has just built
+                z_sq[l] = np.square(z_fit.fitted - z_prev).sum(axis=(-1, -2)).mean()
                 u[l] = y_l
-                v[l] = z_l
+                z_coef[l] = z_fit.coef
 
             distances: list[float] = []
             sq_factors: list[float] = []
@@ -938,7 +963,7 @@ def general_solve(
                 f1_path = np.empty((grid.n_steps,) + terminal_values.shape)
                 for l in range(grid.n_steps):
                     f1_path[l] = _finite_drift(
-                        "f1", f1(float(times[l]), u[l], v[l]), l, times[l]
+                        "f1", f1(float(times[l]), u[l], previous_z(l)), l, times[l]
                     )
                 global_solve(
                     frozen, ensemble, basis, config, consts, factors, terminal_values, report,
@@ -963,7 +988,7 @@ def general_solve(
                 )
             emit(grid.n_steps, u[-1], None)
             for l in range(grid.n_steps - 1, -1, -1):
-                emit(l, u[l], v[l])
+                emit(l, u[l], previous_z(l))
             break
         except GridTooCoarse as need:
             if attempt == 2:
@@ -974,7 +999,7 @@ def general_solve(
         # the coarse attempt is released before the finer ensemble is drawn; the
         # closures hold their arrays through these names
         n_noise, n_paths, seed = ensemble.n_noise, ensemble.n_paths, ensemble.seed
-        ensemble = sweep = u = v = y_kept = z_kept = f1_path = terminal_values = None
+        ensemble = sweep = u = z_coef = y_kept = z_kept = f1_path = terminal_values = None
         steps = grid.n_steps * factor
         path_bytes = 8 * n_paths * n_noise * (2 * steps + 1)  # increments and paths
         if path_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):

@@ -10,7 +10,7 @@ paths without redrawing existing ones.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -156,9 +156,12 @@ class RegressionBasis:
 
 @dataclass(frozen=True)
 class Regression:
+    """One least-squares fit on a node's ``design``: ``fitted`` is ``design @ coef``."""
+
     fitted: np.ndarray
     coef: np.ndarray
     rank_deficient: bool
+    design: np.ndarray
 
 
 def conditional_expectation(
@@ -210,7 +213,7 @@ def _fit(
     if squeeze:
         fitted = fitted[:, 0]
         coef = coef[:, 0]
-    return Regression(fitted=fitted, coef=coef, rank_deficient=rank_deficient)
+    return Regression(fitted=fitted, coef=coef, rank_deficient=rank_deficient, design=phi)
 
 
 def martingale_z_estimate(
@@ -218,7 +221,7 @@ def martingale_z_estimate(
     basis: RegressionBasis,
     t_index: int,
     next_value: np.ndarray,
-) -> np.ndarray:
+) -> Regression:
     """Per-path estimate of the stochastic-integral density Z at node t_index.
 
     Regresses next_value (x) dW_l / dt_l onto time-l features.  The next value
@@ -226,7 +229,9 @@ def martingale_z_estimate(
     term is uncorrelated with dW_l, so the estimand is unchanged while the
     regression noise drops (deterministic next values give Z at ridge-bias
     scale instead of one Monte Carlo standard error).  Both fits use one
-    design of the node.  Returns shape (M, N, K).
+    design of the node.  Returns the second fit: ``fitted`` is Z, shape
+    (M, N, K), and ``(design @ coef).reshape(M, N, K)`` rebuilds it bit for bit
+    from the (B, N K) coefficients.
     """
     next_value = np.asarray(next_value, dtype=float)
     if next_value.ndim == 1:
@@ -240,4 +245,4 @@ def martingale_z_estimate(
     centered = next_value - _fit(ensemble, basis, t_index, phi, next_value).fitted
     targets = (centered[:, :, None] * dw[:, None, :] / dt).reshape(m, -1)
     fit = _fit(ensemble, basis, t_index, phi, targets)
-    return fit.fitted.reshape(m, n, ensemble.n_noise)
+    return replace(fit, fitted=fit.fitted.reshape(m, n, ensemble.n_noise))

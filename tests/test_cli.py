@@ -1,5 +1,6 @@
 """Command-line harness: artifacts, determinism, exit codes."""
 import configparser
+import hashlib
 import json
 import math
 import os
@@ -270,6 +271,48 @@ class TestSolveCommand:
         assert report["outer"]["iterations"] > 1
         assert peak < 3 * math.prod(z_shape) * np.dtype(np.float64).itemsize
 
+    def test_coupled_solve_keeps_z_as_coefficients(self, tmp_path):
+        # at 24 modes Z is 40 x 1000 x 24 x 24 float64 (175.8 MiB), more than
+        # twice everything else the solve holds; the outer fixed point keeps it
+        # as per-node coefficients (10 x 576 each), so a whole solve and write
+        # stays below one Z
+        cfg_path = write_reaction_diffusion_config(
+            tmp_path, tmp_path / "mem", paths=1000, steps=40
+        )
+        cfg_path.write_text(cfg_path.read_text() + "\n[model]\nmodes = 24\n")
+        cfg = load_config(cfg_path)
+        cfg.basis_coords = 3
+        tracemalloc.start()
+        try:
+            run_solve(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        z_shape = json.loads((tmp_path / "mem" / "manifest.json").read_text())["shapes"]["z"]
+        assert z_shape == [40, 1000, 24, 24]
+        report = json.loads((tmp_path / "mem" / "report.json").read_text())["report"]
+        assert report["outer"]["iterations"] > 1
+        assert peak < math.prod(z_shape) * np.dtype(np.float64).itemsize
+
+    def test_solve_csv_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the CLI pins BLAS to one thread, so the spin-chain reference bytes
+        # (tests/test_reference_outputs.py) hold with the thread count set to
+        # 2 and with it unset, which lets OpenBLAS take every core
+        reference = "6bf22831ac06f498bad7540303cebf104414011ea9e24a2f4b522c6ce4bc050c"
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(REPO / "src")
+        for threads in ("2", None):
+            out = tmp_path / f"threads-{threads}"
+            run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run(
+                [sys.executable, "-m", "mildbsde.cli", "solve",
+                 "--config", str(REPO / "configs" / "spin-chain.ini"), "--out", str(out)],
+                env=run_env, cwd=REPO, check=True, capture_output=True, timeout=600,
+            )
+            assert hashlib.sha256((out / "solve.csv").read_bytes()).hexdigest() == reference
+            assert json.loads((out / "report.json").read_text())["blas_threads"] == 1
+
     def test_byte_identical_rerun(self, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -480,6 +523,35 @@ class TestSolveCommand:
             load_config(cfg)
         assert main(["solve", "--config", str(cfg)]) == 2
         assert f"validation failure: config: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "preset, model",
+        [
+            ("spin-chain", "terminal_amp = 0"),
+            ("reaction-diffusion-1d", "terminal_base = 0\nterminal_noise = 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_zero_terminal_bound_exits_2(self, tmp_path, capsys, preset, model, command):
+        # the first window's radius is 2 M_alpha |xi|: a bound of 0 admits no
+        # window, so validation refuses it before a solve could start
+        write = write_spin_config if preset == "spin-chain" else write_reaction_diffusion_config
+        cfg = write(tmp_path, tmp_path / "x", paths=200, steps=20)
+        cfg.write_text(cfg.read_text() + f"\n[model]\n{model}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "validation failure: terminal: a positive terminal bound is required" in err
+
+    def test_short_interval_solves_or_names_its_failure(self, tmp_path, capsys):
+        # on a tiny interval the invariant-ball denominator underflows to 0:
+        # the ball condition then holds at every window length
+        cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x", paths=200, seed=5)
+        cfg.write_text(cfg.read_text() + "\n[model]\nlength = 1e-10\n")
+        with np.errstate(over="ignore", under="ignore"):
+            code = main(["solve", "--config", str(cfg)])
+        assert code in (0, 3)
+        if code == 3:
+            assert "solver failure:" in capsys.readouterr().err
 
     def test_unknown_model_key_exits_2(self, tmp_path, capsys):
         cfg = write_spin_config(tmp_path, tmp_path / "x")

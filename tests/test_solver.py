@@ -37,7 +37,9 @@ from mildbsde.spectral import (
     h_alpha_norm_batch,
     h_alpha_norm_bound,
 )
-from mildbsde.wiener import RegressionBasis, TimeGrid, martingale_z_estimate, sample_ensemble
+from mildbsde.wiener import (
+    Regression, RegressionBasis, TimeGrid, martingale_z_estimate, sample_ensemble,
+)
 
 
 def make_problem(op, terminal, bound=math.inf, f0=None, f1=None, noise=1, alpha=0.0, T=1.0):
@@ -501,7 +503,7 @@ class TestGlobalSolve:
         decay, _ = _step_factors(op, grid.deltas)
         assert sol.z.shape == (40, ens.n_paths, 1, 1)
         for l in range(grid.n_steps):
-            expect = martingale_z_estimate(ens, basis, l, decay[l] * sol.y[l + 1])
+            expect = martingale_z_estimate(ens, basis, l, decay[l] * sol.y[l + 1]).fitted
             np.testing.assert_array_equal(sol.z[l], expect)
 
     def test_shift_equivalence(self):
@@ -772,18 +774,26 @@ class TestWeightedDistance:
     ):
         rng = np.random.default_rng(seed)
         grid = TimeGrid.uniform(horizon, steps)
+        ens = sample_ensemble(grid, noise, paths, seed=seed)
+        basis = RegressionBasis(degree=1)
+        designs = [basis.design(ens, l) for l in range(steps)]
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
         y0, y1 = scale * rng.standard_normal((2, steps + 1, paths, dim))
-        z0, z1 = scale * rng.standard_normal((2, steps, paths, dim, noise))
-        iterates = iter([(y0, z0)] + [(y1, z1)] * 24)
+        # Z as the solver fits it: per node, its design times a coefficient matrix
+        c0, c1 = scale * rng.standard_normal((2, steps, designs[0].shape[1], dim * noise))
+        z0, z1 = (
+            np.stack([(d @ c[l]).reshape(paths, dim, noise) for l, d in enumerate(designs)])
+            for c in (c0, c1)
+        )
+        iterates = iter([(y0, c0, z0)] + [(y1, c1, z1)] * 24)
 
         def sweep(*args, node_sink, **kwargs):
             # each outer step's sweep hands over the next iterate: node L
             # without Z first, then node L-1 down to node 0
-            y, z = next(iterates)
+            y, c, z = next(iterates)
             node_sink(steps, y[steps], None)
             for l in range(steps - 1, -1, -1):
-                node_sink(l, y[l], z[l])
+                node_sink(l, y[l], Regression(z[l], c[l], False, designs[l]))
 
         f1 = BoundedDriver(
             fn=lambda t, y, z: np.zeros_like(y), lipschitz_const=lipschitz, bound=1.0
@@ -792,15 +802,14 @@ class TestWeightedDistance:
             DiagonalOperator(np.arange(dim, dtype=float)),
             lambda e: np.zeros((e.n_paths, dim)), f1=f1, noise=noise, T=horizon,
         )
-        ens = sample_ensemble(grid, noise, paths, seed=seed)
         with patch.object(mildbsde.solver, "global_solve", sweep):
-            sol, rep = general_solve(prob, ens, RegressionBasis(degree=1), SolverConfig())
+            sol, rep = general_solve(prob, ens, basis, SolverConfig())
         beta = 4.0 * lipschitz ** 2 + 1.0
         assert rep.outer["beta"] == beta
         first, second = rep.outer["distances"][:2]
         assert first == self._two_array_form(grid, beta, y0, z0)  # from the zero start
         assert second == self._two_array_form(grid, beta, y1 - y0, z1 - z0)
-        # the one Z the loop holds ends as the converged iterate's
+        # the Z the loop holds as coefficients ends as the converged iterate's
         np.testing.assert_array_equal(sol.z, z1)
 
 

@@ -1,6 +1,8 @@
 """Ensemble statistics and regression conditional-expectation oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mildbsde.wiener import (
     RegressionBasis,
@@ -228,7 +230,7 @@ class TestMartingaleZ:
     def test_deterministic_next_value_gives_zero(self, big_ensemble):
         basis = RegressionBasis(degree=2, ridge=1e-8)
         nxt = np.full((big_ensemble.n_paths, 1), 3.7)
-        z = martingale_z_estimate(big_ensemble, basis, 4, nxt)
+        z = martingale_z_estimate(big_ensemble, basis, 4, nxt).fitted
         # centering removes the deterministic part up to ridge shrinkage,
         # orders of magnitude below the Monte Carlo standard error
         assert np.max(np.abs(z)) < 1e-6
@@ -238,7 +240,7 @@ class TestMartingaleZ:
         basis = RegressionBasis(degree=2, ridge=1e-8)
         mid = 10
         w_next = big_ensemble.paths()[:, mid + 1, 0][:, None]
-        z = martingale_z_estimate(big_ensemble, basis, mid, w_next)
+        z = martingale_z_estimate(big_ensemble, basis, mid, w_next).fitted
         assert abs(z.mean() - 1.0) < 0.05
 
     def test_squared_brownian_slope_two(self, big_ensemble):
@@ -247,7 +249,7 @@ class TestMartingaleZ:
         mid = 10
         w_t = big_ensemble.paths()[:, mid, 0]
         w_next = big_ensemble.paths()[:, mid + 1, 0][:, None] ** 2
-        z = martingale_z_estimate(big_ensemble, basis, mid, w_next)[:, 0, 0]
+        z = martingale_z_estimate(big_ensemble, basis, mid, w_next).fitted[:, 0, 0]
         slope = np.cov(z, w_t)[0, 1] / np.var(w_t)
         assert abs(slope - 2.0) < 0.1
 
@@ -274,15 +276,42 @@ class TestMartingaleZ:
             return design(self, ensemble, t_index)
 
         monkeypatch.setattr(RegressionBasis, "design", counted_design)
-        z = martingale_z_estimate(ens, basis, node, nxt)
+        z = martingale_z_estimate(ens, basis, node, nxt).fitted
         assert calls == [node]
         np.testing.assert_array_equal(z, expect)
 
     def test_shapes(self, big_ensemble):
         basis = RegressionBasis(degree=1)
         nxt = np.random.default_rng(1).standard_normal((big_ensemble.n_paths, 3))
-        z = martingale_z_estimate(big_ensemble, basis, 2, nxt)
+        z = martingale_z_estimate(big_ensemble, basis, 2, nxt).fitted
         assert z.shape == (big_ensemble.n_paths, 3, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        paths=st.integers(1, 300),
+        noise=st.integers(1, 4),
+        dim=st.integers(1, 5),
+        degree=st.integers(0, 3),
+        coords=st.integers(1, 4),
+        ridge=st.sampled_from([1e-8, 0.0]),
+        node=st.integers(0, 2),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_design_times_coef_rebuilds_z_bit_for_bit(
+        self, paths, noise, dim, degree, coords, ridge, node, seed
+    ):
+        # the coupled solve keeps Z as coefficients and rebuilds it from a fresh
+        # design of its node; both ridge paths must give Z's exact bytes back
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 3), noise, paths, seed=seed)
+        basis = RegressionBasis(degree=degree, n_coords=coords, ridge=ridge)
+        nxt = np.sin(np.random.default_rng(seed).standard_normal((paths, dim)))
+        fit = martingale_z_estimate(ens, basis, node, nxt)
+        design = basis.design(ens, node)
+        assert fit.coef.shape == (design.shape[1], dim * noise)
+        rebuilt = (design @ fit.coef).reshape(paths, dim, noise)
+        assert rebuilt.dtype == fit.fitted.dtype and rebuilt.shape == fit.fitted.shape
+        assert rebuilt.tobytes() == fit.fitted.tobytes()
+        assert fit.design.tobytes() == design.tobytes()
 
     def test_final_node_rejected(self, big_ensemble):
         basis = RegressionBasis()
