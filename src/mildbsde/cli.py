@@ -262,8 +262,8 @@ def _gaussian_item(problem, trials, rng) -> dict:
     ens = sample_ensemble(grid, 1, max(trials * 10, 20000), seed=int(rng.integers(2 ** 31)))
     basis = RegressionBasis(degree=2, ridge=1e-10)
     mid = 10
-    w_mid = ens.paths()[:, mid, 0]
-    w_end = ens.paths()[:, -1, 0]
+    w_mid = ens.path_at(mid)[:, 0]
+    w_end = ens.path_at(grid.n_steps)[:, 0]
     fit = conditional_expectation(ens, basis, mid, w_end)
     err_lin = float(np.sqrt(np.mean((fit.fitted - w_mid) ** 2)))
     fit2 = conditional_expectation(ens, basis, mid, w_end ** 2)

@@ -174,7 +174,7 @@ def build_reaction_diffusion(spec: ReactionDiffusionSpec) -> BsdeProblem:
     base, noise_amp = spec.terminal_base, spec.terminal_noise
 
     def terminal(ensemble, _p=profile, _b=base, _a=noise_amp):
-        w_t = ensemble.paths()[:, -1, 0]
+        w_t = ensemble.path_at(ensemble.grid.n_steps)[:, 0]
         return (_b + _a * np.tanh(w_t))[:, None] * _p[None, :]
 
     profile_norm = float(h_alpha_norm_batch(op, spec.alpha, profile[None, :])[0])
@@ -281,7 +281,7 @@ def build_spin_system(spec: SpinSpec) -> BsdeProblem:
     amp = spec.terminal_amp
 
     def terminal(ensemble, _p=profile, _a=amp):
-        w_t = ensemble.paths()[:, -1, :]
+        w_t = ensemble.path_at(ensemble.grid.n_steps)
         return _a * np.tanh(w_t) * _p[None, :]
 
     bound = amp * float(np.linalg.norm(profile))

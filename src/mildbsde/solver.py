@@ -56,6 +56,7 @@ from .wiener import (
     TimeGrid,
     WienerEnsemble,
     conditional_expectation,
+    ensemble_nbytes,
     martingale_z_estimate,
     sample_ensemble,
 )
@@ -810,7 +811,9 @@ def general_solve(
     check.  A window shorter than one grid step, as ``global_solve`` selects
     it, restarts on a grid refined by an integer factor and resampled from the
     same seed, up to three grids in all, once the coarse attempt is released;
-    a grid whose paths would not fit in physical memory is not drawn.
+    a grid whose ensemble (``ensemble_nbytes``) would not fit in physical
+    memory is not drawn.  A basis with more features than paths is rejected
+    before any fit: each fit would be underdetermined.
 
     The (y, z)-coupled driver f1 is handled by the weighted outer fixed point:
     each outer step freezes f1 along the current iterate's paths and runs the
@@ -847,6 +850,12 @@ def general_solve(
             f"ensemble carries {ensemble.n_noise} noise coordinates, problem declares "
             f"{problem.noise_dim}"
         )
+    n_features = basis.n_features(ensemble.n_noise)
+    if n_features > ensemble.n_paths:
+        raise ValidationError(
+            "basis", f"{n_features} regression features exceed the {ensemble.n_paths} paths, "
+            "so every fit would be underdetermined"
+        )
     mu = problem.f0.monotonicity
     lam = mu if mu > 0.0 else 0.0
     work = exponential_shift(problem, lam)
@@ -880,7 +889,9 @@ def general_solve(
         times = grid.times
         try:
             factors = _step_factors(op, grid.deltas)
-            terminal_values = np.asarray(work.terminal(ensemble), dtype=float)
+            # a copy: a terminal map may return a view of ``path_at``, whose
+            # segment buffer a later node overwrites
+            terminal_values = np.array(work.terminal(ensemble), dtype=float)
             if terminal_values.shape != (ensemble.n_paths, op.dimension):
                 raise ValueError("terminal map returned the wrong shape")
             term_max = float(h_alpha_norm_batch(op, alpha, terminal_values).max())
@@ -1001,11 +1012,11 @@ def general_solve(
         n_noise, n_paths, seed = ensemble.n_noise, ensemble.n_paths, ensemble.seed
         ensemble = sweep = u = z_coef = y_kept = z_kept = f1_path = terminal_values = None
         steps = grid.n_steps * factor
-        path_bytes = 8 * n_paths * n_noise * (2 * steps + 1)  # increments and paths
-        if path_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        held = ensemble_nbytes(steps, n_paths, n_noise)
+        if held > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
             raise GridTooCoarse(
-                f"a grid refined to {Decimal(steps):.3e} steps needs {Decimal(path_bytes):.3e} "
-                "bytes of paths, more than this machine's physical memory"
+                f"a grid refined to {Decimal(steps):.3e} steps needs {Decimal(held):.3e} "
+                "bytes of increments and checkpoints, more than this machine's physical memory"
             )
         report.messages.append(
             f"window below one grid step: grid refined x{factor} to "
@@ -1073,7 +1084,7 @@ class _ResidualSweep:
         if f1 is not None:
             f_val = f_val + f1(t, y_l, z_l)
         decay = self.decay[l]
-        zdw = np.einsum("mnk,mk->mn", z_l, self.increments[:, l, :])
+        zdw = np.einsum("mnk,mk->mn", z_l, self.increments[l])
         self.int_f = self.kernel_int[l] * f_val + decay * self.int_f
         self.int_z = zdw + decay * self.int_z
         self.prop_term = decay * self.prop_term

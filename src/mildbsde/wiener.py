@@ -6,10 +6,17 @@ coordinates (the standard regression Monte Carlo construction).  Everything is
 deterministic given (seed, M, grid): paths are drawn in fixed blocks of 1024,
 block b seeded by child b of ``SeedSequence(seed)``, so enlarging M appends new
 paths without redrawing existing ones.
+
+The increments are stored node-major, ``increments[l, m, k]``, because a solve
+reads them one node at a time in a right-to-left sweep.  The coordinates
+W_{t_l} are not stored: ``WienerEnsemble.path_at`` rebuilds them from a
+checkpoint every ceil(sqrt(L)) nodes, as a backward sweep with checkpoints
+does (Griewank & Walther, Algorithm 799: revolve, ACM TOMS 26, 2000).
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,11 +27,25 @@ __all__ = [
     "RegressionBasis",
     "Regression",
     "sample_ensemble",
+    "ensemble_nbytes",
     "conditional_expectation",
     "martingale_z_estimate",
 ]
 
 _PATH_BLOCK = 1024
+_SUB_BLOCK = 128  # paths per draw within a block; the normal stream is sequential
+
+
+def _checkpoint_stride(n_steps: int) -> int:
+    """ceil(sqrt(L)), in integers so that it holds for any L."""
+    return math.isqrt(n_steps - 1) + 1
+
+
+def ensemble_nbytes(n_steps: int, n_paths: int, n_noise: int) -> int:
+    """Bytes an ensemble holds at most: its increments, checkpoints and two segments."""
+    c = _checkpoint_stride(n_steps)
+    nodes = n_steps + (n_steps // c + 1) + 2 * (c + 1)
+    return 8 * nodes * n_paths * n_noise
 
 
 @dataclass(frozen=True)
@@ -66,52 +87,96 @@ class TimeGrid:
 class WienerEnsemble:
     """M sampled paths of a K-truncated cylindrical Wiener process.
 
-    ``increments[m, l, k]`` ~ Normal(0, dt_l), independent across all indices.
-    The two private fields, the node-major paths and the per-node ridged Gram
-    matrices, are lazy caches of values derived from the increments; no fit
-    leaves any other state here.  ``dataclasses.replace`` starts them empty.
+    ``increments[l, m, k]`` ~ Normal(0, dt_l), independent across all indices,
+    stored node-major: ``increments[l]`` is one contiguous (M, K) block.
+    W_{t_l} is read with ``path_at(l)``.  The private fields are lazy caches
+    of values derived from the increments: the checkpoints W at every c-th
+    node, c = ceil(sqrt(L)), two segment buffers of c + 1 nodes each, and the
+    per-node ridged Gram matrices.  No fit leaves any other state here.
+    ``dataclasses.replace`` starts the caches empty.
     """
 
     grid: TimeGrid
     increments: np.ndarray
     seed: int
-    _paths: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _checkpoints: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # two (c + 1, M, K) buffers, the most recently used first, and their first nodes
+    _segments: list = field(default_factory=list, init=False, repr=False, compare=False)
     # (basis, t_index) -> that node's ridged Gram matrix, set by its first ridge fit
     _ridged_gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
-        return self.increments.shape[0]
+        return self.increments.shape[1]
 
     @property
     def n_noise(self) -> int:
         return self.increments.shape[2]
 
-    def paths(self) -> np.ndarray:
-        """Cumulative coordinates W_{t_l}, shape (M, L+1, K); W_0 = 0.
+    def path_at(self, l: int) -> np.ndarray:
+        """W_{t_l}, shape (M, K); ``path_at(0)`` is zero.
 
-        Stored node-major, so ``paths()[:, l, :]`` is one contiguous block.
+        The value is rebuilt forward from the checkpoint at or below l by the
+        same sequential additions as ``np.cumsum`` of the increments, so it is
+        bit-identical to it.  The result is a read-only view into one of two
+        segment buffers: it stays valid until two other segments have been
+        rebuilt, so copy it to keep it longer.
         """
-        if self._paths is None:
-            m, l, k = self.increments.shape
-            w = np.zeros((l + 1, m, k))
-            np.cumsum(self.increments.transpose(1, 0, 2), axis=0, out=w[1:])
-            self._paths = w
-        return self._paths.transpose(1, 0, 2)
+        n_steps, shape = self.increments.shape[0], self.increments.shape[1:]
+        if not 0 <= l <= n_steps:
+            raise IndexError(f"node {l} is outside 0..{n_steps}")
+        c = _checkpoint_stride(n_steps)
+        if self._checkpoints is None:
+            self._checkpoints = np.zeros((n_steps // c + 1,) + shape)
+            w = np.zeros(shape)
+            for j in range(n_steps):
+                w += self.increments[j]
+                if (j + 1) % c == 0:
+                    self._checkpoints[(j + 1) // c] = w
+        for i, (start, seg) in enumerate(self._segments):
+            if start <= l < start + len(seg):
+                self._segments.insert(0, self._segments.pop(i))
+                break
+        else:
+            start = min(l // c, (n_steps - 1) // c) * c
+            if len(self._segments) < 2:
+                buf = np.empty((c + 1,) + shape)
+            else:
+                buf = self._segments.pop()[1].base  # the least recently used
+            seg = buf[: min(c, n_steps - start) + 1]
+            seg[0] = self._checkpoints[start // c]
+            for j in range(1, len(seg)):
+                np.add(seg[j - 1], self.increments[start + j - 1], out=seg[j])
+            self._segments.insert(0, (start, seg))
+        view = seg[l - start].view()
+        view.flags.writeable = False
+        return view
 
 
 def sample_ensemble(grid: TimeGrid, k: int, m: int, seed: int) -> WienerEnsemble:
-    """Draw a reproducible ensemble; identical seeds give bit-identical arrays."""
+    """Draw a reproducible ensemble; identical seeds give bit-identical arrays.
+
+    Each block of 1024 paths is drawn from its own child generator in draws
+    of 128 paths; the normal stream is sequential, so these are the values of
+    one (1024, L, K) draw.  Each draw is written node-major into ``out``.
+    """
     if k < 1 or m < 1:
         raise ValueError("need at least one path and one noise coordinate")
     n_steps = grid.n_steps
-    scale = np.sqrt(grid.deltas)[None, :, None]
-    out = np.empty((m, n_steps, k))
+    out = np.empty((n_steps, m, k))
+    buf = np.empty((_SUB_BLOCK, n_steps, k))
+    # one path's K values at one node are one record, so the transposing copy
+    # moves 8 K bytes per element
+    record = np.dtype((np.void, 8 * k))
+    out_rec = out.view(record)[:, :, 0]
     children = np.random.SeedSequence(seed).spawn((m + _PATH_BLOCK - 1) // _PATH_BLOCK)
     for b, child in enumerate(children):
-        lo = b * _PATH_BLOCK
-        np.random.default_rng(child).standard_normal(out=out[lo : lo + _PATH_BLOCK])
-    out *= scale
+        rng = np.random.default_rng(child)
+        for lo in range(b * _PATH_BLOCK, min((b + 1) * _PATH_BLOCK, m), _SUB_BLOCK):
+            n = min(_SUB_BLOCK, m - lo)
+            rng.standard_normal(out=buf[:n])
+            out_rec[:, lo : lo + n] = buf[:n].view(record)[:, :, 0].T
+    out *= np.sqrt(grid.deltas)[:, None, None]
     return WienerEnsemble(grid=grid, increments=out, seed=int(seed))
 
 
@@ -136,10 +201,17 @@ class RegressionBasis:
         if self.degree < 0 or not 0 <= self.ridge < np.inf:
             raise ValueError("degree must be nonnegative and ridge finite and nonnegative")
 
+    def _coords(self, n_noise: int) -> int:
+        return n_noise if self.n_coords is None else min(self.n_coords, n_noise)
+
+    def n_features(self, n_noise: int) -> int:
+        """B, the number of columns of ``design`` on an ensemble of n_noise coordinates."""
+        return math.comb(self._coords(n_noise) + self.degree, self.degree)
+
     def design(self, ensemble: WienerEnsemble, t_index: int) -> np.ndarray:
-        k = ensemble.n_noise if self.n_coords is None else min(self.n_coords, ensemble.n_noise)
+        k = self._coords(ensemble.n_noise)
         # one contiguous row per coordinate, so each feature is a contiguous product
-        w = np.ascontiguousarray(ensemble.paths()[:, t_index, :k].T)
+        w = np.ascontiguousarray(ensemble.path_at(t_index)[:, :k].T)
         combos = [
             combo
             for deg in range(1, self.degree + 1)
@@ -239,7 +311,7 @@ def martingale_z_estimate(
     m, n = next_value.shape
     if t_index >= ensemble.grid.n_steps:
         raise ValueError("no increment lies to the right of the final node")
-    dw = ensemble.increments[:, t_index, :]
+    dw = ensemble.increments[t_index]
     dt = float(ensemble.grid.deltas[t_index])
     phi = basis.design(ensemble, t_index)
     centered = next_value - _fit(ensemble, basis, t_index, phi, next_value).fitted

@@ -51,7 +51,7 @@ def oracle_ensemble():
 
 @pytest.fixture(scope="module")
 def linear_run(oracle_ensemble):
-    prob = linear_problem(lambda e: e.paths()[:, -1, :1])
+    prob = linear_problem(lambda e: e.path_at(e.grid.n_steps)[:, :1])
     basis = RegressionBasis(degree=2, ridge=1e-8)
     start = time.perf_counter()
     sol, rep = general_solve(prob, oracle_ensemble, basis, SolverConfig())
@@ -91,7 +91,8 @@ def relative_l2_error(grid, y_nodes, truth_nodes):
 class TestCriterion1LinearOracle:
     def test_martingale_representation(self, oracle_ensemble, linear_run):
         sol, rep, elapsed = linear_run
-        w = oracle_ensemble.paths()[:, :, 0].T  # (L+1, M)
+        w = np.stack([oracle_ensemble.path_at(l)[:, 0].copy()
+                      for l in range(oracle_ensemble.grid.n_steps + 1)])  # (L+1, M)
         rel = relative_l2_error(oracle_ensemble.grid, sol.y[:, :, 0], w)
         z_node_means = sol.z[:, :, 0, 0].mean(axis=1)
         z_ok = np.all(np.abs(z_node_means - 1.0) < 0.05)
@@ -106,11 +107,12 @@ class TestCriterion1LinearOracle:
 
 class TestCriterion2QuadraticOracle:
     def test_second_moment_representation(self, oracle_ensemble):
-        prob = linear_problem(lambda e: e.paths()[:, -1, :1] ** 2)
+        prob = linear_problem(lambda e: e.path_at(e.grid.n_steps)[:, :1] ** 2)
         basis = RegressionBasis(degree=2, ridge=1e-8)
         sol, rep = general_solve(prob, oracle_ensemble, basis, SolverConfig())
         grid = oracle_ensemble.grid
-        w = oracle_ensemble.paths()[:, :, 0].T
+        w = np.stack([oracle_ensemble.path_at(l)[:, 0].copy()
+                      for l in range(oracle_ensemble.grid.n_steps + 1)])
         truth = w ** 2 + (1.0 - grid.times)[:, None]
         rel = relative_l2_error(grid, sol.y[:, :, 0], truth)
         slopes = []
@@ -268,7 +270,7 @@ class TestCriterion9ResidualConvergence:
         residuals = {}
         for m in (1000, 10000):
             ens = sample_ensemble(grid, 1, m, seed=3141)
-            prob = linear_problem(lambda e: e.paths()[:, -1, :1])
+            prob = linear_problem(lambda e: e.path_at(e.grid.n_steps)[:, :1])
             sol, rep = general_solve(prob, ens, basis, SolverConfig())
             residuals[m] = rep.residual_value
         ratio = residuals[1000] / residuals[10000]

@@ -251,6 +251,21 @@ class TestSolveCommand:
         assert y_shape == [201, 2000, 5]
         assert peak < 2.6 * math.prod(y_shape) * np.dtype(np.float64).itemsize
 
+    def test_solve_holds_increments_and_checkpoints_not_paths(self, tmp_path):
+        # refined to 200 steps, the increments are 200 x 2000 x 5 float64, about
+        # one Y; W is kept only at every 15th node plus two segments of 16 nodes,
+        # so a whole solve and write stays below 1.8 Y (2.3 Y with every path)
+        cfg = load_config(write_spin_config(tmp_path, tmp_path / "mem", paths=2000, steps=100))
+        tracemalloc.start()
+        try:
+            run_solve(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        y_shape = json.loads((tmp_path / "mem" / "manifest.json").read_text())["shapes"]["y"]
+        assert y_shape == [201, 2000, 5]
+        assert peak < 1.8 * math.prod(y_shape) * np.dtype(np.float64).itemsize
+
     def test_coupled_solve_holds_one_z(self, tmp_path):
         # the outer fixed point keeps one Z of 40 x 2000 x 6 x 6 float64 (22.0 MiB)
         # and overwrites it each outer step, so a whole solve and write stays
@@ -359,6 +374,16 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "solver failure: outer iteration did not converge within 1 steps" in err
+
+    def test_basis_larger_than_the_path_count_exits_2(self, tmp_path, capsys):
+        # 24 modes with every coordinate in a degree-2 basis is 325 features,
+        # more than the 300 paths: each fit would be underdetermined
+        cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x", paths=300, steps=20)
+        cfg.write_text(cfg.read_text() + "\n[model]\nmodes = 24\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "validation failure: basis: 325 regression features exceed the 300 paths" in err
+        assert not (tmp_path / "x" / "solve.csv").exists()
 
     def test_refinement_beyond_memory_exits_3(self, tmp_path, capsys):
         # odd_power = 50 at a terminal amplitude of 170 asks for a window some

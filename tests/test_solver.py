@@ -42,6 +42,11 @@ from mildbsde.wiener import (
 )
 
 
+def w_end(ensemble):
+    """W_T of the first noise coordinate, shape (M, 1): a read-only view."""
+    return ensemble.path_at(ensemble.grid.n_steps)[:, :1]
+
+
 def make_problem(op, terminal, bound=math.inf, f0=None, f1=None, noise=1, alpha=0.0, T=1.0):
     prob = BsdeProblem(
         operator=op, horizon=T, alpha=alpha, terminal=terminal,
@@ -93,12 +98,12 @@ class TestClosedFormBounds:
 class TestExponentialShift:
     def test_zero_shift_is_identity(self):
         op = DiagonalOperator([1.0])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1], bound=2.0)
+        prob = make_problem(op, w_end, bound=2.0)
         assert exponential_shift(prob, 0.0) is prob
 
     def test_negative_shift_rejected(self):
         # the solver shifts by a positive monotonicity constant only
-        prob = make_problem(DiagonalOperator([1.0]), lambda e: e.paths()[:, -1, :1], bound=2.0)
+        prob = make_problem(DiagonalOperator([1.0]), w_end, bound=2.0)
         with pytest.raises(ValueError, match="lam >= 0"):
             exponential_shift(prob, -0.5)
 
@@ -110,7 +115,7 @@ class TestExponentialShift:
             monotonicity=mu, lipschitz=mu,
         )
         op = DiagonalOperator([0.0])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1], bound=1.0, f0=f0)
+        prob = make_problem(op, w_end, bound=1.0, f0=f0)
         shifted = exponential_shift(prob, mu)
         rng = np.random.default_rng(0)
         for t in (0.0, 0.4, 1.0):
@@ -126,7 +131,7 @@ class TestExponentialShift:
             monotonicity=mu, lipschitz=lambda r: mu + 3 * r ** 2,
         )
         op = DiagonalOperator([0.5])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1], bound=1.0, f0=f0)
+        prob = make_problem(op, w_end, bound=1.0, f0=f0)
         shifted = exponential_shift(prob, mu)
         rng = np.random.default_rng(1)
         for t in (0.0, 0.3, 0.9):
@@ -158,7 +163,7 @@ class TestWindowSelection:
         if c > 0:
             f1 = BoundedDriver(fn=lambda t, y, z: np.zeros_like(y), lipschitz_const=0.0, bound=c)
         op = DiagonalOperator([1.0])
-        return make_problem(op, lambda e: e.paths()[:, -1, :1], bound=bound,
+        return make_problem(op, w_end, bound=bound,
                             f0=f0, f1=f1, alpha=alpha)
 
     def test_contraction_window_unit(self):
@@ -224,9 +229,9 @@ class TestPicardMap:
 
     def test_terminal_row_exact(self, small_ensemble):
         op = DiagonalOperator([1.0])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(op, w_end)
         basis = RegressionBasis(degree=2)
-        xi = small_ensemble.paths()[:, -1, :1]
+        xi = w_end(small_ensemble).copy()
         factors = _step_factors(op, small_ensemble.grid.deltas)
         y, _ = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=math.inf,
                            tol=1e-9)
@@ -235,9 +240,10 @@ class TestPicardMap:
     def test_brownian_martingale_representation(self, small_ensemble):
         # A = 0, terminal W_T: Y(t) = W_t and Z = 1
         op = DiagonalOperator([0.0])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(op, w_end)
         sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
-        w = small_ensemble.paths()[:, :, 0].T
+        w = np.stack([small_ensemble.path_at(l)[:, 0].copy()
+                      for l in range(small_ensemble.grid.n_steps + 1)])
         err = np.sqrt(np.mean((sol.y[:, :, 0] - w) ** 2, axis=1))
         scale = np.sqrt(np.mean(w[1:] ** 2, axis=1))
         assert np.all(err[1:] <= 0.05 * np.maximum(scale, 0.5))
@@ -348,9 +354,9 @@ class TestPicardMap:
 class TestLocalSolve:
     def test_drift_free_converges_immediately(self, small_ensemble):
         op = DiagonalOperator([0.0])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(op, w_end)
         basis = RegressionBasis(degree=2)
-        xi = small_ensemble.paths()[:, -1, :1]
+        xi = w_end(small_ensemble).copy()
         factors = _step_factors(op, small_ensemble.grid.deltas)
         _, stats = local_solve(prob, small_ensemble, basis, factors, 0, 50, xi, radius=math.inf,
                                tol=1e-9)
@@ -364,9 +370,9 @@ class TestLocalSolve:
             fn=lambda t, y: -(y ** 3), growth_scale=1.0, growth_power=3.0,
             lipschitz=lambda r: 3.0 * r ** 2,
         )
-        prob = make_problem(op, lambda e: np.tanh(e.paths()[:, -1, :1]), bound=1.0, f0=f0)
+        prob = make_problem(op, lambda e: np.tanh(w_end(e)), bound=1.0, f0=f0)
         basis = RegressionBasis(degree=2)
-        xi = np.tanh(small_ensemble.paths()[:, -1, :1])
+        xi = np.tanh(w_end(small_ensemble))
         factors = _step_factors(op, small_ensemble.grid.deltas)
         _, stats = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=3.0,
                                tol=1e-10)
@@ -399,7 +405,7 @@ class TestLocalSolve:
             lipschitz=lambda r: 3.0 * r ** 2,
         )
         prob = make_problem(
-            op, lambda e: np.tanh(2.0 * e.paths()[:, -1, :1]), bound=1.0, f0=f0, alpha=0.2
+            op, lambda e: np.tanh(2.0 * w_end(e)), bound=1.0, f0=f0, alpha=0.2
         )
         factors = _step_factors(op, ens.grid.deltas)
         _, stats = local_solve(prob, ens, RegressionBasis(degree=2), factors, 30, 50,
@@ -420,9 +426,9 @@ class TestLocalSolve:
             fn=lambda t, y: 25.0 * y, growth_scale=25.0, growth_power=2.0,
             monotonicity=25.0, lipschitz=25.0,
         )
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1] * 0.1, bound=math.inf, f0=f0)
+        prob = make_problem(op, lambda e: w_end(e) * 0.1, bound=math.inf, f0=f0)
         basis = RegressionBasis(degree=2)
-        xi = 0.1 * small_ensemble.paths()[:, -1, :1]
+        xi = 0.1 * w_end(small_ensemble)
         factors = _step_factors(op, small_ensemble.grid.deltas)
         with pytest.raises(PicardDivergence):
             local_solve(prob, small_ensemble, basis, factors, 0, 50, xi, radius=math.inf,
@@ -434,16 +440,16 @@ class TestGlobalSolve:
         op = DiagonalOperator([0.0])
         prob = BsdeProblem(
             operator=op, horizon=1.0, alpha=0.0,
-            terminal=lambda e: e.paths()[:, -1, :1], terminal_bound=math.inf,
+            terminal=w_end, terminal_bound=math.inf,
         )
         with pytest.raises(ValidationError):
             general_solve(prob, small_ensemble, RegressionBasis(), SolverConfig())
 
     def test_terminal_bit_exact_and_z_shape(self, small_ensemble):
         op = DiagonalOperator([0.0])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(op, w_end)
         sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
-        np.testing.assert_array_equal(sol.y[-1], small_ensemble.paths()[:, -1, :1])
+        np.testing.assert_array_equal(sol.y[-1], w_end(small_ensemble))
         assert sol.z.shape == (50, small_ensemble.n_paths, 1, 1)
         assert len(rep.windows) == 1  # drift-free: one window covers [0, T]
 
@@ -456,7 +462,7 @@ class TestGlobalSolve:
             fn=lambda t, y: -np.tanh(y), growth_scale=1.1, growth_power=2.0,
             lipschitz=1.1,
         )
-        prob = make_problem(op, lambda e: 0.5 * np.tanh(e.paths()[:, -1, :1]),
+        prob = make_problem(op, lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
         window_cap(0.15)
         sol, rep = general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
@@ -482,7 +488,7 @@ class TestGlobalSolve:
             fn=lambda t, y: -np.tanh(y), growth_scale=1.1, growth_power=2.0,
             lipschitz=1.1,
         )
-        prob = make_problem(op, lambda e: 0.5 * np.tanh(e.paths()[:, -1, :1]),
+        prob = make_problem(op, lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
         solve = mildbsde.solver.local_solve
         calls = {"n": 0}
@@ -522,7 +528,7 @@ class TestGlobalSolve:
             fn=drift, growth_scale=mu + 1.0, growth_power=3.0, monotonicity=mu,
             lipschitz=lambda r: mu + 3.0 * r ** 2,
         )
-        terminal = lambda e: 0.4 * np.tanh(e.paths()[:, -1, :1])  # noqa: E731
+        terminal = lambda e: 0.4 * np.tanh(w_end(e))  # noqa: E731
         prob = make_problem(op, terminal, bound=0.4, f0=f0)
         # declared monotonicity 0: no shift, mu y stays inside f0
         folded = make_problem(op, terminal, bound=0.4, f0=replace(f0, monotonicity=0.0))
@@ -541,7 +547,7 @@ class TestGlobalSolve:
         f0 = DissipativeDrift(
             fn=lambda t, y: -np.tanh(y), growth_scale=1.1, growth_power=2.0, lipschitz=1.1
         )
-        prob = make_problem(op, lambda e: 0.5 * np.tanh(e.paths()[:, -1, :1]),
+        prob = make_problem(op, lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
         sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         assert rep.max_y_h <= 1.1 * rep.c1_bound
@@ -555,7 +561,7 @@ class TestGeneralSolve:
 
     def test_driver_free_delegates(self, small_ensemble):
         op = DiagonalOperator([0.0])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(op, w_end)
         sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         assert rep.outer is None
 
@@ -565,14 +571,14 @@ class TestGeneralSolve:
         f1 = BoundedDriver(
             fn=lambda t, y, z: 0.3 * np.ones_like(y), lipschitz_const=0.0, bound=0.3
         )
-        prob = make_problem(op, lambda e: 0.4 * np.tanh(e.paths()[:, -1, :1]),
+        prob = make_problem(op, lambda e: 0.4 * np.tanh(w_end(e)),
                             bound=0.4, f1=f1)
         sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         assert rep.outer["iterations"] == 1
         assert rep.outer["beta"] == 1.0
 
     @staticmethod
-    def _coupled(terminal=lambda e: 0.4 * np.tanh(e.paths()[:, -1, :1])):
+    def _coupled(terminal=lambda e: 0.4 * np.tanh(w_end(e))):
         grid = TimeGrid.uniform(1.0, 40)
         ens = sample_ensemble(grid, 1, 4000, seed=91)
         op = DiagonalOperator([1.0])
@@ -615,7 +621,7 @@ class TestGeneralSolve:
 
         def counted_terminal(e):
             calls["terminal"] += 1
-            return 0.4 * np.tanh(e.paths()[:, -1, :1])
+            return 0.4 * np.tanh(w_end(e))
 
         monkeypatch.setattr(mildbsde.solver, "estimate_constants", counted_estimate)
         prob, ens = self._coupled(counted_terminal)
@@ -666,7 +672,7 @@ class TestGeneralSolve:
         f0 = DissipativeDrift(
             fn=lambda t, y: -np.tanh(y), growth_scale=1.1, growth_power=2.0, lipschitz=1.1,
         )
-        prob = make_problem(DiagonalOperator([1.0]), lambda e: 0.5 * np.tanh(e.paths()[:, -1, :1]),
+        prob = make_problem(DiagonalOperator([1.0]), lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
         window_cap(0.15)
         _, rep = general_solve(prob, ens, RegressionBasis(degree=2, ridge=0.0), SolverConfig())
@@ -691,7 +697,7 @@ class TestGeneralSolve:
         monkeypatch.setattr(mildbsde.solver, "sample_ensemble", counted_sample)
         monkeypatch.setattr(mildbsde.solver, "_window_steps", too_coarse)
         ens = sample_ensemble(TimeGrid.uniform(1.0, 10), 1, 200, seed=3)
-        prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(mildbsde.solver.GridTooCoarse,
                            match="grid refinement did not reach the required window resolution"):
             general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
@@ -713,7 +719,7 @@ class TestGeneralSolve:
         monkeypatch.setattr(mildbsde.solver, "sample_ensemble", counted_sample)
         monkeypatch.setattr(mildbsde.solver, "_window_steps", far_too_coarse)
         ens = sample_ensemble(TimeGrid.uniform(1.0, 10), 1, 200, seed=3)
-        prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(mildbsde.solver.GridTooCoarse,
                            match=r"refined to 1\.000e\+13 steps .* physical memory"):
             general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
@@ -735,7 +741,7 @@ class TestGeneralSolve:
             return ens
 
         monkeypatch.setattr(mildbsde.solver, "sample_ensemble", checked_sample)
-        prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(DiagonalOperator([0.0]), w_end)
         window_cap(0.006)
         _, rep = general_solve(prob, coarse_ensemble(), RegressionBasis(degree=2), SolverConfig())
         assert rep.grid_refined == 2
@@ -743,7 +749,7 @@ class TestGeneralSolve:
 
     def test_non_uniform_grid_rejected(self):
         ens = sample_ensemble(TimeGrid(np.array([0.0, 0.1, 0.3, 0.6, 1.0])), 1, 200, seed=3)
-        prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(ValueError, match="uniform time grid"):
             general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
 
@@ -762,7 +768,7 @@ class TestWeightedDistance:
     @settings(max_examples=60, deadline=None)
     @given(
         steps=st.integers(1, 12),
-        paths=st.integers(1, 400),
+        paths=st.integers(7, 400),  # at least the 1 + noise features of the basis
         dim=st.integers(1, 6),
         noise=st.integers(1, 6),
         lipschitz=st.floats(0.01, 2.2),
@@ -832,7 +838,7 @@ def _whole_grid_residual(problem, solution, ensemble):
     prop_term = y[-1].copy()
     total = 0.0
     for l in range(grid.n_steps - 1, -1, -1):
-        zdw = np.einsum("mnk,mk->mn", z[l], ensemble.increments[:, l, :])
+        zdw = np.einsum("mnk,mk->mn", z[l], ensemble.increments[l])
         int_f = kernel_int[l] * f_vals[l] + decay[l] * int_f
         int_z = zdw + decay[l] * int_z
         prop_term = decay[l] * prop_term
@@ -846,7 +852,7 @@ class TestZSink:
 
     @staticmethod
     def _problem(case):
-        terminal = lambda e: 0.4 * np.tanh(e.paths()[:, -1, :1])  # noqa: E731
+        terminal = lambda e: 0.4 * np.tanh(w_end(e))  # noqa: E731
         if case == "shifted":
             # positive monotonicity: the sweep runs on the shifted equation
             mu = 0.5
@@ -854,7 +860,7 @@ class TestZSink:
                 fn=lambda t, y: mu * y - y ** 3, growth_scale=mu + 1.0, growth_power=3.0,
                 monotonicity=mu, lipschitz=lambda r: mu + 3.0 * r ** 2,
             )
-            small = lambda e: 0.1 * np.tanh(e.paths()[:, -1, :1])  # noqa: E731
+            small = lambda e: 0.1 * np.tanh(w_end(e))  # noqa: E731
             return make_problem(DiagonalOperator([0.0]), small, bound=0.1, f0=f0)
         if case == "unshifted":
             f0 = DissipativeDrift(
@@ -916,7 +922,7 @@ class TestZSink:
             assert r.max_y_theta_per_node == theta_norms.max(axis=1).tolist()
 
     def test_residual_takes_nodes_right_to_left_only(self, small_ensemble):
-        prob = make_problem(DiagonalOperator([0.0]), lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(DiagonalOperator([0.0]), w_end)
         sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         factors = _step_factors(prob.operator, sol.grid.deltas)
         sweep = mildbsde.solver._ResidualSweep(prob, sol.grid, small_ensemble, factors, sol.y[-1])
@@ -949,7 +955,7 @@ class TestNonFiniteDrift:
                 bound=0.5,
             )
         prob = make_problem(
-            op, lambda e: 0.4 * np.tanh(e.paths()[:, -1, :1]), bound=0.4, f0=f0, f1=f1
+            op, lambda e: 0.4 * np.tanh(w_end(e)), bound=0.4, f0=f0, f1=f1
         )
         message = rf"^{which} returned a non-finite value at node 7 \(t = 0.35\)$"
         with pytest.raises(NonFiniteDrift, match=message):
@@ -989,7 +995,7 @@ class TestResidual:
             grid = TimeGrid.uniform(1.0, steps)
             ens = sample_ensemble(grid, 1, 5000, seed=271)
             op = DiagonalOperator([0.0])
-            prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
+            prob = make_problem(op, w_end)
             _, rep = general_solve(prob, ens, basis, SolverConfig())
             values.append(rep.residual_value)
         for prev, nxt in zip(values, values[1:]):
@@ -997,12 +1003,12 @@ class TestResidual:
 
     def test_invariant_under_path_relabeling(self, small_ensemble):
         op = DiagonalOperator([0.0])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1])
+        prob = make_problem(op, w_end)
         sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
         perm = np.random.default_rng(5).permutation(small_ensemble.n_paths)
         shuffled_ens = type(small_ensemble)(
             grid=small_ensemble.grid,
-            increments=small_ensemble.increments[perm],
+            increments=small_ensemble.increments[:, perm],
             seed=small_ensemble.seed,
         )
         shuffled_sol = type(sol)(grid=sol.grid, y=sol.y[:, perm], z=sol.z[:, perm])
@@ -1041,7 +1047,7 @@ class TestProblemValidation:
 
     def test_terminal_bound_enforced(self, small_ensemble):
         op = DiagonalOperator([0.0])
-        prob = make_problem(op, lambda e: e.paths()[:, -1, :1], bound=0.001)
+        prob = make_problem(op, w_end, bound=0.001)
         with pytest.raises(ValidationError, match="declared bound"):
             general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
 

@@ -42,20 +42,20 @@ class TestSampling:
         m = 10000
         ens = sample_ensemble(grid, 1, m, seed=3)
         dt = grid.deltas[0]
-        means = ens.increments[:, :, 0].mean(axis=0)
+        means = ens.increments[:, :, 0].mean(axis=1)
         assert np.all(np.abs(means) < 4.0 * np.sqrt(dt / m))
 
     def test_quadratic_variation_near_horizon(self):
         # E sum (dW)^2 = T with variance 2 dt T; the M-averaged estimate is tight
         grid = TimeGrid.uniform(1.0, 100)
         ens = sample_ensemble(grid, 1, 4000, seed=4)
-        qv = np.sum(ens.increments[:, :, 0] ** 2, axis=1).mean()
+        qv = np.sum(ens.increments[:, :, 0] ** 2, axis=0).mean()
         assert abs(qv - 1.0) < 0.05
 
     def test_increment_covariance_identity(self):
         grid = TimeGrid.uniform(1.0, 5)
         ens = sample_ensemble(grid, 3, 20000, seed=5)
-        step = ens.increments[:, 2, :]
+        step = ens.increments[2]
         cov = step.T @ step / step.shape[0]
         np.testing.assert_allclose(cov, grid.deltas[2] * np.eye(3), atol=0.01)
 
@@ -69,24 +69,97 @@ class TestSampling:
         grid = TimeGrid.uniform(1.0, 9)
         small = sample_ensemble(grid, 2, 700, seed=12)
         large = sample_ensemble(grid, 2, 2500, seed=12)
-        np.testing.assert_array_equal(large.increments[:700], small.increments)
+        np.testing.assert_array_equal(large.increments[:, :700], small.increments)
 
     def test_paths_cumulative(self):
         grid = TimeGrid.uniform(1.0, 6)
         ens = sample_ensemble(grid, 2, 10, seed=13)
-        w = ens.paths()
-        assert np.all(w[:, 0, :] == 0.0)
-        np.testing.assert_allclose(w[:, -1, :], ens.increments.sum(axis=1), rtol=1e-12)
+        assert np.all(ens.path_at(0) == 0.0)
+        np.testing.assert_allclose(ens.path_at(6), ens.increments.sum(axis=0), rtol=1e-12)
 
     def test_paths_bit_identical_to_cumsum_and_node_contiguous(self):
         grid = TimeGrid.uniform(1.0, 7)
         ens = sample_ensemble(grid, 3, 40, seed=14)
-        w = ens.paths()
-        expect = np.concatenate([np.zeros((40, 1, 3)), np.cumsum(ens.increments, axis=1)], axis=1)
-        assert w.shape == expect.shape
-        assert w.tobytes() == expect.tobytes()
+        expect = np.concatenate([np.zeros((1, 40, 3)), np.cumsum(ens.increments, axis=0)])
         for l in range(grid.n_steps + 1):
-            assert w[:, l, :].flags.c_contiguous
+            w = ens.path_at(l)
+            assert w.shape == (40, 3)
+            assert w.tobytes() == expect[l].tobytes()
+            assert w.flags.c_contiguous
+
+
+def path_major_draw(grid, k, m, seed):
+    """Increments (M, L, K) drawn with one standard_normal call per block of 1024 paths."""
+    out = np.empty((m, grid.n_steps, k))
+    children = np.random.SeedSequence(seed).spawn((m + 1023) // 1024)
+    for b, child in enumerate(children):
+        np.random.default_rng(child).standard_normal(out=out[b * 1024 : (b + 1) * 1024])
+    out *= np.sqrt(grid.deltas)[None, :, None]
+    return out
+
+
+def _not_a_multiple_of_128(m):
+    return m if m % 128 else m + 1
+
+
+class TestPathAccess:
+    """Node-major increments and W rebuilt from checkpoints, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 3000).map(_not_a_multiple_of_128),
+        steps=st.integers(1, 60),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2 ** 32 - 1),
+        order=st.sampled_from(["ascending", "descending", "shuffled"]),
+    )
+    def test_path_at_equals_cumsum_in_any_order(self, m, steps, k, seed, order):
+        grid = TimeGrid.uniform(1.0, steps)
+        ens = sample_ensemble(grid, k, m, seed=seed)
+        assert ens.increments.shape == (steps, m, k)
+        expect = np.cumsum(ens.increments, axis=0)
+        nodes = list(range(steps + 1))
+        if order == "descending":
+            nodes.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(seed).shuffle(nodes)
+        for l in nodes:
+            w = ens.path_at(l)
+            assert w.shape == (m, k)
+            if l == 0:
+                assert not w.any()
+            else:
+                assert w.tobytes() == expect[l - 1].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 3000).map(_not_a_multiple_of_128),
+        steps=st.integers(1, 60),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_node_major_draw_is_the_transposed_block_draw(self, m, steps, k, seed):
+        grid = TimeGrid.uniform(1.0, steps)
+        ens = sample_ensemble(grid, k, m, seed=seed)
+        expect = np.ascontiguousarray(path_major_draw(grid, k, m, seed).transpose(1, 0, 2))
+        assert ens.increments.flags.c_contiguous
+        assert ens.increments.tobytes() == expect.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(steps=st.integers(1, 60), node=st.integers(0, 60))
+    def test_path_at_is_read_only(self, steps, node):
+        ens = sample_ensemble(TimeGrid.uniform(1.0, steps), 2, 130, seed=steps)
+        w = ens.path_at(min(node, steps))
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            w += 1.0
+
+    def test_nodes_outside_the_grid_rejected(self):
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 4), 1, 10, seed=1)
+        for l in (-1, 5):
+            with pytest.raises(IndexError):
+                ens.path_at(l)
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +172,7 @@ class TestConditionalExpectation:
     def test_projection_reproduces_basis_column(self, big_ensemble):
         basis = RegressionBasis(degree=2, ridge=0.0)
         mid = 10
-        w = big_ensemble.paths()[:, mid, 0]
+        w = big_ensemble.path_at(mid)[:, 0].copy()
         fit = conditional_expectation(big_ensemble, basis, mid, w)
         np.testing.assert_allclose(fit.fitted, w, atol=1e-10)
         assert not fit.rank_deficient
@@ -114,8 +187,8 @@ class TestConditionalExpectation:
         # E[W_T | W_t] = W_t: coefficients (0, 1, 0) up to sampling error
         basis = RegressionBasis(degree=2, ridge=0.0)
         mid = 10
-        w_t = big_ensemble.paths()[:, mid, 0]
-        w_end = big_ensemble.paths()[:, -1, 0]
+        w_t = big_ensemble.path_at(mid)[:, 0].copy()
+        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0].copy()
         fit = conditional_expectation(big_ensemble, basis, mid, w_end)
         m = big_ensemble.n_paths
         t, horizon = 0.5, 1.0
@@ -127,8 +200,8 @@ class TestConditionalExpectation:
         # E[W_T^2 | W_t] = W_t^2 + (T - t)
         basis = RegressionBasis(degree=2, ridge=1e-10)
         mid = 10
-        w_t = big_ensemble.paths()[:, mid, 0]
-        w_end = big_ensemble.paths()[:, -1, 0]
+        w_t = big_ensemble.path_at(mid)[:, 0].copy()
+        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0].copy()
         fit = conditional_expectation(big_ensemble, basis, mid, w_end ** 2)
         target = w_t ** 2 + 0.5
         rel = np.sqrt(np.mean((fit.fitted - target) ** 2) / np.mean(target ** 2))
@@ -137,7 +210,7 @@ class TestConditionalExpectation:
     def test_residual_orthogonality(self, big_ensemble):
         basis = RegressionBasis(degree=2, ridge=0.0)
         mid = 14
-        w_end = big_ensemble.paths()[:, -1, 0]
+        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0].copy()
         fit = conditional_expectation(big_ensemble, basis, mid, np.sin(w_end))
         phi = basis.design(big_ensemble, mid)
         resid = np.sin(w_end) - fit.fitted
@@ -155,12 +228,12 @@ class TestConditionalExpectation:
         shuffled = type(big_ensemble)(
             grid=big_ensemble.grid,
             increments=np.concatenate(
-                [big_ensemble.increments[:, :mid, :], big_ensemble.increments[perm, mid:, :]],
-                axis=1,
+                [big_ensemble.increments[:mid], big_ensemble.increments[mid:, perm]],
+                axis=0,
             ),
             seed=big_ensemble.seed,
         )
-        targets = np.cos(big_ensemble.paths()[:, mid, 0])
+        targets = np.cos(big_ensemble.path_at(mid)[:, 0])
         a = conditional_expectation(big_ensemble, basis, mid, targets)
         b = conditional_expectation(shuffled, basis, mid, targets)
         np.testing.assert_array_equal(
@@ -171,7 +244,7 @@ class TestConditionalExpectation:
     def test_tower_property(self, big_ensemble):
         basis = RegressionBasis(degree=2, ridge=1e-10)
         early, late = 5, 15
-        w_end = big_ensemble.paths()[:, -1, 0]
+        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0].copy()
         target = w_end ** 2
         inner = conditional_expectation(big_ensemble, basis, late, target).fitted
         towered = conditional_expectation(big_ensemble, basis, early, inner).fitted
@@ -196,7 +269,7 @@ class TestRegressionBasis:
 
     def test_design_is_left_to_right_monomial_products(self):
         ens = sample_ensemble(TimeGrid.uniform(1.0, 5), 3, 64, seed=15)
-        w0, w1 = ens.paths()[:, 4, 0], ens.paths()[:, 4, 1]
+        w0, w1 = ens.path_at(4)[:, 0], ens.path_at(4)[:, 1]
         expect = np.stack(
             [np.ones(64), w0, w1, w0 * w0, w0 * w1, w1 * w1,
              w0 * w0 * w0, w0 * w0 * w1, w0 * w1 * w1, w1 * w1 * w1],
@@ -213,7 +286,7 @@ class TestGramCache:
         # fitted at the same node must not reuse the first basis's matrix
         grid = TimeGrid.uniform(1.0, 10)
         ens = sample_ensemble(grid, 2, 2000, seed=16)
-        targets = np.sin(ens.paths()[:, -1, 0])
+        targets = np.sin(ens.path_at(ens.grid.n_steps)[:, 0])
         bases = (RegressionBasis(degree=2, ridge=1e-2), RegressionBasis(degree=2, ridge=1e-8))
         cold = [
             conditional_expectation(sample_ensemble(grid, 2, 2000, seed=16), b, 5, targets)
@@ -239,7 +312,7 @@ class TestMartingaleZ:
         # terminal W_T has stochastic-integral density 1
         basis = RegressionBasis(degree=2, ridge=1e-8)
         mid = 10
-        w_next = big_ensemble.paths()[:, mid + 1, 0][:, None]
+        w_next = big_ensemble.path_at(mid + 1)[:, 0].copy()[:, None]
         z = martingale_z_estimate(big_ensemble, basis, mid, w_next).fitted
         assert abs(z.mean() - 1.0) < 0.05
 
@@ -247,8 +320,8 @@ class TestMartingaleZ:
         # d(W^2) = 2 W dW + dt, so the density at t is 2 W_t
         basis = RegressionBasis(degree=2, ridge=1e-8)
         mid = 10
-        w_t = big_ensemble.paths()[:, mid, 0]
-        w_next = big_ensemble.paths()[:, mid + 1, 0][:, None] ** 2
+        w_t = big_ensemble.path_at(mid)[:, 0].copy()
+        w_next = big_ensemble.path_at(mid + 1)[:, 0][:, None] ** 2
         z = martingale_z_estimate(big_ensemble, basis, mid, w_next).fitted[:, 0, 0]
         slope = np.cov(z, w_t)[0, 1] / np.var(w_t)
         assert abs(slope - 2.0) < 0.1
@@ -261,10 +334,10 @@ class TestMartingaleZ:
         ens = sample_ensemble(grid, 2, 3000, seed=23)
         basis = RegressionBasis(degree=2, ridge=ridge)
         node = 3
-        nxt = np.stack([np.sin(ens.paths()[:, node + 1, 0]),
-                        ens.paths()[:, node + 1, 1] ** 2], axis=1)
+        nxt = np.stack([np.sin(ens.path_at(node + 1)[:, 0]),
+                        ens.path_at(node + 1)[:, 1] ** 2], axis=1)
         centered = nxt - conditional_expectation(ens, basis, node, nxt).fitted
-        dw = ens.increments[:, node, :]
+        dw = ens.increments[node]
         targets = (centered[:, :, None] * dw[:, None, :] / grid.deltas[node]).reshape(3000, -1)
         expect = conditional_expectation(ens, basis, node, targets).fitted.reshape(3000, 2, 2)
 
