@@ -286,15 +286,9 @@ _VALIDATION_ITEMS = {
 }
 
 
-def run_validation(cfg: ExperimentConfig, f0_override=None) -> dict:
-    """Execute the configured validation items; raise on the first failure.
-
-    ``f0_override`` substitutes the drift (control experiments, e.g. an
-    anti-dissipative f0) without rebuilding the model.
-    """
+def run_validation(cfg: ExperimentConfig) -> dict:
+    """Execute the configured validation items; raise on the first failure."""
     problem = cfg.make_problem()
-    if f0_override is not None:
-        problem.f0 = f0_override
     rng = np.random.default_rng(cfg.seed)
     results = {}
     for name in cfg.validation_suite:

@@ -64,11 +64,6 @@ def _convert(text: str):
     text = text.strip()
     if text == "":
         return None
-    lowered = text.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
     try:
         return int(text)
     except ValueError:

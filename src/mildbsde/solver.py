@@ -889,9 +889,7 @@ def general_solve(
         times = grid.times
         try:
             factors = _step_factors(op, grid.deltas)
-            # a copy: a terminal map may return a view of ``path_at``, whose
-            # segment buffer a later node overwrites
-            terminal_values = np.array(work.terminal(ensemble), dtype=float)
+            terminal_values = np.asarray(work.terminal(ensemble), dtype=float)
             if terminal_values.shape != (ensemble.n_paths, op.dimension):
                 raise ValueError("terminal map returned the wrong shape")
             term_max = float(h_alpha_norm_batch(op, alpha, terminal_values).max())

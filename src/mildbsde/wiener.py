@@ -9,8 +9,8 @@ paths without redrawing existing ones.
 
 The increments are stored node-major, ``increments[l, m, k]``, because a solve
 reads them one node at a time in a right-to-left sweep.  The coordinates
-W_{t_l} are not stored: ``WienerEnsemble.path_at`` rebuilds them from a
-checkpoint every ceil(sqrt(L)) nodes, as a backward sweep with checkpoints
+W_{t_l} are not stored: ``WienerEnsemble.path_at`` rebuilds each one from a
+checkpoint every ceil(sqrt(L)/3) nodes, as a backward sweep with checkpoints
 does (Griewank & Walther, Algorithm 799: revolve, ACM TOMS 26, 2000).
 """
 from __future__ import annotations
@@ -37,14 +37,17 @@ _SUB_BLOCK = 128  # paths per draw within a block; the normal stream is sequenti
 
 
 def _checkpoint_stride(n_steps: int) -> int:
-    """ceil(sqrt(L)), in integers so that it holds for any L."""
-    return math.isqrt(n_steps - 1) + 1
+    """ceil(sqrt(L)/3), in integers so that it holds for any L.
+
+    The L/c + 1 checkpoints then hold about 3 sqrt(L) nodes, and a node is
+    rebuilt from its checkpoint with fewer than c additions.
+    """
+    return math.isqrt(n_steps - 1) // 3 + 1
 
 
 def ensemble_nbytes(n_steps: int, n_paths: int, n_noise: int) -> int:
-    """Bytes an ensemble holds at most: its increments, checkpoints and two segments."""
-    c = _checkpoint_stride(n_steps)
-    nodes = n_steps + (n_steps // c + 1) + 2 * (c + 1)
+    """Bytes an ensemble holds at most: its increments, checkpoints and one rebuilt node."""
+    nodes = n_steps + (n_steps // _checkpoint_stride(n_steps) + 1) + 1
     return 8 * nodes * n_paths * n_noise
 
 
@@ -91,17 +94,15 @@ class WienerEnsemble:
     stored node-major: ``increments[l]`` is one contiguous (M, K) block.
     W_{t_l} is read with ``path_at(l)``.  The private fields are lazy caches
     of values derived from the increments: the checkpoints W at every c-th
-    node, c = ceil(sqrt(L)), two segment buffers of c + 1 nodes each, and the
-    per-node ridged Gram matrices.  No fit leaves any other state here.
-    ``dataclasses.replace`` starts the caches empty.
+    node, c = ceil(sqrt(L)/3), and the per-node ridged Gram matrices.  No fit
+    leaves any other state here.  ``dataclasses.replace`` starts the caches
+    empty.
     """
 
     grid: TimeGrid
     increments: np.ndarray
     seed: int
     _checkpoints: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # two (c + 1, M, K) buffers, the most recently used first, and their first nodes
-    _segments: list = field(default_factory=list, init=False, repr=False, compare=False)
     # (basis, t_index) -> that node's ridged Gram matrix, set by its first ridge fit
     _ridged_gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -114,13 +115,11 @@ class WienerEnsemble:
         return self.increments.shape[2]
 
     def path_at(self, l: int) -> np.ndarray:
-        """W_{t_l}, shape (M, K); ``path_at(0)`` is zero.
+        """W_{t_l}, a new (M, K) array that the caller owns; ``path_at(0)`` is zero.
 
         The value is rebuilt forward from the checkpoint at or below l by the
         same sequential additions as ``np.cumsum`` of the increments, so it is
-        bit-identical to it.  The result is a read-only view into one of two
-        segment buffers: it stays valid until two other segments have been
-        rebuilt, so copy it to keep it longer.
+        bit-identical to it.
         """
         n_steps, shape = self.increments.shape[0], self.increments.shape[1:]
         if not 0 <= l <= n_steps:
@@ -133,24 +132,10 @@ class WienerEnsemble:
                 w += self.increments[j]
                 if (j + 1) % c == 0:
                     self._checkpoints[(j + 1) // c] = w
-        for i, (start, seg) in enumerate(self._segments):
-            if start <= l < start + len(seg):
-                self._segments.insert(0, self._segments.pop(i))
-                break
-        else:
-            start = min(l // c, (n_steps - 1) // c) * c
-            if len(self._segments) < 2:
-                buf = np.empty((c + 1,) + shape)
-            else:
-                buf = self._segments.pop()[1].base  # the least recently used
-            seg = buf[: min(c, n_steps - start) + 1]
-            seg[0] = self._checkpoints[start // c]
-            for j in range(1, len(seg)):
-                np.add(seg[j - 1], self.increments[start + j - 1], out=seg[j])
-            self._segments.insert(0, (start, seg))
-        view = seg[l - start].view()
-        view.flags.writeable = False
-        return view
+        w = self._checkpoints[l // c].copy()
+        for j in range(l // c * c, l):
+            w += self.increments[j]
+        return w
 
 
 def sample_ensemble(grid: TimeGrid, k: int, m: int, seed: int) -> WienerEnsemble:

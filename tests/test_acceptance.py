@@ -91,7 +91,7 @@ def relative_l2_error(grid, y_nodes, truth_nodes):
 class TestCriterion1LinearOracle:
     def test_martingale_representation(self, oracle_ensemble, linear_run):
         sol, rep, elapsed = linear_run
-        w = np.stack([oracle_ensemble.path_at(l)[:, 0].copy()
+        w = np.stack([oracle_ensemble.path_at(l)[:, 0]
                       for l in range(oracle_ensemble.grid.n_steps + 1)])  # (L+1, M)
         rel = relative_l2_error(oracle_ensemble.grid, sol.y[:, :, 0], w)
         z_node_means = sol.z[:, :, 0, 0].mean(axis=1)
@@ -111,7 +111,7 @@ class TestCriterion2QuadraticOracle:
         basis = RegressionBasis(degree=2, ridge=1e-8)
         sol, rep = general_solve(prob, oracle_ensemble, basis, SolverConfig())
         grid = oracle_ensemble.grid
-        w = np.stack([oracle_ensemble.path_at(l)[:, 0].copy()
+        w = np.stack([oracle_ensemble.path_at(l)[:, 0]
                       for l in range(oracle_ensemble.grid.n_steps + 1)])
         truth = w ** 2 + (1.0 - grid.times)[:, None]
         rel = relative_l2_error(grid, sol.y[:, :, 0], truth)

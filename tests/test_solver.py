@@ -43,7 +43,7 @@ from mildbsde.wiener import (
 
 
 def w_end(ensemble):
-    """W_T of the first noise coordinate, shape (M, 1): a read-only view."""
+    """W_T of the first noise coordinate, shape (M, 1)."""
     return ensemble.path_at(ensemble.grid.n_steps)[:, :1]
 
 
@@ -231,7 +231,7 @@ class TestPicardMap:
         op = DiagonalOperator([1.0])
         prob = make_problem(op, w_end)
         basis = RegressionBasis(degree=2)
-        xi = w_end(small_ensemble).copy()
+        xi = w_end(small_ensemble)
         factors = _step_factors(op, small_ensemble.grid.deltas)
         y, _ = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=math.inf,
                            tol=1e-9)
@@ -242,7 +242,7 @@ class TestPicardMap:
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
         sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
-        w = np.stack([small_ensemble.path_at(l)[:, 0].copy()
+        w = np.stack([small_ensemble.path_at(l)[:, 0]
                       for l in range(small_ensemble.grid.n_steps + 1)])
         err = np.sqrt(np.mean((sol.y[:, :, 0] - w) ** 2, axis=1))
         scale = np.sqrt(np.mean(w[1:] ** 2, axis=1))
@@ -356,7 +356,7 @@ class TestLocalSolve:
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
         basis = RegressionBasis(degree=2)
-        xi = w_end(small_ensemble).copy()
+        xi = w_end(small_ensemble)
         factors = _step_factors(op, small_ensemble.grid.deltas)
         _, stats = local_solve(prob, small_ensemble, basis, factors, 0, 50, xi, radius=math.inf,
                                tol=1e-9)

@@ -8,6 +8,7 @@ from mildbsde.wiener import (
     RegressionBasis,
     TimeGrid,
     conditional_expectation,
+    ensemble_nbytes,
     martingale_z_estimate,
     sample_ensemble,
 )
@@ -145,15 +146,37 @@ class TestPathAccess:
         assert ens.increments.flags.c_contiguous
         assert ens.increments.tobytes() == expect.tobytes()
 
-    @settings(max_examples=20, deadline=None)
-    @given(steps=st.integers(1, 60), node=st.integers(0, 60))
-    def test_path_at_is_read_only(self, steps, node):
-        ens = sample_ensemble(TimeGrid.uniform(1.0, steps), 2, 130, seed=steps)
-        w = ens.path_at(min(node, steps))
-        with pytest.raises(ValueError, match="read-only"):
-            w[0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 300),
+        steps=st.integers(1, 60),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2 ** 32 - 1),
+        order=st.sampled_from(["ascending", "descending", "shuffled"]),
+    )
+    def test_caller_owns_path_at(self, m, steps, k, seed, order):
+        # writing into one node's W changes no node read later, checkpoints included
+        ens = sample_ensemble(TimeGrid.uniform(1.0, steps), k, m, seed=seed)
+        expect = np.concatenate([np.zeros((1, m, k)), np.cumsum(ens.increments, axis=0)])
+        nodes = list(range(steps + 1))
+        if order == "descending":
+            nodes.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(seed).shuffle(nodes)
+        for l in nodes:
+            w = ens.path_at(l)
             w += 1.0
+            w[0, 0] = np.nan
+            assert ens.path_at(l).tobytes() == expect[l].tobytes()
+        for j in range(steps + 1):
+            assert ens.path_at(j).tobytes() == expect[j].tobytes()
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 9, 10, 16, 37, 80, 200])
+    def test_ensemble_nbytes_counts_what_the_ensemble_holds(self, steps):
+        ens = sample_ensemble(TimeGrid.uniform(1.0, steps), 3, 50, seed=steps)
+        w = ens.path_at(steps)
+        held = ens.increments.nbytes + ens._checkpoints.nbytes + w.nbytes
+        assert ensemble_nbytes(steps, 50, 3) == held
 
     def test_nodes_outside_the_grid_rejected(self):
         ens = sample_ensemble(TimeGrid.uniform(1.0, 4), 1, 10, seed=1)
@@ -172,7 +195,7 @@ class TestConditionalExpectation:
     def test_projection_reproduces_basis_column(self, big_ensemble):
         basis = RegressionBasis(degree=2, ridge=0.0)
         mid = 10
-        w = big_ensemble.path_at(mid)[:, 0].copy()
+        w = big_ensemble.path_at(mid)[:, 0]
         fit = conditional_expectation(big_ensemble, basis, mid, w)
         np.testing.assert_allclose(fit.fitted, w, atol=1e-10)
         assert not fit.rank_deficient
@@ -187,8 +210,8 @@ class TestConditionalExpectation:
         # E[W_T | W_t] = W_t: coefficients (0, 1, 0) up to sampling error
         basis = RegressionBasis(degree=2, ridge=0.0)
         mid = 10
-        w_t = big_ensemble.path_at(mid)[:, 0].copy()
-        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0].copy()
+        w_t = big_ensemble.path_at(mid)[:, 0]
+        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0]
         fit = conditional_expectation(big_ensemble, basis, mid, w_end)
         m = big_ensemble.n_paths
         t, horizon = 0.5, 1.0
@@ -200,8 +223,8 @@ class TestConditionalExpectation:
         # E[W_T^2 | W_t] = W_t^2 + (T - t)
         basis = RegressionBasis(degree=2, ridge=1e-10)
         mid = 10
-        w_t = big_ensemble.path_at(mid)[:, 0].copy()
-        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0].copy()
+        w_t = big_ensemble.path_at(mid)[:, 0]
+        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0]
         fit = conditional_expectation(big_ensemble, basis, mid, w_end ** 2)
         target = w_t ** 2 + 0.5
         rel = np.sqrt(np.mean((fit.fitted - target) ** 2) / np.mean(target ** 2))
@@ -210,7 +233,7 @@ class TestConditionalExpectation:
     def test_residual_orthogonality(self, big_ensemble):
         basis = RegressionBasis(degree=2, ridge=0.0)
         mid = 14
-        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0].copy()
+        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0]
         fit = conditional_expectation(big_ensemble, basis, mid, np.sin(w_end))
         phi = basis.design(big_ensemble, mid)
         resid = np.sin(w_end) - fit.fitted
@@ -244,7 +267,7 @@ class TestConditionalExpectation:
     def test_tower_property(self, big_ensemble):
         basis = RegressionBasis(degree=2, ridge=1e-10)
         early, late = 5, 15
-        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0].copy()
+        w_end = big_ensemble.path_at(big_ensemble.grid.n_steps)[:, 0]
         target = w_end ** 2
         inner = conditional_expectation(big_ensemble, basis, late, target).fitted
         towered = conditional_expectation(big_ensemble, basis, early, inner).fitted
@@ -312,7 +335,7 @@ class TestMartingaleZ:
         # terminal W_T has stochastic-integral density 1
         basis = RegressionBasis(degree=2, ridge=1e-8)
         mid = 10
-        w_next = big_ensemble.path_at(mid + 1)[:, 0].copy()[:, None]
+        w_next = big_ensemble.path_at(mid + 1)[:, 0][:, None]
         z = martingale_z_estimate(big_ensemble, basis, mid, w_next).fitted
         assert abs(z.mean() - 1.0) < 0.05
 
@@ -320,7 +343,7 @@ class TestMartingaleZ:
         # d(W^2) = 2 W dW + dt, so the density at t is 2 W_t
         basis = RegressionBasis(degree=2, ridge=1e-8)
         mid = 10
-        w_t = big_ensemble.path_at(mid)[:, 0].copy()
+        w_t = big_ensemble.path_at(mid)[:, 0]
         w_next = big_ensemble.path_at(mid + 1)[:, 0][:, None] ** 2
         z = martingale_z_estimate(big_ensemble, basis, mid, w_next).fitted[:, 0, 0]
         slope = np.cov(z, w_t)[0, 1] / np.var(w_t)
