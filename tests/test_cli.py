@@ -233,23 +233,45 @@ class TestSolveCommand:
             assert list(arrays["y"].shape) == manifest["shapes"]["y"]
             assert list(arrays["z"].shape) == manifest["shapes"]["z"]
 
-    def test_solve_holds_increments_and_checkpoints_not_paths(self, tmp_path):
-        # refined to 200 steps, Y is 201 x 2000 x 5 float64 (15.3 MiB) and Z
-        # 200 x 2000 x 5 x 5 (76.3 MiB, 5 Y); both leave the solve node by node.
-        # The ensemble holds its increments (about one Y), W at every 5th node
-        # (0.2 Y) and one rebuilt node, so a whole solve and write stays below
-        # 1.8 Y; holding every path would add another Y
-        cfg = load_config(write_spin_config(tmp_path, tmp_path / "mem", paths=2000, steps=100))
+    @pytest.fixture(scope="class")
+    def spin_solve_peak(self, tmp_path_factory):
+        """Shapes and traced peak bytes of one spin solve and write.
+
+        2000 paths at 100 steps, refined to 200: Y is 201 x 2000 x 5 float64
+        (15.3 MiB) and Z 200 x 2000 x 5 x 5 (76.3 MiB, 5 Y).
+        """
+        root = tmp_path_factory.mktemp("mem")
+        cfg = load_config(write_spin_config(root, root / "out", paths=2000, steps=100))
         tracemalloc.start()
         try:
             run_solve(cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        shapes = json.loads((tmp_path / "mem" / "manifest.json").read_text())["shapes"]
+        return json.loads((root / "out" / "manifest.json").read_text())["shapes"], peak
+
+    def test_solve_holds_increments_and_checkpoints_not_paths(self, spin_solve_peak):
+        # Y and Z leave the solve node by node. The ensemble holds its
+        # increments (about one Y), W at every 5th node (0.2 Y) and one rebuilt
+        # node, so a whole solve and write stays below 1.8 Y; holding every
+        # path would add another Y
+        shapes, peak = spin_solve_peak
         assert shapes["y"] == [201, 2000, 5]
         assert shapes["z"] == [200, 2000, 5, 5]
         assert peak < 1.8 * math.prod(shapes["y"]) * np.dtype(np.float64).itemsize
+
+    def test_solve_never_holds_z_in_full(self, spin_solve_peak):
+        # Z is 76.3 MiB, which the traced peak of the whole solve stays below
+        shapes, peak = spin_solve_peak
+        assert shapes["z"] == [200, 2000, 5, 5]
+        assert peak < math.prod(shapes["z"]) * np.dtype(np.float64).itemsize
+
+    def test_solve_never_holds_y_in_full(self, spin_solve_peak):
+        # Y leaves the solve node by node, so a whole solve and write stays
+        # below 2.6 of it
+        shapes, peak = spin_solve_peak
+        assert shapes["y"] == [201, 2000, 5]
+        assert peak < 2.6 * math.prod(shapes["y"]) * np.dtype(np.float64).itemsize
 
     def test_coupled_solve_holds_one_z(self, tmp_path):
         # the outer fixed point keeps one Z of 40 x 2000 x 6 x 6 float64 (22.0 MiB)
