@@ -25,7 +25,6 @@ from .solver import (
     BsdeProblem,
     DissipativeDrift,
     SolutionPair,
-    SolverConfig,
     SolverReport,
     apriori_h_bound,
     exponential_shift,

@@ -136,9 +136,7 @@ def run_solve(cfg: ExperimentConfig) -> Path:
                     node_file.write(node)
 
         # the ensemble is not kept here, so a refined grid frees the coarse one
-        solution, report = general_solve(
-            problem, cfg.make_ensemble(problem), basis, cfg.solver, sink=sink
-        )
+        solution, report = general_solve(problem, cfg.make_ensemble(problem), basis, sink=sink)
         y_shape = (report.n_steps + 1, report.n_paths, problem.operator.dimension)
         z_shape = (report.n_steps,) + y_shape[1:] + (report.n_noise,)
         # snapshots are for inspection; the report carries the full-precision numbers
@@ -327,7 +325,7 @@ def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
             # the ensemble is not kept here, so a refined grid frees the coarse one
             _, report = general_solve(
                 problem, replace(cfg, paths=m, steps=l).make_ensemble(problem),
-                basis, cfg.solver, sink=_discard_node,
+                basis, sink=_discard_node,
             )
             picard = max(report.picard_factors) if report.picard_factors else 0.0
             outer = 0.0

@@ -3,10 +3,10 @@
 Schema (all keys optional unless noted).  An unknown section or key, including
 a ``[model]`` key that is not a field of the preset's spec, is a ``config``
 validation failure.  So is a number that breaks its rule: ``paths``, ``steps``,
-``basis_coords``, ``max_iter``, ``max_outer`` and ``trials`` are integers of at
-least 1, ``seed`` and ``basis_degree`` integers of at least 0, and ``ridge`` and
-``safety_margin`` finite numbers of at least 0 and 1.  ``[model]`` numbers are
-checked by the same rule in their spec, which names the failing field.
+``basis_coords`` and ``trials`` are integers of at least 1, ``seed`` and
+``basis_degree`` integers of at least 0, and ``ridge`` a finite number of at
+least 0.  ``[model]`` numbers are checked by the same rule in their spec, which
+names the failing field.
 
     [experiment]
     preset = spin-chain | reaction-diffusion-1d   (required unless --preset given)
@@ -24,11 +24,6 @@ checked by the same rule in their spec, which names the failing field.
     basis_coords =   ; defaults to all noise coordinates
     ridge = 1e-8
 
-    [solver]
-    max_iter = 50
-    max_outer = 25
-    safety_margin = 1.2
-
     [validation]
     suite = dissipativity,growth-lipschitz,smoothing-bound,interpolation-inequality,gronwall,gaussian-regression
     trials = 2000
@@ -40,7 +35,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .models import BsdeProblem, build_preset
-from .solver import SolverConfig, ValidationError, _check_number
+from .solver import ValidationError, _check_number
 from .wiener import RegressionBasis, TimeGrid, WienerEnsemble, sample_ensemble
 
 __all__ = ["ExperimentConfig", "load_config", "VALIDATION_SUITE"]
@@ -92,7 +87,6 @@ class ExperimentConfig:
     basis_degree: int = 2
     basis_coords: int | None = None
     ridge: float = 1e-8
-    solver: SolverConfig = field(default_factory=SolverConfig)
     validation_suite: tuple = VALIDATION_SUITE
     validation_trials: int = 2000
 
@@ -122,10 +116,6 @@ class ExperimentConfig:
         )
 
 
-# INI key -> SolverConfig field; every field has exactly one key
-_SOLVER_KEYS = {k: k for k in ("max_iter", "max_outer", "safety_margin")}
-
-
 def _section(sections: dict, name: str, keys: dict) -> dict:
     """Take one section's values, renamed by ``keys`` (INI key -> field name)."""
     values = sections.pop(name, {})
@@ -145,9 +135,6 @@ _NUMBERS = {
     ("discretization", "basis_degree"): (True, 0, False),
     ("discretization", "basis_coords"): (True, 1, True),
     ("discretization", "ridge"): (False, 0, False),
-    ("solver", "max_iter"): (True, 1, False),
-    ("solver", "max_outer"): (True, 1, False),
-    ("solver", "safety_margin"): (False, 1, False),
     ("validation", "trials"): (True, 1, False),
 }
 
@@ -174,7 +161,6 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
         sections, "discretization",
         {k: k for k in ("paths", "steps", "basis_degree", "basis_coords", "ridge")},
     )
-    solver = SolverConfig(**_section(sections, "solver", _SOLVER_KEYS))
     val = _section(
         sections, "validation", {"suite": "validation_suite", "trials": "validation_trials"}
     )
@@ -200,4 +186,4 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
         else:
             val["validation_suite"] = (str(suite),)
 
-    return ExperimentConfig(**exp, model_overrides=model, **disc, solver=solver, **val)
+    return ExperimentConfig(**exp, model_overrides=model, **disc, **val)

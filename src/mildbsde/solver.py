@@ -66,7 +66,6 @@ __all__ = [
     "BoundedDriver",
     "BsdeProblem",
     "SolutionPair",
-    "SolverConfig",
     "SolverReport",
     "WindowSelection",
     "SolverError",
@@ -88,6 +87,10 @@ __all__ = [
 
 # draws of the empirical operator constants, once per solve
 _CONSTANTS_TRIALS = 192
+# the sampled constants are lower estimates of suprema; this inflates them
+_SAFETY_MARGIN = 1.2
+# outer steps allowed; the weighted map contracts by 1/2, so only divergence reaches it
+_MAX_OUTER = 25
 
 
 class ValidationError(ValueError):
@@ -267,13 +270,6 @@ class SolutionPair:
     grid: TimeGrid
     y: np.ndarray | None  # (L+1, M, N)
     z: np.ndarray | None = None  # (L, M, N, K)
-
-
-@dataclass
-class SolverConfig:
-    max_iter: int = 50
-    max_outer: int = 25
-    safety_margin: float = 1.2
 
 
 @dataclass(frozen=True)
@@ -517,15 +513,16 @@ def _regress_window(
     end: int,
     targets: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Project each interior target onto its adapted features; terminal kept exact."""
-    y = np.empty_like(targets)
-    y[-1] = targets[-1]
+    """Project each interior target onto its adapted features; terminal kept exact.
+
+    The fits overwrite ``targets`` in place: each reads only its own row first.
+    """
     flagged = 0
     for j in range(end - start):
         fit = conditional_expectation(ensemble, basis, start + j, targets[j])
-        y[j] = fit.fitted
+        targets[j] = fit.fitted
         flagged += int(fit.rank_deficient)
-    return y, flagged
+    return targets, flagged
 
 
 def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
@@ -560,6 +557,8 @@ def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
 
 # Picard steps a window takes before the tolerance may stop it
 _MIN_ITER = 2
+# Picard steps allowed; a window's map contracts by 1/2, so only divergence reaches it
+_MAX_ITER = 50
 
 
 def local_solve(
@@ -572,13 +571,12 @@ def local_solve(
     terminal_values: np.ndarray,
     radius: float,
     tol: float,
-    max_iter: int = 50,
     f1_path: np.ndarray | None = None,
 ) -> tuple[np.ndarray, WindowStats]:
     """Fixed point y (W+1, M, N) of the window map by Picard iteration, with its stats.
 
     ``factors`` are the grid's step decays and kernel integrals.  Pass 0 is the
-    drift-free start, passes 1 to ``max_iter`` are Picard steps; each pass
+    drift-free start, passes 1 to ``_MAX_ITER`` are Picard steps; each pass
     regresses its targets and projects them onto the ball.  The loop stops when
     the sup-over-nodes ensemble-L2 alpha distance of successive passes is zero,
     or below tol after ``_MIN_ITER`` steps; two consecutive distance ratios
@@ -592,7 +590,7 @@ def local_solve(
     distances: list[float] = []
     factors_seen: list[float] = []
     bad_streak = 0
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         targets = _picard_targets(problem, factors, times, start, end, terminal_values, u, f1_path)
         y, flagged = _regress_window(ensemble, basis, start, end, targets)
         rank_deficient += flagged
@@ -616,7 +614,7 @@ def local_solve(
                                       ball_clipped=clipped, rank_deficient=rank_deficient)
         u = y
     raise PicardDivergence(
-        f"no convergence within {max_iter} iterations (last distance {distances[-1]:.3e})"
+        f"no convergence within {_MAX_ITER} iterations (last distance {distances[-1]:.3e})"
     )
 
 
@@ -654,7 +652,6 @@ def global_solve(
     problem: BsdeProblem,
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
-    config: SolverConfig,
     consts: EmpiricalConstants,
     factors: tuple[np.ndarray, np.ndarray],
     terminal_values: np.ndarray,
@@ -718,7 +715,7 @@ def global_solve(
             try:
                 y, stats = local_solve(
                     problem, ensemble, basis, factors, end - steps, end, join, radius,
-                    tol=tol, max_iter=config.max_iter, f1_path=f1_path,
+                    tol=tol, f1_path=f1_path,
                 )
                 break
             except PicardDivergence as err:
@@ -800,7 +797,6 @@ def general_solve(
     problem: BsdeProblem,
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
-    config: SolverConfig | None = None,
     sink: Callable[[int, np.ndarray, np.ndarray | None], None] | None = None,
 ) -> tuple[SolutionPair, SolverReport]:
     """Solve the equation on [0, T]: the one solve driver.
@@ -839,7 +835,6 @@ def general_solve(
     which equals the fitted values bit for bit.  The converged iterate
     replays through the same exit.
     """
-    config = config or SolverConfig()
     t0 = time.perf_counter()
     if not problem.validated:
         raise ValidationError(
@@ -872,7 +867,7 @@ def general_solve(
         op, alpha, work.horizon, theta=theta if theta > alpha else None,
         rng=_estimator_rng(ensemble.seed), trials=_CONSTANTS_TRIALS,
     )
-    consts = raw.scaled(config.safety_margin)
+    consts = raw.scaled(_SAFETY_MARGIN)
     report = SolverReport(
         alpha=problem.alpha,
         theta=problem.theta,
@@ -935,7 +930,7 @@ def general_solve(
 
             if f1 is None:
                 global_solve(
-                    frozen, ensemble, basis, config, consts, factors, terminal_values, report,
+                    frozen, ensemble, basis, consts, factors, terminal_values, report,
                     node_sink=lambda l, y_l, fit: emit(l, y_l, None if fit is None else fit.fitted),
                 )
                 break
@@ -968,14 +963,14 @@ def general_solve(
             distances: list[float] = []
             sq_factors: list[float] = []
             bad_streak = 0
-            for _ in range(config.max_outer):
+            for _ in range(_MAX_OUTER):
                 f1_path = np.empty((grid.n_steps,) + terminal_values.shape)
                 for l in range(grid.n_steps):
                     f1_path[l] = _finite_drift(
                         "f1", f1(float(times[l]), u[l], previous_z(l)), l, times[l]
                     )
                 global_solve(
-                    frozen, ensemble, basis, config, consts, factors, terminal_values, report,
+                    frozen, ensemble, basis, consts, factors, terminal_values, report,
                     f1_path=f1_path, node_sink=to_previous,
                 )
                 dist = math.sqrt(float((w * y_sq).sum()) + float((w * z_sq).sum()))
@@ -993,7 +988,7 @@ def general_solve(
                     break
             else:
                 raise OuterDivergence(
-                    f"outer iteration did not converge within {config.max_outer} steps"
+                    f"outer iteration did not converge within {_MAX_OUTER} steps"
                 )
             emit(grid.n_steps, u[-1], None)
             for l in range(grid.n_steps - 1, -1, -1):

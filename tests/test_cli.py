@@ -8,20 +8,19 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mildbsde.cli
-import mildbsde.config
+import mildbsde.solver
 from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
-from mildbsde.config import _SOLVER_KEYS, ExperimentConfig, load_config
+from mildbsde.config import ExperimentConfig, load_config
 from mildbsde.models import ValidationError
-from mildbsde.solver import DissipativeDrift, SolverConfig, SolverError, general_solve
+from mildbsde.solver import DissipativeDrift, SolverError, general_solve
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -79,9 +78,6 @@ _NUMBER_RULES = {
     ("discretization", "basis_degree"): (lambda c: c.basis_degree, True, 0),
     ("discretization", "basis_coords"): (lambda c: c.basis_coords, True, 1),
     ("discretization", "ridge"): (lambda c: c.ridge, False, 0),
-    ("solver", "max_iter"): (lambda c: c.solver.max_iter, True, 1),
-    ("solver", "max_outer"): (lambda c: c.solver.max_outer, True, 1),
-    ("solver", "safety_margin"): (lambda c: c.solver.safety_margin, False, 1),
     ("validation", "trials"): (lambda c: c.validation_trials, True, 1),
 }
 
@@ -98,7 +94,6 @@ _NUMBER_TEXTS = st.one_of(
 class TestConfig:
     @settings(max_examples=300, deadline=None)
     @given(section_key=st.sampled_from(sorted(_NUMBER_RULES)), text=_NUMBER_TEXTS)
-    @example(section_key=("solver", "safety_margin"), text="0")
     def test_numbers_load_only_within_their_rule(self, tmp_path_factory, section_key, text):
         # every numeric key either loads a value that keeps its rule or is
         # rejected by name; no other exception escapes load_config
@@ -137,37 +132,30 @@ class TestConfig:
         with pytest.raises(ValidationError):
             load_config(bad)
 
-    def test_unknown_solver_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path):
         # a misspelled key must not be ignored silently
         cfg_file = tmp_path / "c.ini"
         cfg_file.write_text(
-            "[experiment]\npreset = spin-chain\nseed = 5\n\n[solver]\nmax_iters = 1\n"
+            "[experiment]\npreset = spin-chain\nseed = 5\n\n[discretization]\npath = 1\n"
         )
-        with pytest.raises(ValidationError, match="config: unknown key.*max_iters"):
+        with pytest.raises(ValidationError, match=r"config: unknown key.*\bpath\b"):
             load_config(cfg_file)
 
     @pytest.mark.parametrize(
-        "key", ["tol", "tol_outer", "min_iter", "window_override", "auto_refine"]
+        "key",
+        ["tol", "tol_outer", "min_iter", "window_override", "auto_refine",
+         "max_iter", "max_outer", "safety_margin"],
     )
     def test_removed_solver_key_rejected(self, tmp_path, capsys, key):
         # the Picard and outer tolerances follow from the data, every window
         # takes at least two Picard steps, the operator constants alone set
-        # each window length and a window below one step always refines the
-        # grid; no key sets any of these
-        value = {"window_override": "0.1", "auto_refine": "false"}.get(key, "1e-9")
+        # each window length, a window below one step always refines the grid,
+        # and the iteration caps and the safety margin are solver constants;
+        # no key sets any of these, so no [solver] section is read
         cfg = write_spin_config(tmp_path, tmp_path / "x")
-        cfg.write_text(cfg.read_text() + f"\n[solver]\n{key} = {value}\n")
+        cfg.write_text(cfg.read_text() + f"\n[solver]\n{key} = 1\n")
         assert main(["solve", "--config", str(cfg)]) == 2
-        assert f"config: unknown key(s) in [solver]: {key}" in capsys.readouterr().err
-
-    def test_solver_schema_names_every_key(self):
-        # the documented [solver] block lists exactly the keys load_config accepts
-        block = mildbsde.config.__doc__.split("[solver]")[1].split("\n\n")[0]
-        assert sorted(re.findall(r"^\s*(\w+) =", block, re.M)) == sorted(_SOLVER_KEYS)
-
-    def test_every_solver_field_has_one_key(self):
-        # no SolverConfig switch is reachable only from the library
-        assert sorted(_SOLVER_KEYS.values()) == sorted(f.name for f in fields(SolverConfig))
+        assert "config: unknown section(s): solver" in capsys.readouterr().err
 
     def test_empty_suite_parsed(self, tmp_path):
         cfg_file = tmp_path / "c.ini"
@@ -217,7 +205,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg_path)]) == 0
         cfg = load_config(cfg_path)
         problem = cfg.make_problem()
-        sol, _ = general_solve(problem, cfg.make_ensemble(problem), cfg.make_basis(), cfg.solver)
+        sol, _ = general_solve(problem, cfg.make_ensemble(problem), cfg.make_basis())
         manifest = json.loads((out / "manifest.json").read_text())
         expected = {
             "times": sol.grid.times,
@@ -351,7 +339,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg), "--seed", "999", "--out", str(out_b)]) == 0
         assert (out_a / "solve.csv").read_bytes() != (out_b / "solve.csv").read_bytes()
 
-    def test_divergence_exits_3(self, tmp_path, capsys):
+    def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
         # an iteration budget too small to ever satisfy the stopping rule
         cfg = tmp_path / "tight.ini"
         cfg.write_text(
@@ -365,19 +353,17 @@ class TestSolveCommand:
                     "[discretization]",
                     "paths = 200",
                     "steps = 30",
-                    "",
-                    "[solver]",
-                    "max_iter = 1",
                 ]
             )
         )
+        monkeypatch.setattr(mildbsde.solver, "_MAX_ITER", 1)
         assert main(["solve", "--config", str(cfg)]) == 3
         assert "solver failure: no convergence within 1 iterations" in capsys.readouterr().err
 
-    def test_outer_divergence_exits_3(self, tmp_path, capsys):
+    def test_outer_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
         # one outer step can never meet the outer stopping rule of a coupled driver
         cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x")
-        cfg.write_text(cfg.read_text() + "\n[solver]\nmax_outer = 1\n")
+        monkeypatch.setattr(mildbsde.solver, "_MAX_OUTER", 1)
         assert main(["solve", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "solver failure: outer iteration did not converge within 1 steps" in err
@@ -401,18 +387,18 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert re.search(r"solver failure: a grid refined to \S+ steps .* physical memory", err)
 
-    def test_lipschitz_overflow_exits_3(self, tmp_path, capsys):
+    def test_lipschitz_overflow_exits_3(self, tmp_path, capsys, monkeypatch):
         # spin-chain's Lipschitz profile overflows a float at the inflated radius
         cfg = write_spin_config(tmp_path, tmp_path / "x", paths=200, steps=20)
-        cfg.write_text(cfg.read_text() + "\n[solver]\nsafety_margin = 1e300\n")
+        monkeypatch.setattr(mildbsde.solver, "_SAFETY_MARGIN", 1e300)
         assert main(["solve", "--config", str(cfg)]) == 3
         assert "solver failure: window length collapsed" in capsys.readouterr().err
 
-    def test_window_collapse_exits_3(self, tmp_path, capsys):
+    def test_window_collapse_exits_3(self, tmp_path, capsys, monkeypatch):
         # a huge safety margin inflates the ball radius until the cubic drift's
         # Lipschitz constant overflows: no window keeps the drift in its ball
         cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x", paths=200)
-        cfg.write_text(cfg.read_text() + "\n[solver]\nsafety_margin = 1e100\n")
+        monkeypatch.setattr(mildbsde.solver, "_SAFETY_MARGIN", 1e100)
         with np.errstate(over="ignore", invalid="ignore"):  # the Lipschitz fit at 1e100
             assert main(["solve", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
@@ -515,14 +501,6 @@ class TestSolveCommand:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("safety_margin", 0,
-             "[solver] safety_margin must be a finite number of at least 1, got 0"),
-            ("safety_margin", -1,
-             "[solver] safety_margin must be a finite number of at least 1, got -1"),
-            ("safety_margin", 0.5,
-             "[solver] safety_margin must be a finite number of at least 1, got 0.5"),
-            ("safety_margin", math.nan,
-             "[solver] safety_margin must be a finite number of at least 1, got nan"),
             ("ridge", math.nan,
              "[discretization] ridge must be a finite number of at least 0, got nan"),
             ("ridge", math.inf,
@@ -531,9 +509,6 @@ class TestSolveCommand:
              "[discretization] ridge must be a finite number of at least 0, got -1e-08"),
             ("paths", 0, "[discretization] paths must be a positive integer, got 0"),
             ("steps", 0, "[discretization] steps must be a positive integer, got 0"),
-            ("max_iter", 0, "[solver] max_iter must be a positive integer, got 0"),
-            ("max_iter", 2.5, "[solver] max_iter must be a positive integer, got 2.5"),
-            ("max_outer", 0, "[solver] max_outer must be a positive integer, got 0"),
             ("basis_degree", 2.5,
              "[discretization] basis_degree must be a nonnegative integer, got 2.5"),
             ("basis_degree", -1,
@@ -548,7 +523,7 @@ class TestSolveCommand:
         cfg = write_spin_config(tmp_path, tmp_path / "x")
         ini = configparser.ConfigParser()
         ini.read(cfg)
-        ini.read_dict({"solver" if key in _SOLVER_KEYS else "discretization": {key: value}})
+        ini.read_dict({"discretization": {key: value}})
         with cfg.open("w") as f:
             ini.write(f)
         with pytest.raises(ValidationError, match=re.escape(message)):

@@ -22,7 +22,7 @@ from mildbsde.models import (
     spin_drift_fn,
     validate_problem,
 )
-from mildbsde.solver import DissipativeDrift, SolverConfig, general_solve
+from mildbsde.solver import DissipativeDrift, general_solve
 from mildbsde.spectral import h_alpha_norm_batch
 from mildbsde.wiener import RegressionBasis, TimeGrid, sample_ensemble
 
@@ -82,7 +82,7 @@ class TestReactionDiffusion:
         prob.validated = True
         grid = TimeGrid.uniform(1.0, 40)
         ens = sample_ensemble(grid, 4, 2000, seed=9)
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2, n_coords=2), SolverConfig())
+        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2, n_coords=2))
         xi = prob.terminal(ens)
         a = prob.operator.eigenvalues
         for l in (0, 20, 40):

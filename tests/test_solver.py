@@ -16,7 +16,6 @@ from mildbsde.solver import (
     DissipativeDrift,
     NonFiniteDrift,
     PicardDivergence,
-    SolverConfig,
     SolverReport,
     ValidationError,
     WindowCollapse,
@@ -220,7 +219,7 @@ class TestPicardMap:
         # no drift, deterministic terminal: Y(t) = exp((T-t)A) xi on every path
         op = DiagonalOperator([2.0])
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0)
-        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         times = small_ensemble.grid.times
         for l in range(51):
             expect = math.exp(-2.0 * (times[50] - times[l]))
@@ -241,7 +240,7 @@ class TestPicardMap:
         # A = 0, terminal W_T: Y(t) = W_t and Z = 1
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
-        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         w = np.stack([small_ensemble.path_at(l)[:, 0]
                       for l in range(small_ensemble.grid.n_steps + 1)])
         err = np.sqrt(np.mean((sol.y[:, :, 0] - w) ** 2, axis=1))
@@ -419,7 +418,7 @@ class TestLocalSolve:
         assert (stats.ball_clipped > 0) == (radius < 3.0)
         assert (others > 0) == (radius < 3.0)
 
-    def test_divergent_iteration_raises(self, small_ensemble):
+    def test_divergent_iteration_raises(self, small_ensemble, monkeypatch):
         # anti-dissipative expanding drift with an over-long window
         op = DiagonalOperator([0.0])
         f0 = DissipativeDrift(
@@ -430,9 +429,10 @@ class TestLocalSolve:
         basis = RegressionBasis(degree=2)
         xi = 0.1 * w_end(small_ensemble)
         factors = _step_factors(op, small_ensemble.grid.deltas)
+        monkeypatch.setattr(mildbsde.solver, "_MAX_ITER", 8)
         with pytest.raises(PicardDivergence):
             local_solve(prob, small_ensemble, basis, factors, 0, 50, xi, radius=math.inf,
-                        tol=1e-12, max_iter=8)
+                        tol=1e-12)
 
 
 class TestGlobalSolve:
@@ -443,12 +443,12 @@ class TestGlobalSolve:
             terminal=w_end, terminal_bound=math.inf,
         )
         with pytest.raises(ValidationError):
-            general_solve(prob, small_ensemble, RegressionBasis(), SolverConfig())
+            general_solve(prob, small_ensemble, RegressionBasis())
 
     def test_terminal_bit_exact_and_z_shape(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         np.testing.assert_array_equal(sol.y[-1], w_end(small_ensemble))
         assert sol.z.shape == (50, small_ensemble.n_paths, 1, 1)
         assert len(rep.windows) == 1  # drift-free: one window covers [0, T]
@@ -465,7 +465,7 @@ class TestGlobalSolve:
         prob = make_problem(op, lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
         window_cap(0.15)
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2))
         assert len(rep.windows) > 1
         # joins share the same stored values: reconstruct per-window ends
         for w in rep.windows:
@@ -502,7 +502,7 @@ class TestGlobalSolve:
         monkeypatch.setattr(mildbsde.solver, "local_solve", first_call_diverges)
         basis = RegressionBasis(degree=2)
         window_cap(0.15)
-        sol, rep = general_solve(prob, ens, basis, SolverConfig())
+        sol, rep = general_solve(prob, ens, basis)
         assert rep.lambda_shift == 0.0 and rep.grid_refined == 1
         assert len(rep.windows) >= 3
         assert [w.halvings for w in rep.windows] == [1] + [0] * (len(rep.windows) - 1)
@@ -533,9 +533,8 @@ class TestGlobalSolve:
         # declared monotonicity 0: no shift, mu y stays inside f0
         folded = make_problem(op, terminal, bound=0.4, f0=replace(f0, monotonicity=0.0))
         basis = RegressionBasis(degree=2)
-        cfg = SolverConfig()
-        sol_a, rep_a = general_solve(prob, ens, basis, cfg)
-        sol_b, rep_b = general_solve(folded, ens, basis, cfg)
+        sol_a, rep_a = general_solve(prob, ens, basis)
+        sol_b, rep_b = general_solve(folded, ens, basis)
         assert rep_a.lambda_shift == mu and rep_b.lambda_shift == 0.0
         assert sol_a.grid.n_steps == sol_b.grid.n_steps == 320
         scale = np.sqrt(np.mean(sol_a.y ** 2))
@@ -549,7 +548,7 @@ class TestGlobalSolve:
         )
         prob = make_problem(op, lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         assert rep.max_y_h <= 1.1 * rep.c1_bound
 
 
@@ -559,10 +558,24 @@ class TestGeneralSolve:
         for k, beta in ((1.0, 5.0), (0.5, 2.0)):
             assert 4.0 * k ** 2 + 1.0 == beta
 
+    def test_solve_inflates_the_sampled_constants_by_its_margin(self, small_ensemble):
+        # the sampled constants are lower estimates; a solve uses them times 1.2
+        op = DiagonalOperator([1.0])
+        f0 = DissipativeDrift(
+            fn=lambda t, y: -np.tanh(y), growth_scale=1.1, growth_power=2.0, lipschitz=1.1
+        )
+        prob = make_problem(op, lambda e: 0.5 * np.tanh(w_end(e)), bound=0.5, f0=f0)
+        _, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        raw, scaled = rep.constants["raw"], rep.constants["scaled"]
+        assert raw["margin"] == 1.0
+        assert scaled["margin"] == 1.2
+        for name in ("m_alpha", "c_alpha", "g_holder"):
+            assert scaled[name] == 1.2 * raw[name]
+
     def test_driver_free_delegates(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         assert rep.outer is None
 
     def test_constant_driver_single_outer_iteration(self, small_ensemble):
@@ -573,7 +586,7 @@ class TestGeneralSolve:
         )
         prob = make_problem(op, lambda e: 0.4 * np.tanh(w_end(e)),
                             bound=0.4, f1=f1)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         assert rep.outer["iterations"] == 1
         assert rep.outer["beta"] == 1.0
 
@@ -590,7 +603,7 @@ class TestGeneralSolve:
 
     def test_coupled_driver_contracts(self):
         prob, ens = self._coupled()
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2))
         assert rep.outer["beta"] == pytest.approx(2.0)
         assert rep.outer["iterations"] <= 10
         assert all(f <= 0.6 for f in rep.outer["squared_factors"])
@@ -599,12 +612,12 @@ class TestGeneralSolve:
         # the second solve reuses the Gram matrices the first one left on the
         # ensemble; it must return the arrays of a cold solve
         prob, ens = self._coupled()
-        basis, cfg = RegressionBasis(degree=2), SolverConfig()
-        general_solve(prob, ens, basis, cfg)
+        basis = RegressionBasis(degree=2)
+        general_solve(prob, ens, basis)
         assert ens._ridged_gram
-        warm, _ = general_solve(prob, ens, basis, cfg)
+        warm, _ = general_solve(prob, ens, basis)
         fresh = sample_ensemble(ens.grid, ens.n_noise, ens.n_paths, ens.seed)
-        cold, _ = general_solve(prob, fresh, basis, cfg)
+        cold, _ = general_solve(prob, fresh, basis)
         np.testing.assert_array_equal(warm.y, cold.y)
         np.testing.assert_array_equal(warm.z, cold.z)
 
@@ -627,7 +640,7 @@ class TestGeneralSolve:
         prob, ens = self._coupled(counted_terminal)
         if cap is not None:
             window_cap(cap)
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
+        _, rep = general_solve(prob, ens, RegressionBasis(degree=2))
         assert rep.outer["iterations"] > 1
         assert rep.grid_refined == grids
         assert calls == {"constants": 1, "terminal": grids}
@@ -655,7 +668,7 @@ class TestGeneralSolve:
         monkeypatch.setattr(mildbsde.solver, "global_solve", recorded_sweep)
         prob, ens = self._coupled()
         window_cap(0.2)
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
+        _, rep = general_solve(prob, ens, RegressionBasis(degree=2))
         assert len(rep.windows) == 5 and rep.outer["iterations"] > 1
         assert len(fits) == rep.outer["iterations"] and len(calls) == 2 * len(fits)
         gap = rep.theta - rep.alpha
@@ -675,7 +688,7 @@ class TestGeneralSolve:
         prob = make_problem(DiagonalOperator([1.0]), lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
         window_cap(0.15)
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2, ridge=0.0), SolverConfig())
+        _, rep = general_solve(prob, ens, RegressionBasis(degree=2, ridge=0.0))
         assert len(rep.windows) > 1
         assert rep.rank_deficient_count == sum(w.rank_deficient for w in rep.windows)
         first = next(w for w in rep.windows if w.start_index == 0)
@@ -700,7 +713,7 @@ class TestGeneralSolve:
         prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(mildbsde.solver.GridTooCoarse,
                            match="grid refinement did not reach the required window resolution"):
-            general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
+            general_solve(prob, ens, RegressionBasis(degree=2))
         assert drawn == [20, 40]
 
     def test_refinement_beyond_memory_draws_nothing(self, monkeypatch):
@@ -722,7 +735,7 @@ class TestGeneralSolve:
         prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(mildbsde.solver.GridTooCoarse,
                            match=r"refined to 1\.000e\+13 steps .* physical memory"):
-            general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
+            general_solve(prob, ens, RegressionBasis(degree=2))
         assert drawn == []
 
     def test_refinement_frees_the_coarse_attempt(self, monkeypatch, window_cap):
@@ -743,7 +756,7 @@ class TestGeneralSolve:
         monkeypatch.setattr(mildbsde.solver, "sample_ensemble", checked_sample)
         prob = make_problem(DiagonalOperator([0.0]), w_end)
         window_cap(0.006)
-        _, rep = general_solve(prob, coarse_ensemble(), RegressionBasis(degree=2), SolverConfig())
+        _, rep = general_solve(prob, coarse_ensemble(), RegressionBasis(degree=2))
         assert rep.grid_refined == 2
         assert alive == [(200, False)]
 
@@ -751,7 +764,7 @@ class TestGeneralSolve:
         ens = sample_ensemble(TimeGrid(np.array([0.0, 0.1, 0.3, 0.6, 1.0])), 1, 200, seed=3)
         prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(ValueError, match="uniform time grid"):
-            general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
+            general_solve(prob, ens, RegressionBasis(degree=2))
 
 
 class TestWeightedDistance:
@@ -809,7 +822,7 @@ class TestWeightedDistance:
             lambda e: np.zeros((e.n_paths, dim)), f1=f1, noise=noise, T=horizon,
         )
         with patch.object(mildbsde.solver, "global_solve", sweep):
-            sol, rep = general_solve(prob, ens, basis, SolverConfig())
+            sol, rep = general_solve(prob, ens, basis)
         beta = 4.0 * lipschitz ** 2 + 1.0
         assert rep.outer["beta"] == beta
         first, second = rep.outer["distances"][:2]
@@ -877,9 +890,9 @@ class TestZSink:
     def test_each_node_once_in_descending_order(self, window_cap, case):
         prob = self._problem(case)
         ens = sample_ensemble(TimeGrid.uniform(1.0, 40), 1, 1000, seed=61)
-        basis, cfg = RegressionBasis(degree=2), SolverConfig()
+        basis = RegressionBasis(degree=2)
         window_cap(0.3)
-        kept, kept_rep = general_solve(prob, ens, basis, cfg)
+        kept, kept_rep = general_solve(prob, ens, basis)
         assert kept_rep.grid_refined == 1
         assert (kept_rep.lambda_shift > 0.0) == (case == "shifted")
         assert (kept_rep.outer is not None) == (case == "f1")
@@ -889,7 +902,7 @@ class TestZSink:
         def rec(l, y_l, z_l):
             seen.append((l, y_l.copy(), None if z_l is None else z_l.copy()))
 
-        streamed, rep = general_solve(prob, ens, basis, cfg, sink=rec)
+        streamed, rep = general_solve(prob, ens, basis, sink=rec)
         n_steps = ens.grid.n_steps
         assert [l for l, _, _ in seen] == list(range(n_steps, -1, -1))
         assert seen[0][2] is None
@@ -905,7 +918,7 @@ class TestZSink:
         if case == "shifted":
             # the kept pair is the shifted equation's solution, shifted back
             direct, _ = general_solve(
-                exponential_shift(prob, kept_rep.lambda_shift), ens, basis, cfg
+                exponential_shift(prob, kept_rep.lambda_shift), ens, basis
             )
             scale = np.exp(-kept_rep.lambda_shift * ens.grid.times)
             np.testing.assert_array_equal(kept.y, direct.y * scale[:, None, None])
@@ -923,7 +936,7 @@ class TestZSink:
 
     def test_residual_takes_nodes_right_to_left_only(self, small_ensemble):
         prob = make_problem(DiagonalOperator([0.0]), w_end)
-        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         factors = _step_factors(prob.operator, sol.grid.deltas)
         sweep = mildbsde.solver._ResidualSweep(prob, sol.grid, small_ensemble, factors, sol.y[-1])
         with pytest.raises(ValueError, match="expected node 49, got node 0"):
@@ -959,7 +972,7 @@ class TestNonFiniteDrift:
         )
         message = rf"^{which} returned a non-finite value at node 7 \(t = 0.35\)$"
         with pytest.raises(NonFiniteDrift, match=message):
-            general_solve(prob, ens, RegressionBasis(degree=2), SolverConfig())
+            general_solve(prob, ens, RegressionBasis(degree=2))
 
 
 class TestResidual:
@@ -967,13 +980,13 @@ class TestResidual:
         # deterministic terminal, no drift: defect at quadrature/ridge scale
         op = DiagonalOperator([2.0])
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         assert rep.residual_value < 1e-6
 
     def test_unit_defect_injection(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         base = residual(prob, sol, small_ensemble)
         perturbed = type(sol)(grid=sol.grid, y=sol.y + 1.0, z=sol.z)
         # the terminal row moved too, so compare against the defect formula:
@@ -996,7 +1009,7 @@ class TestResidual:
             ens = sample_ensemble(grid, 1, 5000, seed=271)
             op = DiagonalOperator([0.0])
             prob = make_problem(op, w_end)
-            _, rep = general_solve(prob, ens, basis, SolverConfig())
+            _, rep = general_solve(prob, ens, basis)
             values.append(rep.residual_value)
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= 2.0 * prev
@@ -1004,7 +1017,7 @@ class TestResidual:
     def test_invariant_under_path_relabeling(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
         perm = np.random.default_rng(5).permutation(small_ensemble.n_paths)
         shuffled_ens = type(small_ensemble)(
             grid=small_ensemble.grid,
@@ -1049,7 +1062,7 @@ class TestProblemValidation:
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end, bound=0.001)
         with pytest.raises(ValidationError, match="declared bound"):
-            general_solve(prob, small_ensemble, RegressionBasis(degree=2), SolverConfig())
+            general_solve(prob, small_ensemble, RegressionBasis(degree=2))
 
     def test_zero_drift_sentinel(self):
         assert zero_drift().is_zero
@@ -1063,7 +1076,7 @@ class TestProblemValidation:
         assert prob.theta == 0.6
         grid = TimeGrid.uniform(1.0, 20)
         ens = sample_ensemble(grid, 1, 500, seed=8)
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=1), SolverConfig())
+        sol, rep = general_solve(prob, ens, RegressionBasis(degree=1))
         a = op.eigenvalues
         np.testing.assert_allclose(
             sol.y[0], np.broadcast_to(0.1 * np.exp(-a), sol.y[0].shape), rtol=1e-6
