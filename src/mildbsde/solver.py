@@ -525,6 +525,50 @@ def _regress_window(
     return targets, flagged
 
 
+def _bound_first(
+    op: DiagonalOperator,
+    alpha: float,
+    x: np.ndarray,
+    fold: Callable[[np.ndarray], np.ndarray] = lambda norms: norms,
+    weights: np.ndarray | None = None,
+    floor: float | None = None,
+) -> np.ndarray:
+    """Group values ``fold(alpha norms) * weights``, exact wherever they can exceed ``floor``.
+
+    ``fold`` reduces the norms of the states ``x`` (..., N) to one value per
+    group along the leading axis, e.g. per node; by default every state is a
+    group.  Each group is first valued from the one-matmul
+    ``h_alpha_norm_bound``, an upper bound of its exact value up to rounding,
+    and is normed exactly only if its bound times (1 + 1e-12), far above that
+    rounding, exceeds ``floor``.  Without a floor, the group with the largest
+    bound is normed exactly first and its value is the floor.  Every other
+    group keeps a bound at or below the floor, so ``values.max()`` is the
+    maximum of the exact values to the bit, NaN included, and ``values >
+    floor`` is the mask exact values give.  This relies on a subset of a
+    batch getting the whole batch's exact bits.  For alpha = 0 the bound is
+    the norm, and nothing is normed twice.
+    """
+    values = fold(h_alpha_norm_bound(op, alpha, x))
+    if weights is not None:
+        values = values * weights
+    if alpha == 0.0:
+        return values
+
+    def exact(groups):
+        norms = fold(h_alpha_norm_batch(op, alpha, x[groups]))
+        return norms if weights is None else norms * weights[groups]
+
+    first = np.zeros(values.shape, dtype=bool)
+    if floor is None:
+        first.flat[np.argmax(values)] = True  # the first NaN, if any: the maximum is NaN
+        floor = exact(first)[0]
+    near = (values * (1.0 + 1e-12) > floor) & ~first
+    values[first] = floor
+    if near.any():
+        values[near] = exact(near)
+    return values
+
+
 def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
     """Rescale interior states radially onto the alpha ball, in place.
 
@@ -534,25 +578,28 @@ def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
     place that keeps the drift's states in the ball: afterwards every interior
     state has an exact alpha norm within a few ulp of the radius or below it.
     Returns the number of rescaled states (0 for an infinite radius).
-
-    Each state is first measured by the one-matmul ``h_alpha_norm_bound``;
-    only states whose bound can reach the radius (within a relative 1e-12,
-    far above the bound's rounding) are normed exactly.  The others have an
-    exact norm below the radius, so the clip mask is the one exact norms give.
+    ``_bound_first`` with the radius as its floor norms exactly only the
+    states whose bound can reach the radius, so the clip mask is the one
+    exact norms give.
     """
     if not math.isfinite(radius):
         return 0
-    op, alpha = problem.operator, problem.alpha
-    norms = h_alpha_norm_bound(op, alpha, y[:-1])
-    near = norms * (1.0 + 1e-12) > radius
-    if near.any():
-        norms[near] = h_alpha_norm_batch(op, alpha, y[:-1][near])
+    norms = _bound_first(problem.operator, problem.alpha, y[:-1], floor=radius)
     mask = norms > radius
     count = int(np.count_nonzero(mask))
     if count:
         scale = np.where(mask, radius / np.maximum(norms, 1e-300), 1.0)
         y[:-1] *= scale[..., None]
     return count
+
+
+# folds of a window's (W, M) norms to one value per node
+def _ensemble_l2(norms: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.mean(norms ** 2, axis=1))
+
+
+def _path_max(norms: np.ndarray) -> np.ndarray:
+    return norms.max(axis=1)
 
 
 # Picard steps a window takes before the tolerance may stop it
@@ -581,6 +628,9 @@ def local_solve(
     the sup-over-nodes ensemble-L2 alpha distance of successive passes is zero,
     or below tol after ``_MIN_ITER`` steps; two consecutive distance ratios
     above one raise ``PicardDivergence``, and the caller may halve the window.
+    ``_bound_first`` takes that sup exactly while norming exactly only the
+    nodes whose bound can reach it; a NaN state makes it NaN, which neither
+    stops the loop nor counts as divergence.
     """
     times = ensemble.grid.times
     op, alpha = problem.operator, problem.alpha
@@ -596,10 +646,8 @@ def local_solve(
         rank_deficient += flagged
         clipped += _project_to_ball(problem, y, radius)
         if it:  # pass 0 has no previous pass to measure against
-            diff = y[:-1] - u[:-1]
             # sup over window nodes of the ensemble-L2 alpha norm
-            node_norms = h_alpha_norm_batch(op, alpha, diff)  # (W, M)
-            dist = float(np.sqrt(np.mean(node_norms ** 2, axis=1)).max())
+            dist = float(_bound_first(op, alpha, y[:-1] - u[:-1], fold=_ensemble_l2).max())
             if distances:
                 factor = dist / distances[-1] if distances[-1] > 0 else 0.0
                 factors_seen.append(factor)
@@ -731,9 +779,8 @@ def global_solve(
         if first:
             delta1 = steps * dt
             theta_gap = theta - alpha
-            theta_norms = h_alpha_norm_batch(op, theta, y)
             weights = (times[-1] - times[end:]) ** theta_gap
-            c2 = float((theta_norms.max(axis=1) * weights).max())
+            c2 = float(_bound_first(op, theta, y, fold=_path_max, weights=weights).max())
             if end > 0:
                 bound2 = c2 / delta1 ** theta_gap
                 sel2 = select_local_radius_and_delta(problem, bound2, consts)
@@ -914,8 +961,8 @@ def general_solve(
 
             def emit(l, y_l, z_l):
                 h = np.linalg.norm(y_l, axis=-1)
-                theta_h = h_alpha_norm_batch(op, theta, y_l) if theta > 0 else h
-                node_norms[:, l] = h.mean(), h.max(), theta_h.max()
+                theta_max = _bound_first(op, theta, y_l).max() if theta > 0 else h.max()
+                node_norms[:, l] = h.mean(), h.max(), theta_max
                 if lam:
                     y_l = y_l * y_scale[l]
                     z_l = None if z_l is None else z_l * y_scale[l]

@@ -19,6 +19,9 @@ from mildbsde.solver import (
     SolverReport,
     ValidationError,
     WindowCollapse,
+    _bound_first,
+    _ensemble_l2,
+    _path_max,
     _picard_targets,
     _project_to_ball,
     apriori_h_bound,
@@ -350,6 +353,60 @@ class TestPicardMap:
         np.testing.assert_allclose(with_drift, without, atol=1e-12)
 
 
+def _pruned_window(variant, rng):
+    """A (12, 60, 8) window of states that stresses one way of pruning a maximum."""
+    x = rng.standard_normal((12, 60, 8)) * rng.uniform(0.1, 1.0, (12, 1, 1))
+    if variant == "tied":  # two nodes, and two states in each, share the largest bound
+        x[1] *= 2.0
+        x[1, 7] = x[1, 2]
+        x[3] = x[1]
+    elif variant == "ulp":  # the largest nodes and states a few ulp apart
+        # on one repeated eigenvalue, where bound and norm agree up to rounding
+        base = np.zeros((60, 8))
+        base[:, :4] = 2.0 * rng.standard_normal((60, 4))
+        base[1:4] = base[0] * (1.0 + np.arange(1, 4)[:, None] * np.finfo(float).eps)
+        for k, node in enumerate(range(4, 8)):
+            x[node] = base * (1.0 + (k - 2) * np.finfo(float).eps)
+    elif variant == "weight0":  # the largest node sits at t = T, where C2 weighs 0
+        x[-1] *= 5.0
+    elif variant == "zero":
+        x[:] = 0.0
+    elif variant == "nan":  # in a node that is neither first nor largest
+        x[6, 10, 2] = np.nan
+    return x
+
+
+class TestBoundFirstMaxima:
+    """Each maximum pruned by ``_bound_first`` equals its whole-batch formula, to the bit."""
+
+    op = DiagonalOperator(np.r_[np.full(4, 3.0), 0.0, 1.0, 40.0, 900.0])
+    # the C2 fit's weights (T - t)^(theta - alpha): 0 at t = T
+    weights = np.linspace(1.0, 0.0, 12) ** 0.5
+
+    @staticmethod
+    def same(got, want):
+        return float(got) == float(want) or (math.isnan(got) and math.isnan(want))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+    @pytest.mark.parametrize("variant", ["tied", "ulp", "weight0", "zero", "nan"])
+    def test_pruned_maxima_equal_whole_batch(self, variant, alpha):
+        op, w = self.op, self.weights
+        x = _pruned_window(variant, np.random.default_rng(5))
+        norms = h_alpha_norm_batch(op, alpha, x)  # (12, 60)
+        # local_solve's Picard distance
+        distance = np.sqrt(np.mean(norms ** 2, axis=1)).max()
+        assert self.same(_bound_first(op, alpha, x, fold=_ensemble_l2).max(), distance)
+        # the node exit's per-node theta max
+        for l in range(x.shape[0]):
+            assert self.same(_bound_first(op, alpha, x[l]).max(), norms[l].max())
+        # global_solve's C2 fit
+        c2 = (norms.max(axis=1) * w).max()
+        assert self.same(_bound_first(op, alpha, x, fold=_path_max, weights=w).max(), c2)
+        assert math.isnan(distance) == math.isnan(c2) == (variant == "nan")
+        if variant == "zero":
+            assert distance == c2 == 0.0
+
+
 class TestLocalSolve:
     def test_drift_free_converges_immediately(self, small_ensemble):
         op = DiagonalOperator([0.0])
@@ -378,25 +435,28 @@ class TestLocalSolve:
         assert all(f <= 0.6 for f in stats.factors)
 
     @pytest.mark.parametrize("radius", [3.0, 1.0])
-    def test_one_exact_window_norm_per_picard_step(self, monkeypatch, radius):
-        # the projection checks the ball with the one-matmul bound, so each
-        # step norms the whole window exactly once, for the distance; every
-        # other exact norm covers states whose bound reaches the radius within
-        # the slack.  The tighter radius clips some states.
-        calls, near = [], []
-        norm, bound = mildbsde.solver.h_alpha_norm_batch, mildbsde.solver.h_alpha_norm_bound
+    def test_exact_norms_only_where_a_bound_can_decide(self, monkeypatch, radius):
+        # each Picard step norms exactly the node with the largest distance
+        # bound and the nodes whose bound reaches that node's exact distance,
+        # and the projection only the states whose bound reaches the radius
+        # (within the slack); the distances are the whole-window ones, bit for
+        # bit.  The tighter radius clips some states.
+        calls, near, passes = [], [], []
+        norm, project = mildbsde.solver.h_alpha_norm_batch, mildbsde.solver._project_to_ball
 
         def counted_norm(op, alpha, x):
             calls.append(x.shape[:-1])
             return norm(op, alpha, x)
 
-        def counted_bound(op, alpha, x):
-            values = bound(op, alpha, x)
-            near.append(int(np.count_nonzero(values * (1.0 + 1e-12) > radius)))
-            return values
+        def recorded_projection(problem, y, radius):
+            bound = h_alpha_norm_bound(problem.operator, problem.alpha, y[:-1])
+            near.append(int(np.count_nonzero(bound * (1.0 + 1e-12) > radius)))
+            count = project(problem, y, radius)
+            passes.append(y.copy())
+            return count
 
         monkeypatch.setattr(mildbsde.solver, "h_alpha_norm_batch", counted_norm)
-        monkeypatch.setattr(mildbsde.solver, "h_alpha_norm_bound", counted_bound)
+        monkeypatch.setattr(mildbsde.solver, "_project_to_ball", recorded_projection)
         ens = sample_ensemble(TimeGrid.uniform(1.0, 50), 1, 400, seed=7)
         op = DiagonalOperator([0.5])
         f0 = DissipativeDrift(
@@ -409,14 +469,60 @@ class TestLocalSolve:
         factors = _step_factors(op, ens.grid.deltas)
         _, stats = local_solve(prob, ens, RegressionBasis(degree=2), factors, 30, 50,
                                prob.terminal(ens), radius=radius, tol=1e-10)
-        window = (20, ens.n_paths)
-        assert calls.count(window) == stats.iterations
-        # one bound per projection: the initial one and one per Picard step
-        assert len(near) == stats.iterations + 1
-        others = sum(math.prod(c) for c in calls if c != window)
-        assert others == sum(near)
+
+        def node_distances(norms):
+            return np.sqrt(np.mean(norms ** 2, axis=1))
+
+        whole, decisive = [], 0
+        for prev, cur in zip(passes, passes[1:]):
+            diff = cur[:-1] - prev[:-1]
+            exact = node_distances(h_alpha_norm_batch(op, 0.2, diff))
+            bound = node_distances(h_alpha_norm_bound(op, 0.2, diff))
+            whole.append(float(exact.max()))
+            top = int(np.argmax(bound))
+            others = np.delete(bound, top)
+            decisive += 1 + int(np.count_nonzero(others * (1.0 + 1e-12) > exact[top]))
+        assert stats.distances == whole
+        # nodes (k, M) for the distance, single states (k,) for the projection
+        assert sum(math.prod(c) for c in calls if len(c) == 2) == decisive * ens.n_paths
+        assert decisive <= 2 * stats.iterations  # of the window's 20 nodes
+        projected = sum(math.prod(c) for c in calls if len(c) == 1)
+        assert projected == sum(near)
         assert (stats.ball_clipped > 0) == (radius < 3.0)
-        assert (others > 0) == (radius < 3.0)
+        assert (projected > 0) == (radius < 3.0)
+
+    @staticmethod
+    def _drift_free_window(small_ensemble):
+        op = DiagonalOperator([0.5, 2.0])
+        prob = make_problem(
+            op, lambda e: np.tanh(w_end(e)) * [1.0, 0.5], bound=2.0, alpha=0.3
+        )
+        factors = _step_factors(op, small_ensemble.grid.deltas)
+        return (prob, small_ensemble, RegressionBasis(degree=2), factors, 30, 50,
+                prob.terminal(small_ensemble))
+
+    def test_exact_repeat_stops_with_alpha(self, small_ensemble):
+        # without a drift the first step repeats the start bit for bit: the
+        # pruned distance is 0.0, which stops the loop
+        _, stats = local_solve(*self._drift_free_window(small_ensemble), radius=math.inf,
+                               tol=1e-12)
+        assert stats.iterations == 1
+        assert stats.distances == [0.0]
+
+    def test_nan_state_is_not_convergence(self, small_ensemble, monkeypatch):
+        # a NaN in one state of a non-leading node makes every distance NaN,
+        # which neither stops the loop nor counts as divergence: it runs out
+        project = mildbsde.solver._project_to_ball
+
+        def plant_nan(problem, y, radius):
+            count = project(problem, y, radius)
+            y[5, 0, 1] = np.nan
+            return count
+
+        monkeypatch.setattr(mildbsde.solver, "_project_to_ball", plant_nan)
+        monkeypatch.setattr(mildbsde.solver, "_MAX_ITER", 4)
+        with pytest.raises(PicardDivergence, match=r"no convergence .*\(last distance nan\)"):
+            local_solve(*self._drift_free_window(small_ensemble), radius=3.0, tol=1e-12)
 
     def test_divergent_iteration_raises(self, small_ensemble, monkeypatch):
         # anti-dissipative expanding drift with an over-long window

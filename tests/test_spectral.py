@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mildbsde.spectral import (
+    _ROW_BLOCK,
     DiagonalOperator,
     _seminorm_values,
     convolve_on_grid,
@@ -204,6 +205,36 @@ class TestSeminormKernel:
         # alpha = 0 takes the H norm on both sides, bit for bit
         assert np.array_equal(h_alpha_norm_bound(op, 0.0, states),
                               h_alpha_norm_batch(op, 0.0, states))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spectrum=st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-3, 1e6)), min_size=1, max_size=8
+        ),
+        alpha=st.floats(0.01, 0.99),
+        rows=st.integers(1, 2600),
+        seed=st.integers(0, 2 ** 16),
+    )
+    # a zero eigenvalue, a refined grid and a batch past two row blocks
+    @example(spectrum=[0.0, 0.05, 1e6], alpha=0.3, rows=2 * _ROW_BLOCK + 50, seed=1)
+    @example(spectrum=[0.0], alpha=0.5, rows=_ROW_BLOCK + 1, seed=2)
+    def test_row_subsets_keep_the_whole_batch_bits(self, spectrum, alpha, rows, seed):
+        # the solver norms exactly only the rows that a bound cannot rule out
+        # and takes their values for the whole batch's: a single row,
+        # scattered rows, and runs that cross a row block at shifted offsets
+        op = DiagonalOperator(spectrum)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, op.dimension)) * rng.uniform(0.0, 1.0, (rows, 1)) ** 4
+        whole = h_alpha_norm_batch(op, alpha, x)
+        subsets = [
+            rng.integers(rows, size=1),
+            np.flatnonzero(rng.uniform(size=rows) < 0.3),
+            np.arange(1, rows),
+            np.delete(np.arange(rows), rng.integers(rows, size=3)),
+        ]
+        for rows_kept in subsets:
+            got = h_alpha_norm_batch(op, alpha, x[rows_kept])
+            assert got.tobytes() == whole[rows_kept].tobytes()
 
     def test_example_reaches_both_grid_ends(self):
         # the explicit example above exercises the clipped windows
