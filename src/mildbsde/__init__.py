@@ -1,13 +1,11 @@
 """Mild-solution backward SDE solver on truncated Hilbert spaces."""
 
 from .spectral import (
-    AlphaNorm,
     DiagonalOperator,
     EmpiricalConstants,
     dirichlet_laplacian_eigenvalues,
     estimate_constants,
     h_alpha_norm_batch,
-    interpolation_norm,
     semigroup_apply,
     smoothing_bound_check,
 )
@@ -39,7 +37,6 @@ from .gronwall import (
     GronwallInput,
     gronwall_bound_iterative,
     gronwall_constant,
-    verify_on_process,
 )
 from .models import (
     ReactionDiffusionSpec,

@@ -2,9 +2,9 @@
 
 Exit codes follow the exception's class: 0 success; 1 a bug, with its traceback;
 2 a ``ValidationError`` naming the key, argument or hypothesis check that failed;
-3 a ``SolverError``, a validated solve that cannot finish.  ``[model]`` sizes,
-powers and ``fit_trials`` are integers >= 1 (``reaction_power`` odd), ``fit_seed``
-an integer >= 0; every other number is finite and >= 0, ``length`` and ``horizon`` > 0.
+3 a ``SolverError``, a validated solve that cannot finish.  ``[model]`` sizes and
+powers are integers >= 1 (``reaction_power`` odd); every other number is finite
+and >= 0, ``length`` and ``horizon`` > 0.
 All outputs are reproducible from (config, seed); CSV files carry a schema
 version in their first line and contain no volatile fields.
 """

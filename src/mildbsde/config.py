@@ -3,10 +3,10 @@
 Schema (all keys optional unless noted).  An unknown section or key, including
 a ``[model]`` key that is not a field of the preset's spec, is a ``config``
 validation failure.  So is a number that breaks its rule: ``paths``, ``steps``,
-``basis_coords`` and ``trials`` are integers of at least 1, ``seed`` and
-``basis_degree`` integers of at least 0, and ``ridge`` a finite number of at
-least 0.  ``[model]`` numbers are checked by the same rule in their spec, which
-names the failing field.
+``basis_coords`` and ``trials`` are integers of at least 1, and ``seed`` an
+integer of at least 0.  ``[model]`` numbers are checked by the same rule in
+their spec, which names the failing field.  The regression basis keeps the
+``RegressionBasis`` defaults except its coordinates, which are set here.
 
     [experiment]
     preset = spin-chain | reaction-diffusion-1d   (required unless --preset given)
@@ -20,9 +20,7 @@ names the failing field.
     [discretization]
     paths = 10000
     steps = 100      ; the noise dimension is always the model's own
-    basis_degree = 2
     basis_coords =   ; defaults to all noise coordinates
-    ridge = 1e-8
 
     [validation]
     suite = dissipativity,growth-lipschitz,smoothing-bound,interpolation-inequality,gronwall,gaussian-regression
@@ -84,9 +82,7 @@ class ExperimentConfig:
     model_overrides: dict = field(default_factory=dict)
     paths: int | None = None
     steps: int | None = None
-    basis_degree: int = 2
     basis_coords: int | None = None
-    ridge: float = 1e-8
     validation_suite: tuple = VALIDATION_SUITE
     validation_trials: int = 2000
 
@@ -111,9 +107,7 @@ class ExperimentConfig:
         return sample_ensemble(grid, problem.noise_dim, paths, self.seed)
 
     def make_basis(self) -> RegressionBasis:
-        return RegressionBasis(
-            degree=self.basis_degree, n_coords=self.basis_coords, ridge=self.ridge
-        )
+        return RegressionBasis(n_coords=self.basis_coords)
 
 
 def _section(sections: dict, name: str, keys: dict) -> dict:
@@ -132,9 +126,7 @@ _NUMBERS = {
     ("experiment", "seed"): (True, 0, True),
     ("discretization", "paths"): (True, 1, True),
     ("discretization", "steps"): (True, 1, True),
-    ("discretization", "basis_degree"): (True, 0, False),
     ("discretization", "basis_coords"): (True, 1, True),
-    ("discretization", "ridge"): (False, 0, False),
     ("validation", "trials"): (True, 1, False),
 }
 
@@ -157,10 +149,7 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
             _check_number("config", f"[{section}] {key}", value, integer, least)
     exp = _section(sections, "experiment", {"preset": "preset", "seed": "seed", "out": "out_dir"})
     model = sections.pop("model", {})
-    disc = _section(
-        sections, "discretization",
-        {k: k for k in ("paths", "steps", "basis_degree", "basis_coords", "ridge")},
-    )
+    disc = _section(sections, "discretization", {k: k for k in ("paths", "steps", "basis_coords")})
     val = _section(
         sections, "validation", {"suite": "validation_suite", "trials": "validation_trials"}
     )

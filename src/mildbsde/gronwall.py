@@ -21,11 +21,9 @@ from .solver import SolverError, ValidationError, _check_number
 
 __all__ = [
     "GronwallInput",
-    "GronwallVerdict",
     "GronwallDivergence",
     "gronwall_constant",
     "gronwall_bound_iterative",
-    "verify_on_process",
 ]
 
 
@@ -48,14 +46,6 @@ class GronwallInput:
             raise ValidationError("gronwall", "alpha must lie in [0, 1)")
         if self.beta == 0 or self.horizon == 0:
             raise ValidationError("gronwall", "beta and horizon must be positive")
-
-
-@dataclass(frozen=True)
-class GronwallVerdict:
-    hypothesis_ok: bool
-    holds: bool
-    worst_margin: float
-    constant: float
 
 
 def gronwall_constant(params: GronwallInput) -> float:
@@ -149,55 +139,3 @@ def _weighted_integral(t, w, alpha, beta, horizon, glx, glw):
         out[i] = (T - ti) ** alpha * (left + right)
     out[-1] = 0.0  # integral over an empty interval; w(T) = a handled by caller
     return out
-
-
-# ---------------------------------------------------------------------------
-# verification harness
-
-
-def verify_on_process(
-    times: np.ndarray,
-    values: np.ndarray,
-    params: GronwallInput,
-    hypothesis_rtol: float = 1e-9,
-) -> GronwallVerdict:
-    """Check the envelope U_t <= a M (T-t)^(-alpha) for a grid process.
-
-    ``values`` has shape (L+1,) or (L+1, paths); multi-path input is reduced to
-    its pathwise maximum (the deterministic envelope).  The hypothesis
-    inequality is checked first on the grid; without it the conclusion carries
-    no verdict and ``holds`` is reported False with hypothesis_ok False.
-    The final node is skipped when alpha > 0 (the bound is infinite there).
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if values.ndim == 2:
-        values = values.max(axis=1)
-    if values.shape != times.shape:
-        raise ValueError("values must carry one entry per grid node")
-    T = params.horizon
-    if abs(times[-1] - T) > 1e-12 * max(T, 1.0):
-        raise ValueError("grid must end at the horizon")
-    glx, glw = np.polynomial.legendre.leggauss(32)
-    glx = 0.5 * (glx + 1.0)
-    glw = 0.5 * glw
-    scale = max(params.a, float(values.max()), 1e-300)
-    hypothesis_ok = True
-    for i, ti in enumerate(times[:-1]):
-        u_hi = (T - ti) ** params.beta
-        u = glx * u_hi
-        s = ti + u ** (1.0 / params.beta)
-        integral = u_hi * np.sum(glw * np.interp(s, times, values)) / params.beta
-        bound = params.a * (T - ti) ** (-params.alpha) + params.b * integral
-        if values[i] > bound * (1.0 + hypothesis_rtol) + hypothesis_rtol * scale:
-            hypothesis_ok = False
-            break
-    constant = gronwall_constant(params)
-    if not hypothesis_ok:
-        return GronwallVerdict(False, False, math.nan, constant)
-    upper = times.size - 1 if params.alpha > 0 else times.size
-    with np.errstate(divide="ignore"):
-        envelope = params.a * constant * (T - times[:upper]) ** (-params.alpha)
-    margins = envelope - values[:upper]
-    worst = float(margins.min())
-    return GronwallVerdict(True, bool(worst >= -hypothesis_rtol * scale), worst, constant)

@@ -65,6 +65,10 @@ def _check_fields(spec) -> None:
 # ---------------------------------------------------------------------------
 # reaction-diffusion on (0, length)
 
+# the seeded samples that fit the drift's growth scale and Lipschitz profile
+_FIT_TRIALS = 2000
+_FIT_SEED = 2024
+
 
 @dataclass
 class ReactionDiffusionSpec:
@@ -78,8 +82,6 @@ class ReactionDiffusionSpec:
     terminal_noise: float = _number(0.1, False, 0, "terminal")
     alpha: float = _number(0.25, False, 0)
     horizon: float = _number(1.0, False, 0)
-    fit_trials: int = _number(2000, True, 1)
-    fit_seed: int = _number(2024, True, 0)
 
     def __post_init__(self):
         _check_fields(self)
@@ -144,15 +146,15 @@ def build_reaction_diffusion(spec: ReactionDiffusionSpec) -> BsdeProblem:
     k_lip = k1  # sup of |sin| over the interval; |tanh u - tanh u'| <= |u - u'|
     c_bound = k1 * float(np.sqrt(np.sum(h_profile ** 2) * grid.weight))
 
-    rng = np.random.default_rng(spec.fit_seed)
+    rng = np.random.default_rng(_FIT_SEED)
     # growth scale: worst sampled ratio |f0|_H / (1 + ||y||_alpha^gamma), small margin
-    samples = _ball_samples(op, spec.alpha, radius=5.0, count=spec.fit_trials, rng=rng)
+    samples = _ball_samples(op, spec.alpha, radius=5.0, count=_FIT_TRIALS, rng=rng)
     ratios = _growth_ratios(op, spec.alpha, f0, samples, gamma)
     growth_scale = 1.1 * float(ratios.max())
 
-    def lipschitz_profile(radius, _op=op, _alpha=spec.alpha, _f0=f0, _seed=spec.fit_seed):
+    def lipschitz_profile(radius, _op=op, _alpha=spec.alpha, _f0=f0):
         r = max(float(radius), 1e-9)
-        rng_local = np.random.default_rng((_seed, int(1e6 * r) & 0xFFFFFFFF))
+        rng_local = np.random.default_rng((_FIT_SEED, int(1e6 * r) & 0xFFFFFFFF))
         a = _ball_samples(_op, _alpha, r, 600, rng_local)
         b = _ball_samples(_op, _alpha, r, 600, rng_local)
         num = np.linalg.norm(_f0(0.0, a) - _f0(0.0, b), axis=-1)
@@ -193,7 +195,7 @@ def build_reaction_diffusion(spec: ReactionDiffusionSpec) -> BsdeProblem:
         noise_dim=spec.modes,
         label="reaction-diffusion-1d",
     )
-    validate_problem(problem, trials=400, seed=spec.fit_seed + 1)
+    validate_problem(problem, trials=400, seed=_FIT_SEED + 1)
     return problem
 
 

@@ -935,9 +935,11 @@ def general_solve(
             if terminal_values.shape != (ensemble.n_paths, op.dimension):
                 raise ValueError("terminal map returned the wrong shape")
             term_max = float(h_alpha_norm_batch(op, alpha, terminal_values).max())
-            if math.isfinite(work.terminal_bound) and term_max > work.terminal_bound * (
-                1.0 + 1e-9
-            ):
+            if not math.isfinite(term_max):  # NaN passes any comparison with the bound
+                raise ValidationError(
+                    "terminal", f"alpha norm {term_max:g} is not finite on some path"
+                )
+            if term_max > work.terminal_bound * (1.0 + 1e-9):
                 raise ValidationError(
                     "terminal", f"alpha norm {term_max:g} exceeds the declared bound "
                     f"{work.terminal_bound:g} on some path"

@@ -23,10 +23,8 @@ import numpy as np
 
 __all__ = [
     "DiagonalOperator",
-    "AlphaNorm",
     "EmpiricalConstants",
     "semigroup_apply",
-    "interpolation_norm",
     "h_alpha_norm_batch",
     "h_alpha_norm_bound",
     "smoothing_bound_check",
@@ -75,15 +73,6 @@ class DiagonalOperator:
             grid = _SeminormGrid(self, alpha)
             self._norm_grids[key] = grid
         return grid
-
-
-@dataclass(frozen=True)
-class AlphaNorm:
-    """Interpolation norm split into its two summands: value = |x|_H + seminorm."""
-
-    alpha: float
-    value: float
-    seminorm: float
 
 
 def semigroup_apply(op: DiagonalOperator, t: float, x: np.ndarray) -> np.ndarray:
@@ -191,35 +180,6 @@ class _SeminormGrid:
     def seminorm_bound(self, x: np.ndarray) -> np.ndarray:
         """Upper bound of ``seminorm`` (up to rounding): sqrt(x^2 . w_sq_max)."""
         return np.sqrt(np.square(x) @ self.w_sq_max)
-
-
-def interpolation_norm(op: DiagonalOperator, alpha: float, x: np.ndarray) -> AlphaNorm:
-    """Norm of x in the real interpolation space (alpha, inf).
-
-    The seminorm is sup_{0 < t <= 1} t^(1-alpha) |A exp(tA) x|_H, maximized on
-    a geometric t-grid of 512 points that is refined by doubling until the
-    supremum is stable to a relative 1e-6.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
-    x = op._check_state(x)
-    if x.ndim != 1:
-        raise ValueError("interpolation_norm expects a single state vector")
-    h_norm = float(np.linalg.norm(x))
-    t_lo, n_points = _grid_lo(op, alpha), 512
-    prev = None
-    while True:
-        t = np.geomspace(t_lo, 1.0, n_points)
-        w = _seminorm_values(op, alpha, t)
-        semi = float(np.sqrt((np.square(x) @ (w ** 2).T).max()))
-        if prev is not None and abs(semi - prev) <= 1e-6 * max(semi, 1e-300):
-            break
-        if n_points >= 1 << 16:
-            break
-        prev = semi
-        n_points *= 2
-        t_lo /= 2.0
-    return AlphaNorm(alpha=float(alpha), value=h_norm + semi, seminorm=semi)
 
 
 def h_alpha_norm_batch(op: DiagonalOperator, alpha: float, x: np.ndarray) -> np.ndarray:

@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 from mildbsde.cli import main as cli_main
-from mildbsde.gronwall import GronwallInput, gronwall_bound_iterative, verify_on_process
+from mildbsde.gronwall import GronwallInput, gronwall_bound_iterative
 from mildbsde.models import build_preset, check_dissipativity, spin_drift_fn
 from mildbsde.solver import BsdeProblem, general_solve
 from mildbsde.spectral import (
     DiagonalOperator,
     estimate_interp_constant,
     h_alpha_norm_batch,
-    interpolation_norm,
     semigroup_apply,
 )
 from mildbsde.wiener import RegressionBasis, TimeGrid, sample_ensemble
+from oracles import interpolation_norm, verify_on_process
 
 
 def report(number: int, passed: bool, detail: str) -> None:

@@ -13,8 +13,8 @@ from mildbsde.gronwall import (
     _solve_recursion,
     gronwall_bound_iterative,
     gronwall_constant,
-    verify_on_process,
 )
+from oracles import verify_on_process
 
 
 class TestClosedFormConstant:

@@ -218,14 +218,13 @@ _SPEC_RULES = {
         "modes": (True, 1), "length": (False, 0), "reaction_power": (True, 1),
         "driver_strength": (False, 0), "terminal_base": (False, 0),
         "terminal_noise": (False, 0), "alpha": (False, 0), "horizon": (False, 0),
-        "fit_trials": (True, 1), "fit_seed": (True, 0),
     },
 }
 
 # the largest int drawn for a size or a power: sizes that exhaust memory or
 # time are not a rule's concern, and powers past 600 fail as 600 does
 _INT_CAPS = {
-    "half_width": 64, "modes": 64, "fit_trials": 64, "odd_power": 600, "reaction_power": 600,
+    "half_width": 64, "modes": 64, "odd_power": 600, "reaction_power": 600,
 }
 
 _SPEC_VALUES = st.one_of(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mildbsde.solver
+import mildbsde.wiener
 from mildbsde.solver import (
     BoundedDriver,
     BsdeProblem,
@@ -1169,6 +1170,31 @@ class TestProblemValidation:
         prob = make_problem(op, w_end, bound=0.001)
         with pytest.raises(ValidationError, match="declared bound"):
             general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+
+    @pytest.mark.parametrize("bound", [1.0, math.inf])
+    def test_nan_terminal_rejected_before_any_fit(self, monkeypatch, bound):
+        # NaN > bound is False, so a NaN terminal must be refused as not
+        # finite, whatever the declared bound, before the first regression
+        fits = []
+        fit = mildbsde.wiener._fit
+
+        def counted_fit(*args):
+            fits.append(args[2])  # the node
+            return fit(*args)
+
+        monkeypatch.setattr(mildbsde.wiener, "_fit", counted_fit)
+
+        def terminal(e):
+            xi = 0.1 * np.tanh(w_end(e)) * np.ones((1, 2))
+            xi[7, 1] = math.nan
+            return xi
+
+        prob = make_problem(DiagonalOperator([1.0, 4.0]), terminal, bound=bound, alpha=0.3)
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 10), 1, 200, seed=8)
+        with pytest.raises(ValidationError, match="not finite") as err:
+            general_solve(prob, ens, RegressionBasis(degree=2))
+        assert err.value.check == "terminal"
+        assert fits == []
 
     def test_zero_drift_sentinel(self):
         assert zero_drift().is_zero

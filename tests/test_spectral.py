@@ -18,10 +18,10 @@ from mildbsde.spectral import (
     estimate_interp_constant,
     h_alpha_norm_batch,
     h_alpha_norm_bound,
-    interpolation_norm,
     semigroup_apply,
     smoothing_bound_check,
 )
+from oracles import interpolation_norm
 
 
 def dense_seminorm(eigenvalues, alpha, x, points=300001):
