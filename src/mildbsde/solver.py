@@ -15,7 +15,8 @@ measured.  It has three layers:
 * ``global_solve``: right-to-left pasting of windows for one frozen driver
   path.  It selects every window: the first from the terminal bound, the
   later ones with the radius of the invariant ball supplied by a fitted
-  blow-up envelope; it holds Y one window at a time,
+  blow-up envelope.  A worker thread fits Z on each converged window and
+  hands its nodes out while the next window iterates,
 * ``general_solve``: the only solve driver.  It applies the exponential change
   of variables removing a positive monotonicity constant from f0, estimates
   the operator constants, refines the grid when a window is shorter than one
@@ -36,6 +37,7 @@ import numbers
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal
 from typing import Callable
@@ -228,6 +230,10 @@ class BsdeProblem:
             raise ValidationError("problem", "alpha must lie in [0, 1)")
         if self.f0 is None:
             self.f0 = zero_drift()
+        if not self.terminal_bound >= 0.0:  # NaN fails too; inf is allowed
+            raise ValidationError(
+                "problem", f"terminal_bound must be nonnegative, got {self.terminal_bound!r}"
+            )
         if self.f0.growth_power <= 1.0:
             raise ValidationError("problem", "growth power must exceed 1")
         if self.alpha > 0.0 and not self.f0.is_zero and self.f0.growth_power * self.alpha >= 1.0:
@@ -469,14 +475,15 @@ def _picard_targets(
     end: int,
     terminal_values: np.ndarray,
     u: np.ndarray | None,
-    f1_path: np.ndarray | None,
+    f1_window: np.ndarray | None,
 ) -> np.ndarray:
     """Raw conditional-expectation targets of the window map, shape (W+1, M, N).
 
     target_l = exp(-(t_end - t_l) a) terminal
                + sum_{j=l}^{end-1} exp(-(t_j - t_l) a) I_j [f0(t_j, U_j) + f1_j],
     accumulated by one backward recursion (exact for the piecewise-constant
-    interpolant of the integrand).  ``u = None`` means drift-free.  The
+    interpolant of the integrand).  ``u = None`` means drift-free, and
+    ``f1_window`` holds the frozen driver at the window's nodes, (W, M, N).  The
     states ``u[:W]`` the drift sees come from ``_project_to_ball``, so they
     lie in the ball.  A non-finite drift value raises ``NonFiniteDrift``.
     """
@@ -492,8 +499,8 @@ def _picard_targets(
         f_val = 0.0
         if drift_on:
             f_val = _finite_drift("f0", f0(float(times[l]), u[j]), l, times[l])
-        if f1_path is not None:
-            f_val = f_val + f1_path[l]
+        if f1_window is not None:
+            f_val = f_val + f1_window[j]
         acc = kernel_int[l] * f_val + decay[l] * acc
         targets[j] = acc
     return targets
@@ -618,7 +625,7 @@ def local_solve(
     terminal_values: np.ndarray,
     radius: float,
     tol: float,
-    f1_path: np.ndarray | None = None,
+    f1_window: np.ndarray | None = None,
 ) -> tuple[np.ndarray, WindowStats]:
     """Fixed point y (W+1, M, N) of the window map by Picard iteration, with its stats.
 
@@ -641,7 +648,7 @@ def local_solve(
     factors_seen: list[float] = []
     bad_streak = 0
     for it in range(_MAX_ITER + 1):
-        targets = _picard_targets(problem, factors, times, start, end, terminal_values, u, f1_path)
+        targets = _picard_targets(problem, factors, times, start, end, terminal_values, u, f1_window)
         y, flagged = _regress_window(ensemble, basis, start, end, targets)
         rank_deficient += flagged
         clipped += _project_to_ball(problem, y, radius)
@@ -704,7 +711,7 @@ def global_solve(
     factors: tuple[np.ndarray, np.ndarray],
     terminal_values: np.ndarray,
     report: SolverReport,
-    f1_path: np.ndarray | None = None,
+    driver: Callable[[int], np.ndarray] | None = None,
     *,
     node_sink: Callable[[int, np.ndarray, Regression | None], None],
 ) -> None:
@@ -721,18 +728,22 @@ def global_solve(
     step raises ``GridTooCoarse``.  Pasted values agree at the joins by
     construction.  A window whose Picard iteration diverges is halved; the
     projection keeps each window's states in its ball, so nothing else halves
-    one.  Only the active window and its join are held.  Once a window has
-    converged and the paste selection has kept the grid, each of its nodes
-    l gets the fit ``martingale_z_estimate`` of ``decay[l] * y[l + 1]``, whose
-    fitted values are Z_l, and goes to ``node_sink(l, y_l, z_fit)``; node L
-    goes first, with z_fit = None, and the others follow in strictly
-    descending l.  Each node is handed over exactly once; the sink may keep
-    y_l and the fit but must not write into y_l, from which Z of the node to
-    its left is estimated.  ``general_solve`` passes its node exit, or under
-    the outer fixed point the distance to the previous iterate.  Window
-    statistics, C_2 and both selections are written to ``report``, and each
-    halving is appended to ``report.messages``; ``problem.f1`` is ignored,
-    the driver enters through ``f1_path``.
+    one.  ``problem.f1`` is ignored: the frozen driver enters as ``driver(l)``,
+    read once per window for its nodes, whose last rows a halved window
+    keeps.  Window statistics, C_2 and both selections are written to
+    ``report``, and each halving is appended to ``report.messages``.
+
+    Once a window has converged and the paste selection has kept the grid,
+    a worker thread, started and joined within this call, takes it while the
+    next window iterates here; at most one window is in flight.  Each node l
+    gets the fit ``martingale_z_estimate`` of ``decay[l] * y[l + 1]``, whose
+    fitted values are Z_l, and goes to ``node_sink(l, y_l, z_fit)``: node L
+    first, with z_fit = None, then strictly descending l, each exactly once.
+    The sink may keep y_l and the fit but must not write into y_l, from which
+    Z of the node to its left is estimated, nor into what ``driver`` reads.
+    An exception it raises ends the sweep and is raised here.
+    ``general_solve`` passes its node exit, or under the outer fixed point
+    the distance to the previous iterate.
     """
     op, alpha, theta = problem.operator, problem.alpha, problem.theta
     grid = ensemble.grid
@@ -754,47 +765,61 @@ def global_solve(
     c2 = math.nan
     window_count = 1
 
-    end = n_steps
-    while end > 0:
-        first = end == n_steps
-        steps = min(steps_per_window, end)
-        halvings = 0
-        while True:
-            try:
-                y, stats = local_solve(
-                    problem, ensemble, basis, factors, end - steps, end, join, radius,
-                    tol=tol, f1_path=f1_path,
-                )
-                break
-            except PicardDivergence as err:
-                halvings += 1
-                steps //= 2
-                report.messages.append(f"window ending at node {end}: {err}; halving")
-                if steps < 1:
-                    raise
-        stats.halvings = halvings
-        windows.append(stats)
-        end -= steps
-
-        if first:
-            delta1 = steps * dt
-            theta_gap = theta - alpha
-            weights = (times[-1] - times[end:]) ** theta_gap
-            c2 = float(_bound_first(op, theta, y, fold=_path_max, weights=weights).max())
-            if end > 0:
-                bound2 = c2 / delta1 ** theta_gap
-                sel2 = select_local_radius_and_delta(problem, bound2, consts)
-                paste = asdict(sel2)
-                radius = sel2.radius
-                steps_per_window = _window_steps(sel2.delta, dt, n_steps)
-                window_count = 1 + math.ceil(end / steps_per_window)
+    def exit_window(y, start, end):
+        if end == n_steps:
             node_sink(n_steps, terminal_values, None)
-        # Z on the converged window, once the paste selection has kept the grid
-        for l in range(end + steps - 1, end - 1, -1):
-            node_sink(
-                l, y[l - end], martingale_z_estimate(ensemble, basis, l, decay[l] * y[l - end + 1])
-            )
-        join = y[0].copy()  # the next window starts here; this one is released
+        for j in range(end - start - 1, -1, -1):
+            l = start + j
+            node_sink(l, y[j], martingale_z_estimate(ensemble, basis, l, decay[l] * y[j + 1]))
+
+    in_flight = None
+    with ThreadPoolExecutor(max_workers=1) as worker:  # joined on leaving, raised or not
+        end = n_steps
+        while end > 0:
+            first = end == n_steps
+            steps = min(steps_per_window, end)
+            f1_window = None
+            if driver is not None:
+                f1_window = np.empty((steps,) + terminal_values.shape)
+                for j in range(steps):
+                    f1_window[j] = driver(end - steps + j)
+            halvings = 0
+            while True:
+                try:
+                    y, stats = local_solve(
+                        problem, ensemble, basis, factors, end - steps, end, join, radius,
+                        tol=tol, f1_window=None if f1_window is None else f1_window[-steps:],
+                    )
+                    break
+                except PicardDivergence as err:
+                    halvings += 1
+                    steps //= 2
+                    report.messages.append(f"window ending at node {end}: {err}; halving")
+                    if steps < 1:
+                        raise
+            stats.halvings = halvings
+            windows.append(stats)
+            start = end - steps
+
+            if first:
+                delta1 = steps * dt
+                theta_gap = theta - alpha
+                weights = (times[-1] - times[start:]) ** theta_gap
+                c2 = float(_bound_first(op, theta, y, fold=_path_max, weights=weights).max())
+                if start > 0:
+                    bound2 = c2 / delta1 ** theta_gap
+                    sel2 = select_local_radius_and_delta(problem, bound2, consts)
+                    paste = asdict(sel2)
+                    radius = sel2.radius
+                    steps_per_window = _window_steps(sel2.delta, dt, n_steps)
+                    window_count = 1 + math.ceil(start / steps_per_window)
+            # to the worker once the paste selection has kept the grid and the last window left
+            if in_flight is not None:
+                in_flight.result()
+            in_flight = worker.submit(exit_window, y, start, end)
+            join = y[0].copy()  # the next window starts here
+            end = start
+        in_flight.result()
 
     report.windows = windows
     report.picard_factors = [f for w in windows for f in w.factors]
@@ -859,8 +884,9 @@ def general_solve(
     before any fit: each fit would be underdetermined.
 
     The (y, z)-coupled driver f1 is handled by the weighted outer fixed point:
-    each outer step freezes f1 along the current iterate's paths and runs the
-    window sweep ``global_solve``.  Distances between successive (Y, Z) are
+    each outer step runs the window sweep ``global_solve`` with f1 frozen
+    along the current iterate's paths, evaluated one window at a time as the
+    sweep reaches it.  Distances between successive (Y, Z) are
     measured in the exp(beta t)-weighted ensemble norm with beta = 4 K^2 + 1,
     under which the squared distances contract by 1/2 in theory; the loop
     stops below max(1e-9, 0.02 d_1), with d_1 the first distance.  Without f1
@@ -872,15 +898,17 @@ def general_solve(
     residual, and then ``sink(l, y_l, z_l)``, when given, receives it: node L
     first with ``z_l = None``, then nodes L-1 down to 0, each exactly once,
     and the returned pair has ``y = z = None``.  Without a sink Y and Z are
-    kept in the returned pair.  Without f1 the sweep feeds the exit as it
-    produces each node, so a solve with a sink holds the ensemble and one
-    window.  With f1 the outer distance and the next frozen driver path need
-    the whole previous iterate: the loop holds all of Y, and Z only as each
-    node's regression coefficients, a (B, N K) matrix in place of the (M, N,
-    K) values.  Each sweep overwrites a node once its distance to the
-    previous iterate is taken; every read of Z rebuilds it as design @ coef,
-    which equals the fitted values bit for bit.  The converged iterate
-    replays through the same exit.
+    kept in the returned pair.  Without f1 the sweep's worker thread feeds
+    the exit one window behind the Picard iteration, so the sink runs there,
+    and a solve with a sink holds the ensemble and two windows.  With f1 the
+    outer distance and the next frozen driver need the whole previous
+    iterate: the loop holds all of Y, and Z only as each node's regression
+    coefficients, a (B, N K) matrix in place of the (M, N, K) values.  The
+    worker overwrites a node once its distance to the previous iterate is
+    taken, only on converged windows, so the driver reads the previous
+    iterate.  Every read of Z rebuilds it as design @ coef, which equals the
+    fitted values bit for bit.  The converged iterate replays through the
+    same exit on the calling thread.  A sink's exception ends the solve.
     """
     t0 = time.perf_counter()
     if not problem.validated:
@@ -1004,23 +1032,24 @@ def general_solve(
                 if z_fit is None:
                     return
                 y_sq[l] = np.square(y_l - u[l]).sum(axis=-1).mean()
-                z_prev = previous_z(l, z_fit.design)  # the design this fit has just built
-                z_sq[l] = np.square(z_fit.fitted - z_prev).sum(axis=(-1, -2)).mean()
+                # on the design this fit has just built; squared in place, as the
+                # worker's arrays add to the next window's Picard iteration
+                z_diff = z_fit.fitted - previous_z(l, z_fit.design)
+                z_sq[l] = np.square(z_diff, out=z_diff).sum(axis=(-1, -2)).mean()
                 u[l] = y_l
                 z_coef[l] = z_fit.coef
+
+            def driver(l):
+                # f1 frozen at the previous iterate, whose node l is not yet overwritten
+                return _finite_drift("f1", f1(float(times[l]), u[l], previous_z(l)), l, times[l])
 
             distances: list[float] = []
             sq_factors: list[float] = []
             bad_streak = 0
             for _ in range(_MAX_OUTER):
-                f1_path = np.empty((grid.n_steps,) + terminal_values.shape)
-                for l in range(grid.n_steps):
-                    f1_path[l] = _finite_drift(
-                        "f1", f1(float(times[l]), u[l], previous_z(l)), l, times[l]
-                    )
                 global_solve(
                     frozen, ensemble, basis, consts, factors, terminal_values, report,
-                    f1_path=f1_path, node_sink=to_previous,
+                    driver, node_sink=to_previous,
                 )
                 dist = math.sqrt(float((w * y_sq).sum()) + float((w * z_sq).sum()))
                 if distances:
@@ -1052,7 +1081,7 @@ def general_solve(
         # the coarse attempt is released before the finer ensemble is drawn; the
         # closures hold their arrays through these names
         n_noise, n_paths, seed = ensemble.n_noise, ensemble.n_paths, ensemble.seed
-        ensemble = sweep = u = z_coef = y_kept = z_kept = f1_path = terminal_values = None
+        ensemble = sweep = u = z_coef = y_kept = z_kept = terminal_values = None
         steps = grid.n_steps * factor
         held = ensemble_nbytes(steps, n_paths, n_noise)
         if held > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):

@@ -45,6 +45,18 @@ def _checkpoint_stride(n_steps: int) -> int:
     return math.isqrt(n_steps - 1) // 3 + 1
 
 
+def _checkpoint_rows(increments: np.ndarray, c: int) -> np.ndarray:
+    """W at nodes 0, c, 2c, ...: sequential sums of the node-major increments."""
+    n_steps, shape = increments.shape[0], increments.shape[1:]
+    rows = np.zeros((n_steps // c + 1,) + shape)
+    w = np.zeros(shape)
+    for j in range(n_steps):
+        w += increments[j]
+        if (j + 1) % c == 0:
+            rows[(j + 1) // c] = w
+    return rows
+
+
 def ensemble_nbytes(n_steps: int, n_paths: int, n_noise: int) -> int:
     """Bytes an ensemble holds at most: its increments, checkpoints and one rebuilt node."""
     nodes = n_steps + (n_steps // _checkpoint_stride(n_steps) + 1) + 1
@@ -96,7 +108,10 @@ class WienerEnsemble:
     of values derived from the increments: the checkpoints W at every c-th
     node, c = ceil(sqrt(L)/3), and the per-node ridged Gram matrices.  No fit
     leaves any other state here.  ``dataclasses.replace`` starts the caches
-    empty.
+    empty.  ``solver.global_solve`` reads one ensemble from two threads: the
+    checkpoints are assigned only once filled, and the threads never share a
+    Gram key, since its worker fits only nodes of converged windows, whose
+    keys are stored, while the main thread fits the next window, to the left.
     """
 
     grid: TimeGrid
@@ -121,17 +136,13 @@ class WienerEnsemble:
         same sequential additions as ``np.cumsum`` of the increments, so it is
         bit-identical to it.
         """
-        n_steps, shape = self.increments.shape[0], self.increments.shape[1:]
+        n_steps = self.increments.shape[0]
         if not 0 <= l <= n_steps:
             raise IndexError(f"node {l} is outside 0..{n_steps}")
         c = _checkpoint_stride(n_steps)
         if self._checkpoints is None:
-            self._checkpoints = np.zeros((n_steps // c + 1,) + shape)
-            w = np.zeros(shape)
-            for j in range(n_steps):
-                w += self.increments[j]
-                if (j + 1) % c == 0:
-                    self._checkpoints[(j + 1) // c] = w
+            # assigned once filled: a second thread never sees a partial fill
+            self._checkpoints = _checkpoint_rows(self.increments, c)
         w = self._checkpoints[l // c].copy()
         for j in range(l // c * c, l):
             w += self.increments[j]

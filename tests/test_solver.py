@@ -1,5 +1,7 @@
 """Solver mechanics: shift, window selection, Picard maps, pasting, residuals."""
 import math
+import sys
+import threading
 import weakref
 from dataclasses import asdict, replace
 from unittest.mock import patch
@@ -715,6 +717,48 @@ class TestGeneralSolve:
         assert rep.outer["iterations"] <= 10
         assert all(f <= 0.6 for f in rep.outer["squared_factors"])
 
+    def test_driver_read_once_per_node_and_window(self, monkeypatch, window_cap):
+        # each sweep evaluates f1 once per node, one window at a time, plus
+        # the rows a halved window drops and the next window reads again; Y
+        # and Z equal those of f1 frozen on the whole grid before the sweep
+        prob, ens = self._coupled()
+        n_steps, calls = ens.grid.n_steps, []
+        f1 = prob.f1.fn
+        prob.f1.fn = lambda t, y, z: calls.append(t) or f1(t, y, z)
+        solve, sweep = mildbsde.solver.local_solve, mildbsde.solver.global_solve
+
+        def halve_first_window(*args, **kwargs):
+            if not halved:
+                halved.append(args[5] - args[4])  # the window's steps
+                raise PicardDivergence("forced on the first window")
+            return solve(*args, **kwargs)
+
+        def counted_sweep(*args, **kwargs):
+            before = len(calls)
+            sweep(*args, **kwargs)
+            per_sweep.append(len(calls) - before)
+
+        def whole_grid_sweep(*args, node_sink):
+            *head, driver = args
+            rows = [driver(l) for l in range(n_steps)]  # before any node is overwritten
+            sweep(*head, rows.__getitem__, node_sink=node_sink)
+
+        monkeypatch.setattr(mildbsde.solver, "local_solve", halve_first_window)
+        window_cap(0.2)
+        basis = RegressionBasis(degree=2)
+        halved, per_sweep = [], []
+        with patch.object(mildbsde.solver, "global_solve", counted_sweep):
+            sol, rep = general_solve(prob, ens, basis)
+        assert halved == [8] and sum("halving" in m for m in rep.messages) == 1
+        assert rep.outer["iterations"] > 1
+        assert per_sweep == [n_steps + 4] + [n_steps] * (rep.outer["iterations"] - 1)
+        halved = []
+        with patch.object(mildbsde.solver, "global_solve", whole_grid_sweep):
+            whole, whole_rep = general_solve(prob, ens, basis)
+        assert whole_rep.outer == rep.outer
+        np.testing.assert_array_equal(sol.y, whole.y)
+        np.testing.assert_array_equal(sol.z, whole.z)
+
     def test_warm_regression_cache_matches_fresh_ensemble(self):
         # the second solve reuses the Gram matrices the first one left on the
         # ensemble; it must return the arrays of a cold solve
@@ -1053,6 +1097,103 @@ class TestZSink:
             sweep.value()
 
 
+class TestWindowPipeline:
+    """The node exit runs on a worker thread, one window behind the Picard iteration."""
+
+    class SinkFull(Exception):
+        pass
+
+    @staticmethod
+    def _solve_setup(window_cap):
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 40), 1, 1000, seed=61)
+        window_cap(0.3)  # windows [33, 40], [27, 33], [21, 27], ..., [3, 9], [0, 3]
+        return ens, RegressionBasis(degree=2)
+
+    def test_sink_failure_surfaces_and_stops_the_exit(self, window_cap):
+        ens, basis = self._solve_setup(window_cap)
+        prob = TestZSink._problem("unshifted")
+        threads = threading.active_count()
+        seen = []
+
+        def full_at_20(l, y_l, z_l):
+            seen.append(l)
+            if l == 20:
+                raise self.SinkFull(f"no room for node {l}")
+
+        with pytest.raises(self.SinkFull, match="no room for node 20"):
+            general_solve(prob, ens, basis, sink=full_at_20)
+        assert seen == list(range(40, 19, -1))
+        assert threading.active_count() == threads
+        # the same solve with a sink that keeps going ends every thread too
+        seen.clear()
+        _, rep = general_solve(prob, ens, basis, sink=lambda l, y_l, z_l: seen.append(l))
+        assert len(rep.windows) == 7
+        assert seen == list(range(40, -1, -1))
+        assert threading.active_count() == threads
+
+    def test_drift_failure_waits_for_the_window_in_flight(self, window_cap):
+        # f0 turns NaN at node 30, in the second window, while the first
+        # window's exit waits in the sink: the solve raises only once that
+        # exit has handed over all of its nodes, and leaves no thread behind
+        ens, basis = self._solve_setup(window_cap)
+        bad_t = float(ens.grid.times[30])
+        reached = threading.Event()
+
+        def poisoned(t, y):
+            if t == bad_t:
+                reached.set()
+                return np.full_like(y, np.nan)
+            return -np.tanh(y)
+
+        f0 = DissipativeDrift(fn=poisoned, growth_scale=1.1, growth_power=2.0, lipschitz=1.1)
+        prob = make_problem(DiagonalOperator([1.0]), lambda e: 0.4 * np.tanh(w_end(e)),
+                            bound=0.4, f0=f0)
+        threads = threading.active_count()
+        seen, waited = [], []
+
+        def slow_sink(l, y_l, z_l):
+            if l == 40:
+                waited.append(reached.wait(timeout=60.0))
+            seen.append(l)
+
+        with pytest.raises(NonFiniteDrift, match="at node 30"):
+            general_solve(prob, ens, basis, sink=slow_sink)
+        assert waited == [True]
+        assert seen == list(range(40, 32, -1))
+        assert threading.active_count() == threads
+
+
+    def test_concurrent_solves_keep_their_bits(self, window_cap):
+        # three coupled solves at once on one ensemble, each with its own
+        # worker, while the interpreter switches threads every 10 us: a node
+        # overwritten before the driver read it, or a cache seen half
+        # filled, would change Y or Z
+        prob, ens = TestGeneralSolve._coupled()
+        basis = RegressionBasis(degree=2)
+        window_cap(0.2)
+        cold = sample_ensemble(ens.grid, ens.n_noise, ens.n_paths, ens.seed)
+        ref, _ = general_solve(prob, cold, basis)
+        solved = [None] * 3
+
+        def solve(i):
+            solved[i] = general_solve(prob, ens, basis)[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = [threading.Thread(target=solve, args=(i,)) for i in range(3)]
+            for run in runs:
+                run.start()
+            for run in runs:
+                run.join(timeout=300.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(run.is_alive() for run in runs)
+        for sol in solved:
+            np.testing.assert_array_equal(sol.y, ref.y)
+            np.testing.assert_array_equal(sol.z, ref.z)
+
+
 class TestNonFiniteDrift:
     @pytest.mark.parametrize("which", ["f0", "f1"])
     def test_nan_drift_names_its_node(self, which):
@@ -1195,6 +1336,15 @@ class TestProblemValidation:
             general_solve(prob, ens, RegressionBasis(degree=2))
         assert err.value.check == "terminal"
         assert fits == []
+
+    @pytest.mark.parametrize("bound", [math.nan, -1.0])
+    def test_nan_or_negative_terminal_bound_rejected(self, bound):
+        # a NaN bound would pass the terminal check, since 5.0 > nan is False,
+        # and report C1 = nan; inf, the declared absence of a bound, stays allowed
+        with pytest.raises(ValidationError, match="terminal_bound must be nonnegative") as err:
+            make_problem(DiagonalOperator([1.0]), lambda e: np.full((e.n_paths, 1), 5.0),
+                         bound=bound)
+        assert err.value.check == "problem"
 
     def test_zero_drift_sentinel(self):
         assert zero_drift().is_zero

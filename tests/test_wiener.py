@@ -1,9 +1,13 @@
 """Ensemble statistics and regression conditional-expectation oracles."""
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mildbsde.wiener
 from mildbsde.wiener import (
     RegressionBasis,
     TimeGrid,
@@ -177,6 +181,51 @@ class TestPathAccess:
         w = ens.path_at(steps)
         held = ens.increments.nbytes + ens._checkpoints.nbytes + w.nbytes
         assert ensemble_nbytes(steps, 50, 3) == held
+
+    def test_checkpoints_assigned_only_once_filled(self, monkeypatch):
+        # a second thread reading the ensemble sees either no checkpoints or
+        # every row of them, never rows still being summed
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 40), 2, 30, seed=4)
+        fill = mildbsde.wiener._checkpoint_rows
+        filled = []
+
+        def checked_fill(increments, c):
+            rows = fill(increments, c)
+            assert ens._checkpoints is None  # nothing published during the fill
+            filled.append(rows)
+            return rows
+
+        monkeypatch.setattr(mildbsde.wiener, "_checkpoint_rows", checked_fill)
+        w = ens.path_at(40)
+        assert len(filled) == 1 and ens._checkpoints is filled[0]
+        ens.path_at(3)
+        assert len(filled) == 1
+        assert w.tobytes() == ens.increments.cumsum(axis=0)[-1].tobytes()
+
+    def test_concurrent_first_reads_get_whole_checkpoints(self):
+        # four threads read fresh ensembles at once, switching every 10 us;
+        # each gets W_L bit for bit, never a row of a fill still running
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for seed in range(10):
+                ens = sample_ensemble(TimeGrid.uniform(1.0, 400), 1, 64, seed=seed)
+                expect = ens.increments.cumsum(axis=0)[-1].tobytes()
+                start, got = threading.Barrier(4), []
+
+                def read():
+                    start.wait(timeout=60.0)
+                    got.append(ens.path_at(400).tobytes())
+
+                runs = [threading.Thread(target=read) for _ in range(4)]
+                for run in runs:
+                    run.start()
+                for run in runs:
+                    run.join(timeout=60.0)
+                assert not any(run.is_alive() for run in runs)
+                assert got == [expect] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_nodes_outside_the_grid_rejected(self):
         ens = sample_ensemble(TimeGrid.uniform(1.0, 4), 1, 10, seed=1)
