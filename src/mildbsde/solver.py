@@ -57,7 +57,7 @@ from .wiener import (
     RegressionBasis,
     TimeGrid,
     WienerEnsemble,
-    conditional_expectation,
+    _fit,
     ensemble_nbytes,
     martingale_z_estimate,
     sample_ensemble,
@@ -513,25 +513,6 @@ def _finite_drift(name: str, values, node: int, t: float):
     return values
 
 
-def _regress_window(
-    ensemble: WienerEnsemble,
-    basis: RegressionBasis,
-    start: int,
-    end: int,
-    targets: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Project each interior target onto its adapted features; terminal kept exact.
-
-    The fits overwrite ``targets`` in place: each reads only its own row first.
-    """
-    flagged = 0
-    for j in range(end - start):
-        fit = conditional_expectation(ensemble, basis, start + j, targets[j])
-        targets[j] = fit.fitted
-        flagged += int(fit.rank_deficient)
-    return targets, flagged
-
-
 def _bound_first(
     op: DiagonalOperator,
     alpha: float,
@@ -576,7 +557,7 @@ def _bound_first(
     return values
 
 
-def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
+def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> tuple[int, list]:
     """Rescale interior states radially onto the alpha ball, in place.
 
     Polynomial regression can overshoot a bounded target on tail paths; the
@@ -584,20 +565,24 @@ def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> int:
     estimate back onto it never increases the pathwise error.  This is the one
     place that keeps the drift's states in the ball: afterwards every interior
     state has an exact alpha norm within a few ulp of the radius or below it.
-    Returns the number of rescaled states (0 for an infinite radius).
+    Returns the number of rescaled states (0 for an infinite radius) and, per
+    interior node, the (M,) scale its states were multiplied by, or None where
+    none of them was rescaled.
     ``_bound_first`` with the radius as its floor norms exactly only the
     states whose bound can reach the radius, so the clip mask is the one
     exact norms give.
     """
+    scales = [None] * (len(y) - 1)
     if not math.isfinite(radius):
-        return 0
+        return 0, scales
     norms = _bound_first(problem.operator, problem.alpha, y[:-1], floor=radius)
     mask = norms > radius
     count = int(np.count_nonzero(mask))
     if count:
         scale = np.where(mask, radius / np.maximum(norms, 1e-300), 1.0)
         y[:-1] *= scale[..., None]
-    return count
+        scales = [row.copy() if hit.any() else None for row, hit in zip(scale, mask)]
+    return count, scales
 
 
 # folds of a window's (W, M) norms to one value per node
@@ -626,12 +611,20 @@ def local_solve(
     radius: float,
     tol: float,
     f1_window: np.ndarray | None = None,
-) -> tuple[np.ndarray, WindowStats]:
+    *,
+    designs: list,
+) -> tuple[np.ndarray, WindowStats, list]:
     """Fixed point y (W+1, M, N) of the window map by Picard iteration, with its stats.
 
-    ``factors`` are the grid's step decays and kernel integrals.  Pass 0 is the
+    ``factors`` are the grid's step decays and kernel integrals; ``designs``
+    holds the caller's design of each node of the window, or None where it
+    holds none and the node builds its design at each fit.  Pass 0 is the
     drift-free start, passes 1 to ``_MAX_ITER`` are Picard steps; each pass
-    regresses its targets and projects them onto the ball.  The loop stops when
+    fits its targets on those designs and projects them onto the ball.  Also
+    returned, per node of the last pass: the fit's coefficients and the
+    per-path scale the projection applied (None if it clipped no state of
+    the node), so design @ coef times that scale is the node's y bit for bit.
+    The loop stops when
     the sup-over-nodes ensemble-L2 alpha distance of successive passes is zero,
     or below tol after ``_MIN_ITER`` steps; two consecutive distance ratios
     above one raise ``PicardDivergence``, and the caller may halve the window.
@@ -649,9 +642,17 @@ def local_solve(
     bad_streak = 0
     for it in range(_MAX_ITER + 1):
         targets = _picard_targets(problem, factors, times, start, end, terminal_values, u, f1_window)
-        y, flagged = _regress_window(ensemble, basis, start, end, targets)
-        rank_deficient += flagged
-        clipped += _project_to_ball(problem, y, radius)
+        # each fit overwrites its own row of the targets, which it reads first
+        y, coefs = targets, []
+        for j, held in enumerate(designs):
+            l = start + j
+            phi = basis.design(ensemble, l) if held is None else held
+            fit = _fit(ensemble, basis, l, phi, y[j])
+            y[j] = fit.fitted
+            rank_deficient += int(fit.rank_deficient)
+            coefs.append(fit.coef)
+        count, scales = _project_to_ball(problem, y, radius)
+        clipped += count
         if it:  # pass 0 has no previous pass to measure against
             # sup over window nodes of the ensemble-L2 alpha norm
             dist = float(_bound_first(op, alpha, y[:-1] - u[:-1], fold=_ensemble_l2).max())
@@ -665,8 +666,9 @@ def local_solve(
                     )
             distances.append(dist)
             if dist == 0.0 or (dist < tol and it >= _MIN_ITER):
-                return y, WindowStats(start, end, radius, it, distances, factors_seen,
-                                      ball_clipped=clipped, rank_deficient=rank_deficient)
+                stats = WindowStats(start, end, radius, it, distances, factors_seen,
+                                    ball_clipped=clipped, rank_deficient=rank_deficient)
+                return y, stats, list(zip(coefs, scales))
         u = y
     raise PicardDivergence(
         f"no convergence within {_MAX_ITER} iterations (last distance {distances[-1]:.3e})"
@@ -711,9 +713,9 @@ def global_solve(
     factors: tuple[np.ndarray, np.ndarray],
     terminal_values: np.ndarray,
     report: SolverReport,
-    driver: Callable[[int], np.ndarray] | None = None,
+    driver: Callable[[int, np.ndarray], np.ndarray] | None = None,
     *,
-    node_sink: Callable[[int, np.ndarray, Regression | None], None],
+    node_sink: Callable[[int, np.ndarray, Regression | None, tuple | None], None],
 ) -> None:
     """Right-to-left window sweep on [0, T] for one frozen driver path.
 
@@ -728,18 +730,25 @@ def global_solve(
     step raises ``GridTooCoarse``.  Pasted values agree at the joins by
     construction.  A window whose Picard iteration diverges is halved; the
     projection keeps each window's states in its ball, so nothing else halves
-    one.  ``problem.f1`` is ignored: the frozen driver enters as ``driver(l)``,
-    read once per window for its nodes, whose last rows a halved window
-    keeps.  Window statistics, C_2 and both selections are written to
-    ``report``, and each halving is appended to ``report.messages``.
+    one.  Each window builds its nodes' designs once, before the driver and
+    the first Picard pass; every fit and rebuild of a node reads them.  They
+    take at most ``ensemble_nbytes`` of the ensemble: past that cap the
+    window holds its rightmost nodes' designs, and the others are built at
+    each use.  ``problem.f1`` is ignored: the frozen driver enters as
+    ``driver(l, design)``, read once per window for its nodes; a halved
+    window keeps the last rows of both.  Window statistics, C_2 and both
+    selections are written to ``report``, and each halving is appended to
+    ``report.messages``.
 
     Once a window has converged and the paste selection has kept the grid,
     a worker thread, started and joined within this call, takes it while the
     next window iterates here; at most one window is in flight.  Each node l
-    gets the fit ``martingale_z_estimate`` of ``decay[l] * y[l + 1]``, whose
-    fitted values are Z_l, and goes to ``node_sink(l, y_l, z_fit)``: node L
-    first, with z_fit = None, then strictly descending l, each exactly once.
-    The sink may keep y_l and the fit but must not write into y_l, from which
+    gets the fit ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` on its
+    window's design, whose fitted values are Z_l, and goes to
+    ``node_sink(l, y_l, z_fit, y_fit)`` with y_fit = (coef, scale) from
+    ``local_solve``: node L first, with z_fit = y_fit = None, then strictly
+    descending l, each exactly once.
+    The sink may keep y_l and the fits but must not write into y_l, from which
     Z of the node to its left is estimated, nor into what ``driver`` reads.
     An exception it raises ends the sweep and is raised here.
     ``general_solve`` passes its node exit, or under the outer fixed point
@@ -765,12 +774,17 @@ def global_solve(
     c2 = math.nan
     window_count = 1
 
-    def exit_window(y, start, end):
+    # the designs one window may hold within the bytes of its ensemble
+    max_held = ensemble_nbytes(n_steps, ensemble.n_paths, ensemble.n_noise) // (
+        8 * ensemble.n_paths * basis.n_features(ensemble.n_noise))
+
+    def exit_window(y, fits, designs, start, end):
         if end == n_steps:
-            node_sink(n_steps, terminal_values, None)
+            node_sink(n_steps, terminal_values, None, None)
         for j in range(end - start - 1, -1, -1):
             l = start + j
-            node_sink(l, y[j], martingale_z_estimate(ensemble, basis, l, decay[l] * y[j + 1]))
+            z_fit = martingale_z_estimate(ensemble, basis, l, decay[l] * y[j + 1], designs[j])
+            node_sink(l, y[j], z_fit, fits[j])
 
     in_flight = None
     with ThreadPoolExecutor(max_workers=1) as worker:  # joined on leaving, raised or not
@@ -778,17 +792,23 @@ def global_solve(
         while end > 0:
             first = end == n_steps
             steps = min(steps_per_window, end)
+            # built once per window, for its driver, Picard passes and Z fits;
+            # past the cap, the leftmost nodes build theirs at each use
+            designs = [basis.design(ensemble, l) if end - l <= max_held else None
+                       for l in range(end - steps, end)]
             f1_window = None
             if driver is not None:
                 f1_window = np.empty((steps,) + terminal_values.shape)
-                for j in range(steps):
-                    f1_window[j] = driver(end - steps + j)
+                for j, l in enumerate(range(end - steps, end)):
+                    f1_window[j] = driver(l, designs[j] if designs[j] is not None
+                                          else basis.design(ensemble, l))
             halvings = 0
             while True:
                 try:
-                    y, stats = local_solve(
+                    y, stats, fits = local_solve(
                         problem, ensemble, basis, factors, end - steps, end, join, radius,
                         tol=tol, f1_window=None if f1_window is None else f1_window[-steps:],
+                        designs=designs[-steps:],
                     )
                     break
                 except PicardDivergence as err:
@@ -816,7 +836,7 @@ def global_solve(
             # to the worker once the paste selection has kept the grid and the last window left
             if in_flight is not None:
                 in_flight.result()
-            in_flight = worker.submit(exit_window, y, start, end)
+            in_flight = worker.submit(exit_window, y, fits, designs[-steps:], start, end)
             join = y[0].copy()  # the next window starts here
             end = start
         in_flight.result()
@@ -900,15 +920,17 @@ def general_solve(
     and the returned pair has ``y = z = None``.  Without a sink Y and Z are
     kept in the returned pair.  Without f1 the sweep's worker thread feeds
     the exit one window behind the Picard iteration, so the sink runs there,
-    and a solve with a sink holds the ensemble and two windows.  With f1 the
-    outer distance and the next frozen driver need the whole previous
-    iterate: the loop holds all of Y, and Z only as each node's regression
-    coefficients, a (B, N K) matrix in place of the (M, N, K) values.  The
-    worker overwrites a node once its distance to the previous iterate is
-    taken, only on converged windows, so the driver reads the previous
-    iterate.  Every read of Z rebuilds it as design @ coef, which equals the
-    fitted values bit for bit.  The converged iterate replays through the
-    same exit on the calling thread.  A sink's exception ends the solve.
+    and a solve with a sink holds the ensemble and two windows with their
+    designs.  With f1 the outer distance and the next frozen driver need the
+    whole previous iterate: the loop holds it as each node's regression
+    coefficients, (B, N) for Y and (B, N K) for Z in place of the (M, N) and
+    (M, N, K) values, and the per-path scale the ball projection applied to
+    Y.  The worker overwrites a node once its distance to the previous
+    iterate is taken, only on converged windows, so the driver reads the
+    previous iterate.  Every read rebuilds Y and Z from the coefficients on
+    the design the sweep holds, equal to the fitted values bit for bit.  The
+    converged iterate replays through the same exit on the calling thread,
+    on one design built per node.  A sink's exception ends the solve.
     """
     t0 = time.perf_counter()
     if not problem.validated:
@@ -981,12 +1003,9 @@ def general_solve(
             node_norms = np.empty((3, grid.n_steps + 1))
             y_shape = (grid.n_steps + 1,) + terminal_values.shape
             z_node = terminal_values.shape + (ensemble.n_noise,)
-            if f1 is not None:
-                u = np.zeros(y_shape)
-                u[-1] = terminal_values
             y_kept = z_kept = None
             if sink is None:
-                y_kept = u if f1 is not None else np.empty(y_shape)
+                y_kept = np.empty(y_shape)
                 z_kept = np.empty((grid.n_steps,) + z_node)
 
             def emit(l, y_l, z_l):
@@ -1008,40 +1027,46 @@ def general_solve(
             if f1 is None:
                 global_solve(
                     frozen, ensemble, basis, consts, factors, terminal_values, report,
-                    node_sink=lambda l, y_l, fit: emit(l, y_l, None if fit is None else fit.fitted),
+                    node_sink=lambda l, y_l, fit, _y_fit:
+                        emit(l, y_l, None if fit is None else fit.fitted),
                 )
                 break
             w = np.exp(beta * times[:-1]) * grid.deltas
             y_sq = np.empty(grid.n_steps)
             z_sq = np.empty(grid.n_steps)
-            # Z of the previous iterate, per node its coefficients on the node's
-            # design; None until the first sweep, whose frozen Z is zero
-            z_coef: list = [None] * grid.n_steps
-            z_zero = np.zeros(z_node)
+            # the previous iterate, per node the coefficients of Y and Z on the
+            # node's design and Y's projection scale; None until the first sweep,
+            # whose frozen Y and Z are zero
+            fits: list = [None] * grid.n_steps
+            y_zero, z_zero = np.zeros(terminal_values.shape), np.zeros(z_node)
 
-            def previous_z(l, design=None):
-                if z_coef[l] is None:
-                    return z_zero
-                if design is None:
-                    design = basis.design(ensemble, l)
-                return (design @ z_coef[l]).reshape(z_node)
+            def previous(l, design):
+                # (Y_l, Z_l) of the previous iterate, rebuilt bit for bit on node l's design
+                if fits[l] is None:
+                    return y_zero, z_zero
+                y_coef, y_scale, z_coef = fits[l]
+                y_l = design @ y_coef
+                if y_scale is not None:
+                    y_l *= y_scale[:, None]
+                return y_l, (design @ z_coef).reshape(z_node)
 
-            def to_previous(l, y_l, z_fit):
+            def to_previous(l, y_l, z_fit, y_fit):
                 # the distance to the previous iterate, which is then overwritten;
-                # node L carries no Z and u[L] already holds the terminal values
+                # node L carries no Z and its Y is the terminal values in every iterate
                 if z_fit is None:
                     return
-                y_sq[l] = np.square(y_l - u[l]).sum(axis=-1).mean()
-                # on the design this fit has just built; squared in place, as the
+                # on the design this fit has just used; squared in place, as the
                 # worker's arrays add to the next window's Picard iteration
-                z_diff = z_fit.fitted - previous_z(l, z_fit.design)
+                y_prev, z_prev = previous(l, z_fit.design)
+                y_sq[l] = np.square(y_l - y_prev).sum(axis=-1).mean()
+                z_diff = z_fit.fitted - z_prev
                 z_sq[l] = np.square(z_diff, out=z_diff).sum(axis=(-1, -2)).mean()
-                u[l] = y_l
-                z_coef[l] = z_fit.coef
+                fits[l] = (*y_fit, z_fit.coef)
 
-            def driver(l):
+            def driver(l, design):
                 # f1 frozen at the previous iterate, whose node l is not yet overwritten
-                return _finite_drift("f1", f1(float(times[l]), u[l], previous_z(l)), l, times[l])
+                y_l, z_l = previous(l, design)
+                return _finite_drift("f1", f1(float(times[l]), y_l, z_l), l, times[l])
 
             distances: list[float] = []
             sq_factors: list[float] = []
@@ -1068,9 +1093,9 @@ def general_solve(
                 raise OuterDivergence(
                     f"outer iteration did not converge within {_MAX_OUTER} steps"
                 )
-            emit(grid.n_steps, u[-1], None)
+            emit(grid.n_steps, terminal_values, None)
             for l in range(grid.n_steps - 1, -1, -1):
-                emit(l, u[l], previous_z(l))
+                emit(l, *previous(l, basis.design(ensemble, l)))
             break
         except GridTooCoarse as need:
             if attempt == 2:
@@ -1081,7 +1106,7 @@ def general_solve(
         # the coarse attempt is released before the finer ensemble is drawn; the
         # closures hold their arrays through these names
         n_noise, n_paths, seed = ensemble.n_noise, ensemble.n_paths, ensemble.seed
-        ensemble = sweep = u = z_coef = y_kept = z_kept = terminal_values = None
+        ensemble = sweep = fits = y_kept = z_kept = terminal_values = None
         steps = grid.n_steps * factor
         held = ensemble_nbytes(steps, n_paths, n_noise)
         if held > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):

@@ -110,8 +110,10 @@ class WienerEnsemble:
     leaves any other state here.  ``dataclasses.replace`` starts the caches
     empty.  ``solver.global_solve`` reads one ensemble from two threads: the
     checkpoints are assigned only once filled, and the threads never share a
-    Gram key, since its worker fits only nodes of converged windows, whose
-    keys are stored, while the main thread fits the next window, to the left.
+    Gram key.  Its worker fits on designs the main thread built (past their
+    byte cap, it builds the rest) and only at nodes of converged windows,
+    whose keys are stored, while the main thread fits the next window, to
+    the left.
     """
 
     grid: TimeGrid
@@ -289,6 +291,7 @@ def martingale_z_estimate(
     basis: RegressionBasis,
     t_index: int,
     next_value: np.ndarray,
+    design: np.ndarray | None = None,
 ) -> Regression:
     """Per-path estimate of the stochastic-integral density Z at node t_index.
 
@@ -297,7 +300,8 @@ def martingale_z_estimate(
     term is uncorrelated with dW_l, so the estimand is unchanged while the
     regression noise drops (deterministic next values give Z at ridge-bias
     scale instead of one Monte Carlo standard error).  Both fits use one
-    design of the node.  Returns the second fit: ``fitted`` is Z, shape
+    design of the node: ``design`` if the caller holds it, else built here.
+    Returns the second fit: ``fitted`` is Z, shape
     (M, N, K), and ``(design @ coef).reshape(M, N, K)`` rebuilds it bit for bit
     from the (B, N K) coefficients.
     """
@@ -309,7 +313,7 @@ def martingale_z_estimate(
         raise ValueError("no increment lies to the right of the final node")
     dw = ensemble.increments[t_index]
     dt = float(ensemble.grid.deltas[t_index])
-    phi = basis.design(ensemble, t_index)
+    phi = basis.design(ensemble, t_index) if design is None else design
     centered = next_value - _fit(ensemble, basis, t_index, phi, next_value).fitted
     targets = (centered[:, :, None] * dw[:, None, :] / dt).reshape(m, -1)
     fit = _fit(ensemble, basis, t_index, phi, targets)

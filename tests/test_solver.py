@@ -76,6 +76,11 @@ def window_cap(monkeypatch):
     return cap
 
 
+def window_designs(ensemble, basis, start, end):
+    """The designs ``global_solve`` hands ``local_solve`` for nodes start..end-1."""
+    return [basis.design(ensemble, l) for l in range(start, end)]
+
+
 def constants(alpha=0.0, horizon=1.0, m_alpha=1.0, c_alpha=1.0, g=1.0):
     return EmpiricalConstants(
         alpha=alpha, horizon=horizon, m_alpha=m_alpha, c_alpha=c_alpha, g_holder=g
@@ -238,8 +243,8 @@ class TestPicardMap:
         basis = RegressionBasis(degree=2)
         xi = w_end(small_ensemble)
         factors = _step_factors(op, small_ensemble.grid.deltas)
-        y, _ = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=math.inf,
-                           tol=1e-9)
+        y, _, _ = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=math.inf,
+                              tol=1e-9, designs=window_designs(small_ensemble, basis, 30, 50))
         np.testing.assert_array_equal(y[-1], xi)
 
     def test_brownian_martingale_representation(self, small_ensemble):
@@ -263,7 +268,7 @@ class TestPicardMap:
         for alpha in (0.0, 0.3):
             prob = make_problem(op, lambda e: np.zeros((e.n_paths, 5)), bound=1.0, alpha=alpha)
             y = np.random.default_rng(0).standard_normal((2, 1000, 5))
-            assert _project_to_ball(prob, y, radius) == 1000
+            assert _project_to_ball(prob, y, radius)[0] == 1000
             worst = float(h_alpha_norm_batch(op, alpha, y[:-1]).max())
             assert worst <= radius * (1.0 + 1e-9)
             assert worst == pytest.approx(radius, rel=1e-12)
@@ -294,7 +299,7 @@ class TestPicardMap:
         states[0] *= (radius * np.asarray(scales) / np.maximum(before, 1e-300))[:, None]
         last = states[-1].copy()
         outside = int(np.count_nonzero(h_alpha_norm_batch(op, alpha, states[0]) > radius))
-        assert _project_to_ball(prob, states, radius) == outside
+        assert _project_to_ball(prob, states, radius)[0] == outside
         assert float(h_alpha_norm_batch(op, alpha, states[0]).max()) <= radius * (1.0 + 1e-9)
         assert states[-1].tobytes() == last.tobytes()
 
@@ -335,7 +340,7 @@ class TestPicardMap:
             assert ((bound > radius) & (norms <= radius)).any()
 
         y_exact = y.copy()
-        count = _project_to_ball(prob, y, radius)
+        count, _ = _project_to_ball(prob, y, radius)
         count_exact = exact_projection(op, alpha, y_exact, radius)
         assert y.tobytes() == y_exact.tobytes()
         assert count == count_exact > 0
@@ -417,8 +422,9 @@ class TestLocalSolve:
         basis = RegressionBasis(degree=2)
         xi = w_end(small_ensemble)
         factors = _step_factors(op, small_ensemble.grid.deltas)
-        _, stats = local_solve(prob, small_ensemble, basis, factors, 0, 50, xi, radius=math.inf,
-                               tol=1e-9)
+        _, stats, _ = local_solve(prob, small_ensemble, basis, factors, 0, 50, xi,
+                                  radius=math.inf, tol=1e-9,
+                                  designs=window_designs(small_ensemble, basis, 0, 50))
         assert stats.iterations == 1
         assert stats.distances == [0.0]
 
@@ -433,8 +439,8 @@ class TestLocalSolve:
         basis = RegressionBasis(degree=2)
         xi = np.tanh(w_end(small_ensemble))
         factors = _step_factors(op, small_ensemble.grid.deltas)
-        _, stats = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=3.0,
-                               tol=1e-10)
+        _, stats, _ = local_solve(prob, small_ensemble, basis, factors, 30, 50, xi, radius=3.0,
+                                  tol=1e-10, designs=window_designs(small_ensemble, basis, 30, 50))
         assert all(f <= 0.6 for f in stats.factors)
 
     @pytest.mark.parametrize("radius", [3.0, 1.0])
@@ -454,9 +460,9 @@ class TestLocalSolve:
         def recorded_projection(problem, y, radius):
             bound = h_alpha_norm_bound(problem.operator, problem.alpha, y[:-1])
             near.append(int(np.count_nonzero(bound * (1.0 + 1e-12) > radius)))
-            count = project(problem, y, radius)
+            projected = project(problem, y, radius)
             passes.append(y.copy())
-            return count
+            return projected
 
         monkeypatch.setattr(mildbsde.solver, "h_alpha_norm_batch", counted_norm)
         monkeypatch.setattr(mildbsde.solver, "_project_to_ball", recorded_projection)
@@ -470,8 +476,10 @@ class TestLocalSolve:
             op, lambda e: np.tanh(2.0 * w_end(e)), bound=1.0, f0=f0, alpha=0.2
         )
         factors = _step_factors(op, ens.grid.deltas)
-        _, stats = local_solve(prob, ens, RegressionBasis(degree=2), factors, 30, 50,
-                               prob.terminal(ens), radius=radius, tol=1e-10)
+        basis = RegressionBasis(degree=2)
+        _, stats, _ = local_solve(prob, ens, basis, factors, 30, 50, prob.terminal(ens),
+                                  radius=radius, tol=1e-10,
+                                  designs=window_designs(ens, basis, 30, 50))
 
         def node_distances(norms):
             return np.sqrt(np.mean(norms ** 2, axis=1))
@@ -501,14 +509,15 @@ class TestLocalSolve:
             op, lambda e: np.tanh(w_end(e)) * [1.0, 0.5], bound=2.0, alpha=0.3
         )
         factors = _step_factors(op, small_ensemble.grid.deltas)
-        return (prob, small_ensemble, RegressionBasis(degree=2), factors, 30, 50,
-                prob.terminal(small_ensemble))
+        basis = RegressionBasis(degree=2)
+        return (prob, small_ensemble, basis, factors, 30, 50,
+                prob.terminal(small_ensemble)), window_designs(small_ensemble, basis, 30, 50)
 
     def test_exact_repeat_stops_with_alpha(self, small_ensemble):
         # without a drift the first step repeats the start bit for bit: the
         # pruned distance is 0.0, which stops the loop
-        _, stats = local_solve(*self._drift_free_window(small_ensemble), radius=math.inf,
-                               tol=1e-12)
+        args, designs = self._drift_free_window(small_ensemble)
+        _, stats, _ = local_solve(*args, radius=math.inf, tol=1e-12, designs=designs)
         assert stats.iterations == 1
         assert stats.distances == [0.0]
 
@@ -518,14 +527,15 @@ class TestLocalSolve:
         project = mildbsde.solver._project_to_ball
 
         def plant_nan(problem, y, radius):
-            count = project(problem, y, radius)
+            projected = project(problem, y, radius)
             y[5, 0, 1] = np.nan
-            return count
+            return projected
 
         monkeypatch.setattr(mildbsde.solver, "_project_to_ball", plant_nan)
         monkeypatch.setattr(mildbsde.solver, "_MAX_ITER", 4)
+        args, designs = self._drift_free_window(small_ensemble)
         with pytest.raises(PicardDivergence, match=r"no convergence .*\(last distance nan\)"):
-            local_solve(*self._drift_free_window(small_ensemble), radius=3.0, tol=1e-12)
+            local_solve(*args, radius=3.0, tol=1e-12, designs=designs)
 
     def test_divergent_iteration_raises(self, small_ensemble, monkeypatch):
         # anti-dissipative expanding drift with an over-long window
@@ -541,7 +551,7 @@ class TestLocalSolve:
         monkeypatch.setattr(mildbsde.solver, "_MAX_ITER", 8)
         with pytest.raises(PicardDivergence):
             local_solve(prob, small_ensemble, basis, factors, 0, 50, xi, radius=math.inf,
-                        tol=1e-12)
+                        tol=1e-12, designs=window_designs(small_ensemble, basis, 0, 50))
 
 
 class TestGlobalSolve:
@@ -620,6 +630,69 @@ class TestGlobalSolve:
         for l in range(grid.n_steps):
             expect = martingale_z_estimate(ens, basis, l, decay[l] * sol.y[l + 1]).fitted
             np.testing.assert_array_equal(sol.z[l], expect)
+
+    def test_each_design_built_once_without_f1(self, monkeypatch, window_cap):
+        # every Picard pass and Z fit of a node reads the design its window built
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 40), 1, 2000, seed=57)
+        f0 = DissipativeDrift(
+            fn=lambda t, y: -np.tanh(y), growth_scale=1.1, growth_power=2.0, lipschitz=1.1,
+        )
+        prob = make_problem(DiagonalOperator([1.0]), lambda e: 0.5 * np.tanh(w_end(e)),
+                            bound=0.5, f0=f0)
+        built, design = [], RegressionBasis.design
+
+        def counted_design(self, ensemble, t_index):
+            built.append(t_index)
+            return design(self, ensemble, t_index)
+
+        monkeypatch.setattr(RegressionBasis, "design", counted_design)
+        window_cap(0.15)
+        _, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        assert len(rep.windows) > 1 and all(w.halvings == 0 for w in rep.windows)
+        assert all(w.iterations >= 2 for w in rep.windows)
+        assert sorted(built) == list(range(40))
+
+    def test_designs_held_within_the_ensemble_bytes(self, monkeypatch):
+        # one zero-drift window of 20 steps on K = 1: its 20 designs of 3
+        # features would take 480 M bytes, past the ensemble's 256 M, so it
+        # holds the 10 rightmost and the others build theirs at each use
+        paths, design_bytes = 500, 8 * 500 * 3
+        prob = make_problem(DiagonalOperator([0.5]), lambda e: np.tanh(w_end(e)))
+        basis = RegressionBasis(degree=2)
+        solve, design = mildbsde.solver.local_solve, RegressionBasis.design
+        held_bytes, built = [], []
+
+        def recorded_solve(*args, designs, **kwargs):
+            held_bytes.append(sum(d.nbytes for d in designs if d is not None))
+            return solve(*args, designs=designs, **kwargs)
+
+        def counted_design(self, ensemble, t_index):
+            built.append(t_index)
+            return design(self, ensemble, t_index)
+
+        def run():
+            held_bytes.clear()
+            built.clear()
+            ens = sample_ensemble(TimeGrid.uniform(1.0, 20), 1, paths, seed=29)
+            return general_solve(prob, ens, basis)
+
+        monkeypatch.setattr(mildbsde.solver, "local_solve", recorded_solve)
+        monkeypatch.setattr(RegressionBasis, "design", counted_design)
+        sol, rep = run()
+        cap = mildbsde.solver.ensemble_nbytes(20, paths, 1)
+        held = cap // design_bytes
+        assert held == 10 and len(rep.windows) == 1
+        assert held_bytes == [held * design_bytes] and held_bytes[0] <= cap
+        # held once; each other node at every Picard pass and at its Z fit
+        passes = rep.windows[0].iterations + 1
+        rebuilt = [l for l in range(20 - held) for _ in range(passes + 1)]
+        assert sorted(built) == sorted(list(range(20 - held, 20)) + rebuilt)
+        monkeypatch.setattr(mildbsde.solver, "ensemble_nbytes", lambda *args: 2 ** 62)
+        lifted, lifted_rep = run()
+        assert held_bytes == [20 * design_bytes] and sorted(built) == list(range(20))
+        np.testing.assert_array_equal(sol.y, lifted.y)
+        np.testing.assert_array_equal(sol.z, lifted.z)
+        assert replace(rep, runtime_seconds=0.0) == replace(lifted_rep, runtime_seconds=0.0)
 
     def test_shift_equivalence(self):
         # solving the shifted problem and unshifting matches solving with the
@@ -720,12 +793,25 @@ class TestGeneralSolve:
     def test_driver_read_once_per_node_and_window(self, monkeypatch, window_cap):
         # each sweep evaluates f1 once per node, one window at a time, plus
         # the rows a halved window drops and the next window reads again; Y
-        # and Z equal those of f1 frozen on the whole grid before the sweep
+        # and Z equal those of f1 frozen on the whole grid before the sweep.
+        # The designs follow the driver: each sweep builds a node's design once
+        # per window that reads it, the replay once per node, and every fit at
+        # node l reads a design equal to basis.design(ens, l)
         prob, ens = self._coupled()
-        n_steps, calls = ens.grid.n_steps, []
+        n_steps, calls, built, misread = ens.grid.n_steps, [], [], []
         f1 = prob.f1.fn
         prob.f1.fn = lambda t, y, z: calls.append(t) or f1(t, y, z)
         solve, sweep = mildbsde.solver.local_solve, mildbsde.solver.global_solve
+        design, fit = RegressionBasis.design, mildbsde.wiener._fit
+
+        def counted_design(self, ensemble, t_index):
+            built.append(t_index)
+            return design(self, ensemble, t_index)
+
+        def checked_fit(ensemble, basis, t_index, phi, targets):
+            if not np.array_equal(phi, design(basis, ensemble, t_index)):
+                misread.append(t_index)
+            return fit(ensemble, basis, t_index, phi, targets)
 
         def halve_first_window(*args, **kwargs):
             if not halved:
@@ -734,30 +820,68 @@ class TestGeneralSolve:
             return solve(*args, **kwargs)
 
         def counted_sweep(*args, **kwargs):
-            before = len(calls)
+            before, designs_before = len(calls), len(built)
             sweep(*args, **kwargs)
             per_sweep.append(len(calls) - before)
+            designs_per_sweep.append(len(built) - designs_before)
 
         def whole_grid_sweep(*args, node_sink):
             *head, driver = args
-            rows = [driver(l) for l in range(n_steps)]  # before any node is overwritten
-            sweep(*head, rows.__getitem__, node_sink=node_sink)
+            # before any node is overwritten
+            rows = [driver(l, design(RegressionBasis(degree=2), ens, l)) for l in range(n_steps)]
+            sweep(*head, lambda l, _: rows[l], node_sink=node_sink)
 
         monkeypatch.setattr(mildbsde.solver, "local_solve", halve_first_window)
+        monkeypatch.setattr(RegressionBasis, "design", counted_design)
+        for module in (mildbsde.solver, mildbsde.wiener):
+            monkeypatch.setattr(module, "_fit", checked_fit)
         window_cap(0.2)
         basis = RegressionBasis(degree=2)
-        halved, per_sweep = [], []
+        halved, per_sweep, designs_per_sweep = [], [], []
         with patch.object(mildbsde.solver, "global_solve", counted_sweep):
             sol, rep = general_solve(prob, ens, basis)
+        sweeps = rep.outer["iterations"]
         assert halved == [8] and sum("halving" in m for m in rep.messages) == 1
-        assert rep.outer["iterations"] > 1
-        assert per_sweep == [n_steps + 4] + [n_steps] * (rep.outer["iterations"] - 1)
+        assert sweeps > 1
+        assert per_sweep == [n_steps + 4] + [n_steps] * (sweeps - 1)
+        assert designs_per_sweep == per_sweep
+        # the halved first window [32, 40] kept the designs of [36, 40]
+        dropped = set(range(32, 36))
+        assert sorted(built) == sorted(
+            [l for l in range(n_steps) for _ in range(sweeps + 1 + (l in dropped))]
+        )
+        assert misread == []
         halved = []
         with patch.object(mildbsde.solver, "global_solve", whole_grid_sweep):
             whole, whole_rep = general_solve(prob, ens, basis)
         assert whole_rep.outer == rep.outer
         np.testing.assert_array_equal(sol.y, whole.y)
         np.testing.assert_array_equal(sol.z, whole.z)
+
+    def test_clipped_rows_rebuild_from_coefficients(self, monkeypatch, window_cap):
+        # a sharp terminal makes the quadratic fits overshoot the ball on tail
+        # paths, so the last pass of some window clips states; the Y the
+        # solve emits, rebuilt from each node's coefficients and projection
+        # scale, equals the projected window rows bit for bit
+        prob, ens = self._coupled(lambda e: 0.4 * np.tanh(5.0 * w_end(e)))
+        solve = mildbsde.solver.local_solve
+        rows, clipped = {}, {}
+
+        def recorded_solve(*args, **kwargs):
+            y, stats, fits = solve(*args, **kwargs)
+            for j, (_, scale) in enumerate(fits):  # the last sweep's rows stay
+                rows[args[4] + j] = y[j].copy()
+                clipped[args[4] + j] = scale is not None
+            return y, stats, fits
+
+        monkeypatch.setattr(mildbsde.solver, "local_solve", recorded_solve)
+        window_cap(0.3)
+        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        assert rep.outer["iterations"] > 1
+        assert sum(w.ball_clipped for w in rep.windows) > 0 and any(clipped.values())
+        assert sorted(rows) == list(range(ens.grid.n_steps))
+        for l, row in rows.items():
+            assert sol.y[l].tobytes() == row.tobytes()
 
     def test_warm_regression_cache_matches_fresh_ensemble(self):
         # the second solve reuses the Gram matrices the first one left on the
@@ -948,22 +1072,31 @@ class TestWeightedDistance:
         basis = RegressionBasis(degree=1)
         designs = [basis.design(ens, l) for l in range(steps)]
         scale = 10.0 ** rng.uniform(-3.0, 3.0)
-        y0, y1 = scale * rng.standard_normal((2, steps + 1, paths, dim))
-        # Z as the solver fits it: per node, its design times a coefficient matrix
+        # Y and Z as the solver fits them: per node, its design times a
+        # coefficient matrix, and Y on every other node times a projection scale
+        b0, b1 = scale * rng.standard_normal((2, steps, designs[0].shape[1], dim))
+        s0, s1 = rng.uniform(0.5, 1.0, (2, steps, paths))
         c0, c1 = scale * rng.standard_normal((2, steps, designs[0].shape[1], dim * noise))
+        y_fits = [[(b[l], s[l] if l % 2 else None) for l in range(steps)]
+                  for b, s in ((b0, s0), (b1, s1))]
+        y0, y1 = (
+            np.stack([d @ b if s is None else (d @ b) * s[:, None]
+                      for d, (b, s) in zip(designs, fits)] + [np.zeros((paths, dim))])
+            for fits in y_fits
+        )
         z0, z1 = (
             np.stack([(d @ c[l]).reshape(paths, dim, noise) for l, d in enumerate(designs)])
             for c in (c0, c1)
         )
-        iterates = iter([(y0, c0, z0)] + [(y1, c1, z1)] * 24)
+        iterates = iter([(y0, y_fits[0], c0, z0)] + [(y1, y_fits[1], c1, z1)] * 24)
 
         def sweep(*args, node_sink, **kwargs):
             # each outer step's sweep hands over the next iterate: node L
             # without Z first, then node L-1 down to node 0
-            y, c, z = next(iterates)
-            node_sink(steps, y[steps], None)
+            y, y_fit, c, z = next(iterates)
+            node_sink(steps, y[steps], None, None)
             for l in range(steps - 1, -1, -1):
-                node_sink(l, y[l], Regression(z[l], c[l], False, designs[l]))
+                node_sink(l, y[l], Regression(z[l], c[l], False, designs[l]), y_fit[l])
 
         f1 = BoundedDriver(
             fn=lambda t, y, z: np.zeros_like(y), lipschitz_const=lipschitz, bound=1.0
@@ -979,7 +1112,8 @@ class TestWeightedDistance:
         first, second = rep.outer["distances"][:2]
         assert first == self._two_array_form(grid, beta, y0, z0)  # from the zero start
         assert second == self._two_array_form(grid, beta, y1 - y0, z1 - z0)
-        # the Z the loop holds as coefficients ends as the converged iterate's
+        # the Y and Z the loop holds as coefficients end as the converged iterate's
+        np.testing.assert_array_equal(sol.y, y1)
         np.testing.assert_array_equal(sol.z, z1)
 
 
