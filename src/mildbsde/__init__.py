@@ -27,9 +27,6 @@ from .solver import (
     apriori_h_bound,
     exponential_shift,
     general_solve,
-    global_solve,
-    local_solve,
-    residual,
     select_local_radius_and_delta,
     zero_drift,
 )
@@ -50,3 +47,10 @@ from .models import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # imported on first use, so ``python -m mildbsde.cli`` runs a fresh module
+    if name == "load_solution":
+        from .cli import load_solution
+        return load_solution
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

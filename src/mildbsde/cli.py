@@ -6,7 +6,8 @@ Exit codes follow the exception's class: 0 success; 1 a bug, with its traceback;
 powers are integers >= 1 (``reaction_power`` odd); every other number is finite
 and >= 0, ``length`` and ``horizon`` > 0.
 All outputs are reproducible from (config, seed); CSV files carry a schema
-version in their first line and contain no volatile fields.
+version in their first line and contain no volatile fields.  ``solution.npz``
+holds each node's regression fit, from which ``load_solution`` rebuilds Y and Z.
 """
 from __future__ import annotations
 
@@ -17,10 +18,7 @@ import glob
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
-import zipfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -28,15 +26,13 @@ import numpy as np
 
 from . import gronwall, models, spectral
 from .config import ExperimentConfig, _convert, load_config
-from .solver import SolverError, ValidationError, _check_number, general_solve
+from .solver import SolverError, ValidationError, _check_number, _rebuild_node, general_solve
 from .wiener import RegressionBasis, TimeGrid, conditional_expectation, sample_ensemble
 
 SOLVE_CSV_SCHEMA = "mildbsde-solve-csv-v1"
 STUDY_CSV_SCHEMA = "mildbsde-study-csv-v1"
 GRONWALL_CSV_SCHEMA = "mildbsde-gronwall-csv-v1"
-
-# bytes per read when y.npy and z.npy are copied into solution.npz
-_COPY_CHUNK = 1 << 22
+SOLUTION_SCHEMA = "mildbsde-solution-v2"
 
 
 def _json_ready(obj):
@@ -97,53 +93,30 @@ def _openblas_threads():
 # solve
 
 
-def _write_solution_npz(path: Path, times: np.ndarray, streamed) -> None:
-    """solution.npz with the members np.savez would write.
-
-    ``streamed`` lists (name, file, shape) for the arrays written node by node:
-    each file holds its array as C-ordered float32 bytes, so its .npy member is
-    the format-1.0 header followed by the file's bytes, copied in bounded chunks.
-    """
-    dtype = np.dtype(np.float32)
-    descr = np.lib.format.dtype_to_descr(dtype)
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED, allowZip64=True) as zf:
-        with zf.open("times.npy", "w", force_zip64=True) as fh:
-            np.lib.format.write_array(fh, times, allow_pickle=False)
-        for name, node_file, shape in streamed:
-            node_file.seek(0)
-            if os.fstat(node_file.fileno()).st_size != math.prod(shape) * dtype.itemsize:
-                raise RuntimeError(f"the {name} file does not hold every node of shape {shape}")
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as fh:
-                header = {"descr": descr, "fortran_order": False, "shape": shape}
-                np.lib.format.write_array_header_1_0(fh, header)
-                shutil.copyfileobj(node_file, fh, _COPY_CHUNK)
-
-
 def run_solve(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = cfg.make_problem()
     basis = cfg.make_basis()
-    # Y and Z arrive node by node, right to left, and go straight to temporary
-    # files at their node's offset; plain files, since mapped pages count in RSS
-    with tempfile.TemporaryFile(dir=out) as y_file, tempfile.TemporaryFile(dir=out) as z_file:
+    # node L is kept as its Y, cast after the solve, and every other node as its fit
+    nodes = {}
 
-        def sink(l: int, y_l: np.ndarray, z_l: np.ndarray | None) -> None:
-            for node_file, node in ((y_file, y_l), (z_file, z_l)):
-                if node is not None:
-                    node = node.astype(np.float32)
-                    node_file.seek(l * node.nbytes)
-                    node_file.write(node)
+    def sink(l: int, y_l: np.ndarray, z_l: np.ndarray | None, fit: tuple | None) -> None:
+        nodes[l] = y_l if fit is None else fit
 
-        # the ensemble is not kept here, so a refined grid frees the coarse one
-        solution, report = general_solve(problem, cfg.make_ensemble(problem), basis, sink=sink)
-        y_shape = (report.n_steps + 1, report.n_paths, problem.operator.dimension)
-        z_shape = (report.n_steps,) + y_shape[1:] + (report.n_noise,)
-        # snapshots are for inspection; the report carries the full-precision numbers
-        _write_solution_npz(
-            out / "solution.npz", solution.grid.times,
-            [("y", y_file, y_shape), ("z", z_file, z_shape)],
-        )
+    # the ensemble is not kept here, so a refined grid frees the coarse one
+    solution, report = general_solve(problem, cfg.make_ensemble(problem), basis, sink=sink)
+    y_coef, y_clip, z_coef, shift = zip(*(nodes[l] for l in range(report.n_steps)))
+    clipped = [l for l, clip in enumerate(y_clip) if clip is not None]
+    np.savez(
+        out / "solution.npz", times=solution.grid.times, shift=np.array(shift),
+        y_terminal=nodes[report.n_steps].astype(np.float32),
+        y_coef=np.stack(y_coef), z_coef=np.stack(z_coef),
+        clip_nodes=np.array(clipped, dtype=np.int64),
+        clip_scales=np.array([y_clip[l] for l in clipped]).reshape(len(clipped), report.n_paths),
+    )
+    y_shape = (report.n_steps + 1, report.n_paths, problem.operator.dimension)
+    z_shape = (report.n_steps,) + y_shape[1:] + (report.n_noise,)
 
     blas = _openblas_threads()
     doc = _json_ready({"config": asdict(cfg), "report": asdict(report),
@@ -166,12 +139,15 @@ def run_solve(cfg: ExperimentConfig) -> Path:
     )
 
     manifest = {
-        "schema": "mildbsde-solution-v1",
+        "schema": SOLUTION_SCHEMA,
         "files": {"arrays": "solution.npz", "report": "report.json", "csv": "solve.csv"},
         "shapes": {"y": list(y_shape), "z": list(z_shape)},
         "dtype": "float32",
         "seed": cfg.seed,
         "preset": cfg.preset,
+        "basis": {"degree": basis.degree, "n_coords": basis.n_coords},
+        "n_paths": report.n_paths,
+        "n_noise": report.n_noise,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(
@@ -180,6 +156,33 @@ def run_solve(cfg: ExperimentConfig) -> Path:
         f"(C1 {report.c1_bound:.4f})"
     )
     return out
+
+
+def load_solution(out_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, y, z) of a ``mildbsde solve`` output directory, y and z as float32.
+
+    The ensemble is redrawn from the manifest's seed on the solved grid, and
+    each node's Y and Z are rebuilt from its fits on its design and shifted
+    back: the float32 Y and Z of the solve, bit for bit with one BLAS thread,
+    the condition ``solve.csv`` also needs.
+    """
+    out = Path(out_dir)
+    manifest = json.loads((out / "manifest.json").read_text())
+    if manifest.get("schema") != SOLUTION_SCHEMA:
+        raise ValueError(f"{out} does not hold a {SOLUTION_SCHEMA} solution")
+    with np.load(out / "solution.npz") as npz:
+        arrays = dict(npz)
+    k = manifest["n_noise"]
+    ensemble = sample_ensemble(TimeGrid(arrays["times"]), k, manifest["n_paths"], manifest["seed"])
+    basis = RegressionBasis(**manifest["basis"])
+    clips = dict(zip(arrays["clip_nodes"].tolist(), arrays["clip_scales"]))
+    y, z = (np.empty(manifest["shapes"][name], dtype=np.float32) for name in "yz")
+    y[-1] = arrays["y_terminal"]
+    for l, shift in enumerate(arrays["shift"]):
+        fit = arrays["y_coef"][l], clips.get(l), arrays["z_coef"][l]
+        y_l, z_l = _rebuild_node(basis.design(ensemble, l), *fit, k)
+        y[l], z[l] = y_l * shift, z_l * shift
+    return arrays["times"], y, z
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +310,6 @@ def run_validation(cfg: ExperimentConfig) -> dict:
 # convergence study
 
 
-def _discard_node(l: int, y_l: np.ndarray, z_l: np.ndarray | None) -> None:
-    pass
-
-
 def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
     if not m_ladder or not l_ladder:
         raise ValidationError("config", "ladders must be nonempty")
@@ -325,7 +324,7 @@ def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
             # the ensemble is not kept here, so a refined grid frees the coarse one
             _, report = general_solve(
                 problem, replace(cfg, paths=m, steps=l).make_ensemble(problem),
-                basis, sink=_discard_node,
+                basis, sink=lambda *node: None,
             )
             picard = max(report.picard_factors) if report.picard_factors else 0.0
             outer = 0.0

@@ -880,6 +880,15 @@ def _record_bound_checks(
 # the solve driver: per-solve work, grid refinement, outer fixed point
 
 
+def _rebuild_node(design, y_coef, y_clip, z_coef, n_noise):
+    """(Y_l, Z_l) from the node's ``design``, bit for bit: ``design @ y_coef`` times
+    the projection's per-path scale ``y_clip`` (None: no clip), ``design @ z_coef``."""
+    y_l = design @ y_coef
+    if y_clip is not None:
+        y_l *= y_clip[:, None]
+    return y_l, (design @ z_coef).reshape(y_l.shape + (n_noise,))
+
+
 def _estimator_rng(seed: int) -> np.random.Generator:
     # distinct stream from the path blocks, which use spawn keys 0..n_blocks-1
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2 ** 20,)))
@@ -889,7 +898,7 @@ def general_solve(
     problem: BsdeProblem,
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
-    sink: Callable[[int, np.ndarray, np.ndarray | None], None] | None = None,
+    sink: Callable[[int, np.ndarray, np.ndarray | None, tuple | None], None] | None = None,
 ) -> tuple[SolutionPair, SolverReport]:
     """Solve the equation on [0, T]: the one solve driver.
 
@@ -915,22 +924,24 @@ def general_solve(
 
     Every node leaves the solve through one exit: its norms are recorded for
     the bound checks, it is shifted back by exp(-lam t_l), added to the
-    residual, and then ``sink(l, y_l, z_l)``, when given, receives it: node L
-    first with ``z_l = None``, then nodes L-1 down to 0, each exactly once,
-    and the returned pair has ``y = z = None``.  Without a sink Y and Z are
-    kept in the returned pair.  Without f1 the sweep's worker thread feeds
-    the exit one window behind the Picard iteration, so the sink runs there,
-    and a solve with a sink holds the ensemble and two windows with their
-    designs.  With f1 the outer distance and the next frozen driver need the
-    whole previous iterate: the loop holds it as each node's regression
-    coefficients, (B, N) for Y and (B, N K) for Z in place of the (M, N) and
-    (M, N, K) values, and the per-path scale the ball projection applied to
-    Y.  The worker overwrites a node once its distance to the previous
-    iterate is taken, only on converged windows, so the driver reads the
-    previous iterate.  Every read rebuilds Y and Z from the coefficients on
-    the design the sweep holds, equal to the fitted values bit for bit.  The
-    converged iterate replays through the same exit on the calling thread,
-    on one design built per node.  A sink's exception ends the solve.
+    residual, and then ``sink(l, y_l, z_l, fit)``, when given, receives it:
+    node L first with ``z_l = fit = None``, then nodes L-1 down to 0, each
+    once, with ``fit = (y_coef, y_clip, z_coef, shift)``: ``_rebuild_node`` on
+    the node's design, times ``shift``, gives y_l and z_l bit for bit.  The
+    returned pair then has ``y = z = None``; without a sink it keeps Y and Z.
+    Without f1 the sweep's worker thread feeds the exit one window behind the
+    Picard iteration, so the sink runs there, and a solve with a sink holds
+    the ensemble and two windows with their designs.  With f1 the outer
+    distance and the next frozen driver need the whole previous iterate: the
+    loop holds it as each node's regression coefficients, (B, N) for Y and
+    (B, N K) for Z in place of the (M, N) and (M, N, K) values, and the
+    per-path scale the ball projection applied to Y.  The worker overwrites a
+    node once its distance to the previous iterate is taken, only on converged
+    windows, so the driver reads the previous iterate.  Every read rebuilds Y
+    and Z from the coefficients on the design the sweep holds, equal to the
+    fitted values bit for bit.  The converged iterate replays through the same
+    exit on the calling thread, on one design built per node.  A sink's
+    exception ends the solve.
     """
     t0 = time.perf_counter()
     if not problem.validated:
@@ -1008,7 +1019,7 @@ def general_solve(
                 y_kept = np.empty(y_shape)
                 z_kept = np.empty((grid.n_steps,) + z_node)
 
-            def emit(l, y_l, z_l):
+            def emit(l, y_l, z_l, fit):
                 h = np.linalg.norm(y_l, axis=-1)
                 theta_max = _bound_first(op, theta, y_l).max() if theta > 0 else h.max()
                 node_norms[:, l] = h.mean(), h.max(), theta_max
@@ -1018,17 +1029,20 @@ def general_solve(
                 if z_l is not None:
                     sweep.add(l, y_l, z_l)
                 if sink is not None:
-                    sink(l, y_l, z_l)
+                    sink(l, y_l, z_l, None if fit is None else (*fit, y_scale[l]))
                     return
                 y_kept[l] = y_l
                 if z_l is not None:
                     z_kept[l] = z_l
 
+            def exit_node(l, y_l, z_fit, y_fit):
+                fit = None if z_fit is None else (*y_fit, z_fit.coef)
+                emit(l, y_l, None if z_fit is None else z_fit.fitted, fit)
+
             if f1 is None:
                 global_solve(
                     frozen, ensemble, basis, consts, factors, terminal_values, report,
-                    node_sink=lambda l, y_l, fit, _y_fit:
-                        emit(l, y_l, None if fit is None else fit.fitted),
+                    node_sink=exit_node,
                 )
                 break
             w = np.exp(beta * times[:-1]) * grid.deltas
@@ -1044,11 +1058,7 @@ def general_solve(
                 # (Y_l, Z_l) of the previous iterate, rebuilt bit for bit on node l's design
                 if fits[l] is None:
                     return y_zero, z_zero
-                y_coef, y_scale, z_coef = fits[l]
-                y_l = design @ y_coef
-                if y_scale is not None:
-                    y_l *= y_scale[:, None]
-                return y_l, (design @ z_coef).reshape(z_node)
+                return _rebuild_node(design, *fits[l], ensemble.n_noise)
 
             def to_previous(l, y_l, z_fit, y_fit):
                 # the distance to the previous iterate, which is then overwritten;
@@ -1093,9 +1103,9 @@ def general_solve(
                 raise OuterDivergence(
                     f"outer iteration did not converge within {_MAX_OUTER} steps"
                 )
-            emit(grid.n_steps, terminal_values, None)
+            emit(grid.n_steps, terminal_values, None, None)
             for l in range(grid.n_steps - 1, -1, -1):
-                emit(l, *previous(l, basis.design(ensemble, l)))
+                emit(l, *previous(l, basis.design(ensemble, l)), fits[l])
             break
         except GridTooCoarse as need:
             if attempt == 2:

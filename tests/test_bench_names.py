@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mildbsde
-from mildbsde import cli
+from mildbsde import cli, config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -62,18 +62,21 @@ def load_workloads():
                             ("reaction-diffusion", "reaction-diffusion-1d", 20)]
 )
 def test_report_json_reads_through_bench_workloads(tmp_path, name, preset, steps):
-    # the benchmark reads report.json by key; a report-schema change must not
-    # leave it a KeyError
+    # the benchmark reads report.json and manifest.json by key; a change to
+    # either schema must not leave it a KeyError
     cfg = tmp_path / "small.ini"
+    out = tmp_path / "out"
     cfg.write_text(
-        f"[experiment]\npreset = {preset}\nseed = 5\nout = {tmp_path / 'out'}\n\n"
+        f"[experiment]\npreset = {preset}\nseed = 5\nout = {out}\n\n"
         f"[discretization]\npaths = 400\nsteps = {steps}\n\n[validation]\ntrials = 400\n"
     )
     assert cli.main(["solve", "--config", str(cfg)]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())["report"]
+    report = json.loads((out / "report.json").read_text())["report"]
     workloads = load_workloads()
     counts = workloads.counters(report)
     assert counts["windows"] == len(report["windows"]) > 0
     assert counts["rank_deficient"] == sum(w["rank_deficient"] for w in report["windows"])
     workload = workloads.make_workloads(REPO)[name]
-    assert all(isinstance(m, str) for m in workload.misses(report, seconds=1.0))
+    outcome = workload.inspect(config.load_config(str(cfg)), None, out, seconds=1.0)
+    assert all(isinstance(m, str) for m in outcome.misses)
+    assert outcome.z_mib > 0 and outcome.output_bytes > 0

@@ -1,14 +1,18 @@
 """Command-line harness: artifacts, determinism, exit codes."""
 import configparser
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,10 +21,12 @@ from hypothesis import strategies as st
 
 import mildbsde.cli
 import mildbsde.solver
+from mildbsde import load_solution
 from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
 from mildbsde.config import ExperimentConfig, load_config
 from mildbsde.models import ValidationError
-from mildbsde.solver import DissipativeDrift, SolverError, general_solve
+from mildbsde.solver import BoundedDriver, BsdeProblem, DissipativeDrift, SolverError, general_solve
+from mildbsde.spectral import DiagonalOperator
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -213,9 +219,11 @@ class TestSolveCommand:
         report = json.loads((out / "report.json").read_text())
         n_steps = report["report"]["n_steps"]
         assert len(csv) == 2 + n_steps + 1  # schema line + header + one row per node
-        arrays = np.load(out / "solution.npz")
-        assert arrays["y"].shape[0] == n_steps + 1
+        with np.load(out / "solution.npz") as arrays:
+            assert arrays["y_coef"].shape[0] == n_steps
         manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["schema"] == "mildbsde-solution-v2"
+        assert manifest["shapes"]["y"][0] == n_steps + 1
         assert manifest["seed"] == 321
 
     @pytest.mark.parametrize(
@@ -223,28 +231,85 @@ class TestSolveCommand:
         ids=["spin-chain", "reaction-diffusion"],
     )
     def test_streamed_solution_npz_matches_library_solve(self, tmp_path, write_config):
-        # Z reaches solution.npz node by node; the arrays must be those of a
-        # library solve that keeps Z, cast to float32
+        # solution.npz holds each node's fits; the Y and Z that load_solution
+        # rebuilds from them are those of a library solve that keeps Y and Z,
+        # cast to float32
         out = tmp_path / "run"
         cfg_path = write_config(tmp_path, out)
         assert main(["solve", "--config", str(cfg_path)]) == 0
         cfg = load_config(cfg_path)
         problem = cfg.make_problem()
         sol, _ = general_solve(problem, cfg.make_ensemble(problem), cfg.make_basis())
+        self._assert_loads_as(out, sol)
+
+    @staticmethod
+    def _assert_loads_as(out, sol):
         manifest = json.loads((out / "manifest.json").read_text())
-        expected = {
-            "times": sol.grid.times,
-            "y": sol.y.astype(np.float32),
-            "z": sol.z.astype(np.float32),
-        }
-        with np.load(out / "solution.npz") as arrays:
-            assert sorted(arrays.files) == sorted(expected)
-            for name, expect in expected.items():
-                got = arrays[name]
-                assert got.dtype == expect.dtype
-                np.testing.assert_array_equal(got, expect)
-            assert list(arrays["y"].shape) == manifest["shapes"]["y"]
-            assert list(arrays["z"].shape) == manifest["shapes"]["z"]
+        times, y, z = load_solution(out)
+        assert times.tobytes() == sol.grid.times.tobytes()
+        for name, got, kept in (("y", y, sol.y), ("z", z, sol.z)):
+            assert got.dtype == np.float32
+            assert list(got.shape) == manifest["shapes"][name]
+            assert got.tobytes() == kept.astype(np.float32).tobytes()
+
+    @staticmethod
+    def _rebuild_case(case):
+        def w_end(e):
+            return e.path_at(e.grid.n_steps)[:, :1]
+
+        if case == "clipped":
+            # the sharp terminal of test_solver's coupled problems; the
+            # driver's offset carries Y past the ball's radius 2.4 * 0.4 near
+            # t = 0, so the last pass clips on every draw
+            op, bound, f0 = DiagonalOperator([0.0]), 0.4, None
+            terminal = lambda e: 0.4 * np.tanh(5.0 * w_end(e))  # noqa: E731
+            f1 = BoundedDriver(fn=lambda t, y, z: 1.5 - 0.5 * np.tanh(y + z[..., 0]),
+                               lipschitz_const=0.5, bound=2.0)
+        else:
+            # monotonicity 0.5, so the solve runs on the equation shifted by lambda = 0.5
+            op, bound, f1 = DiagonalOperator([0.0]), 0.1, None
+            terminal = lambda e: 0.1 * np.tanh(w_end(e))  # noqa: E731
+            f0 = DissipativeDrift(fn=lambda t, y: 0.5 * y - y ** 3, growth_scale=1.5,
+                                  growth_power=3.0, monotonicity=0.5,
+                                  lipschitz=lambda r: 0.5 + 3.0 * r ** 2)
+        prob = BsdeProblem(operator=op, horizon=1.0, alpha=0.0, terminal=terminal,
+                           terminal_bound=bound, f0=f0, f1=f1)
+        prob.validated = True
+        return prob
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        case=st.sampled_from(["clipped", "shifted"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        paths=st.integers(100, 400),
+        steps=st.integers(5, 30),
+    )
+    def test_load_solution_rebuilds_clipped_and_shifted_solves(self, case, seed, paths, steps):
+        # a coupled solve whose last pass clips, and a solve with lambda > 0,
+        # each written by run_solve and read back through load_solution
+        prob = self._rebuild_case(case)
+        with tempfile.TemporaryDirectory() as tmp, \
+                patch.object(ExperimentConfig, "make_problem", lambda cfg: prob):
+            out = Path(tmp)
+            cfg = ExperimentConfig(preset="spin-chain", seed=seed, paths=paths, steps=steps,
+                                   out_dir=str(out))
+            with contextlib.redirect_stdout(io.StringIO()):
+                run_solve(cfg)
+            sol, report = general_solve(prob, cfg.make_ensemble(prob), cfg.make_basis())
+            if case == "clipped":
+                with np.load(out / "solution.npz") as arrays:
+                    assert arrays["clip_nodes"].size > 0
+            else:
+                assert report.lambda_shift > 0.0
+            self._assert_loads_as(out, sol)
+
+    def test_output_is_coefficients_not_paths(self, tmp_path):
+        # the whole output directory is below a tenth of float32 Y and Z
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(write_spin_config(tmp_path, out, paths=1000))]) == 0
+        shapes = json.loads((out / "manifest.json").read_text())["shapes"]
+        paths_bytes = (math.prod(shapes["y"]) + math.prod(shapes["z"])) * 4
+        assert sum(f.stat().st_size for f in out.iterdir()) < 0.1 * paths_bytes
 
     @pytest.fixture(scope="class")
     def spin_solve_peak(self, tmp_path_factory):

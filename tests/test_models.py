@@ -149,6 +149,31 @@ class TestSpinSystem:
         y = np.random.default_rng(22).standard_normal((30, 5))
         np.testing.assert_allclose(f0(0.0, -y), -f0(0.0, y), rtol=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 3),
+        y=arrays(
+            np.float64,
+            st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6)),
+            elements=st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0),
+        ),
+    )
+    @example(k=1, y=np.array([[[-0.0, 0.0, -0.0]]]))
+    def test_bits_of_the_np_pad_form(self, k, y):
+        # the drift fills a zero buffer in place of np.pad; its bits, signed
+        # zeros included, are those of the np.pad form
+        def odd_power(d):
+            sq = d * d
+            even = sq
+            for _ in range(k - 1):
+                even = even * sq
+            return d * even
+
+        padded = np.pad(y, [(0, 0)] * (y.ndim - 1) + [(1, 1)])
+        expect = (odd_power(padded[..., 2:] - padded[..., 1:-1])
+                  + odd_power(padded[..., :-2] - padded[..., 1:-1]))
+        assert spin_drift_fn(k)(0.0, y).tobytes() == expect.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(1, 3),

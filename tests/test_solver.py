@@ -1184,7 +1184,7 @@ class TestZSink:
         assert len(kept_rep.windows) > 1
         seen = []
 
-        def rec(l, y_l, z_l):
+        def rec(l, y_l, z_l, fit):
             seen.append((l, y_l.copy(), None if z_l is None else z_l.copy()))
 
         streamed, rep = general_solve(prob, ens, basis, sink=rec)
@@ -1249,7 +1249,7 @@ class TestWindowPipeline:
         threads = threading.active_count()
         seen = []
 
-        def full_at_20(l, y_l, z_l):
+        def full_at_20(l, y_l, z_l, fit):
             seen.append(l)
             if l == 20:
                 raise self.SinkFull(f"no room for node {l}")
@@ -1260,7 +1260,7 @@ class TestWindowPipeline:
         assert threading.active_count() == threads
         # the same solve with a sink that keeps going ends every thread too
         seen.clear()
-        _, rep = general_solve(prob, ens, basis, sink=lambda l, y_l, z_l: seen.append(l))
+        _, rep = general_solve(prob, ens, basis, sink=lambda l, y_l, z_l, fit: seen.append(l))
         assert len(rep.windows) == 7
         assert seen == list(range(40, -1, -1))
         assert threading.active_count() == threads
@@ -1285,7 +1285,7 @@ class TestWindowPipeline:
         threads = threading.active_count()
         seen, waited = [], []
 
-        def slow_sink(l, y_l, z_l):
+        def slow_sink(l, y_l, z_l, fit):
             if l == 40:
                 waited.append(reached.wait(timeout=60.0))
             seen.append(l)
