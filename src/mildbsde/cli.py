@@ -26,7 +26,7 @@ import numpy as np
 
 from . import gronwall, models, spectral
 from .config import ExperimentConfig, _convert, load_config
-from .solver import SolverError, ValidationError, _check_number, _rebuild_node, general_solve
+from .solver import SolverError, ValidationError, _check_number, _rebuild_node, general_solve, plan_solve
 from .wiener import RegressionBasis, TimeGrid, conditional_expectation, sample_ensemble
 
 SOLVE_CSV_SCHEMA = "mildbsde-solve-csv-v1"
@@ -93,27 +93,45 @@ def _openblas_threads():
 # solve
 
 
+def _planned_solve(cfg: ExperimentConfig, problem, basis, sink):
+    """``general_solve`` of ``cfg`` on one ensemble, drawn at the grid ``plan_solve`` plans."""
+    paths, steps = cfg.resolved_discretization()
+    plan = plan_solve(problem, steps, cfg.seed, paths)
+    # the ensemble is not kept here, so a refined paste grid frees this one
+    return general_solve(problem, replace(cfg, steps=plan.n_steps).make_ensemble(problem),
+                         basis, sink=sink, plan=plan)
+
+
 def run_solve(cfg: ExperimentConfig) -> Path:
+    """Solve ``cfg`` on one ensemble, drawn at the planned grid, and write its outputs.
+
+    The sink copies each node's fit into one store per kind, allocated at node L-1."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     problem = cfg.make_problem()
     basis = cfg.make_basis()
-    # node L is kept as its Y, cast after the solve, and every other node as its fit
-    nodes = {}
+    kept, clips = {}, {}
 
     def sink(l: int, y_l: np.ndarray, z_l: np.ndarray | None, fit: tuple | None) -> None:
-        nodes[l] = y_l if fit is None else fit
+        if fit is None:
+            kept["y_terminal"] = y_l
+            return
+        y_coef, y_clip, z_coef, shift = fit
+        if "shift" not in kept:  # node L-1, the first with a fit
+            kept.update(y_coef=np.empty((l + 1,) + y_coef.shape), shift=np.empty(l + 1),
+                        z_coef=np.empty((l + 1,) + z_coef.shape))
+        kept["y_coef"][l], kept["z_coef"][l], kept["shift"][l] = y_coef, z_coef, shift
+        if y_clip is not None:
+            clips[l] = y_clip
 
-    # the ensemble is not kept here, so a refined grid frees the coarse one
-    solution, report = general_solve(problem, cfg.make_ensemble(problem), basis, sink=sink)
-    y_coef, y_clip, z_coef, shift = zip(*(nodes[l] for l in range(report.n_steps)))
-    clipped = [l for l, clip in enumerate(y_clip) if clip is not None]
+    solution, report = _planned_solve(cfg, problem, basis, sink)
+    clipped = sorted(clips)
     np.savez(
-        out / "solution.npz", times=solution.grid.times, shift=np.array(shift),
-        y_terminal=nodes[report.n_steps].astype(np.float32),
-        y_coef=np.stack(y_coef), z_coef=np.stack(z_coef),
+        out / "solution.npz", times=solution.grid.times, shift=kept["shift"],
+        y_terminal=kept["y_terminal"].astype(np.float32),
+        y_coef=kept["y_coef"], z_coef=kept["z_coef"],
         clip_nodes=np.array(clipped, dtype=np.int64),
-        clip_scales=np.array([y_clip[l] for l in clipped]).reshape(len(clipped), report.n_paths),
+        clip_scales=np.array([clips[l] for l in clipped]).reshape(len(clipped), report.n_paths),
     )
     y_shape = (report.n_steps + 1, report.n_paths, problem.operator.dimension)
     z_shape = (report.n_steps,) + y_shape[1:] + (report.n_noise,)
@@ -320,12 +338,9 @@ def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
     rows = []
     for m in m_ladder:
         for l in l_ladder:
-            # the study reads the report only: Y and Z are dropped node by node, and
-            # the ensemble is not kept here, so a refined grid frees the coarse one
-            _, report = general_solve(
-                problem, replace(cfg, paths=m, steps=l).make_ensemble(problem),
-                basis, sink=lambda *node: None,
-            )
+            # the study reads the report only: Y and Z are dropped node by node
+            _, report = _planned_solve(replace(cfg, paths=m, steps=l), problem, basis,
+                                       lambda *node: None)
             picard = max(report.picard_factors) if report.picard_factors else 0.0
             outer = 0.0
             if report.outer and report.outer["squared_factors"]:

@@ -70,6 +70,7 @@ __all__ = [
     "SolutionPair",
     "SolverReport",
     "WindowSelection",
+    "SolvePlan",
     "SolverError",
     "ValidationError",
     "WindowCollapse",
@@ -83,6 +84,7 @@ __all__ = [
     "select_local_radius_and_delta",
     "local_solve",
     "global_solve",
+    "plan_solve",
     "general_solve",
     "residual",
 ]
@@ -709,7 +711,7 @@ def global_solve(
     problem: BsdeProblem,
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
-    consts: EmpiricalConstants,
+    plan: SolvePlan,
     factors: tuple[np.ndarray, np.ndarray],
     terminal_values: np.ndarray,
     report: SolverReport,
@@ -722,7 +724,7 @@ def global_solve(
     ``general_solve`` supplies the grid's step factors and terminal values;
     the whole window schedule is chosen here, on a uniform grid.  The first
     window ends at T; its radius R_1 = 2 M_alpha ||xi|| and length delta_1
-    come from the terminal bound.  Its solution fits the blow-up constant
+    are the plan's selection.  Its solution fits the blow-up constant
     C_2, which supplies the radius R_2 = 2 M_alpha C_2 /
     delta_1^(theta-alpha) and the constant window length delta_2 = delta_3 =
     ... for all remaining windows.  Every window iterates to the Picard
@@ -761,7 +763,7 @@ def global_solve(
     dt = float(times[1] - times[0])
     if not np.allclose(grid.deltas, dt, rtol=1e-9):
         raise ValueError("window scheduling requires a uniform time grid")
-    sel1 = select_local_radius_and_delta(problem, problem.terminal_bound, consts)
+    sel1 = plan.selection
     radius = sel1.radius
     steps_per_window = _window_steps(sel1.delta, dt, n_steps)
     report.selection = asdict(sel1)
@@ -828,7 +830,7 @@ def global_solve(
                 c2 = float(_bound_first(op, theta, y, fold=_path_max, weights=weights).max())
                 if start > 0:
                     bound2 = c2 / delta1 ** theta_gap
-                    sel2 = select_local_radius_and_delta(problem, bound2, consts)
+                    sel2 = select_local_radius_and_delta(problem, bound2, plan.consts)
                     paste = asdict(sel2)
                     radius = sel2.radius
                     steps_per_window = _window_steps(sel2.delta, dt, n_steps)
@@ -894,23 +896,82 @@ def _estimator_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2 ** 20,)))
 
 
+@dataclass(frozen=True)
+class SolvePlan:
+    """What ``plan_solve`` decides before any path is drawn; ``refinements`` holds
+    one report line per refinement of the caller's ``base_steps`` to ``n_steps``."""
+
+    lam: float
+    raw: EmpiricalConstants
+    consts: EmpiricalConstants
+    selection: WindowSelection  # of the first window
+    base_steps: int
+    n_steps: int
+    refinements: tuple[str, ...]
+
+
+def _refined(need: GridTooCoarse, steps: int, grids: int, n_paths: int, n_noise: int, seed: int):
+    """(``need.factor`` times ``steps``, its report line) for grid ``grids + 1``; a fourth grid,
+    or one whose ensemble would not fit in physical memory, raises ``GridTooCoarse``."""
+    if grids == 3:
+        raise GridTooCoarse("grid refinement did not reach the required window resolution") from need
+    steps *= need.factor
+    held = ensemble_nbytes(steps, n_paths, n_noise)
+    if held > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise GridTooCoarse(
+            f"a grid refined to {Decimal(steps):.3e} steps needs {Decimal(held):.3e} "
+            "bytes of increments and checkpoints, more than this machine's physical memory"
+        )
+    return steps, f"window below one grid step: grid refined x{need.factor} to {steps} steps (seed {seed})"
+
+
+def plan_solve(problem: BsdeProblem, n_steps: int, seed: int, n_paths: int) -> SolvePlan:
+    """Plan a solve of ``n_paths`` paths on ``n_steps`` uniform steps before any is drawn:
+    the shift lam that removes a positive monotonicity constant from f0, the
+    operator constants, from ``seed`` alone, and the first window, selected from
+    the terminal bound with f1 frozen, on a grid refined until it resolves it."""
+    mu = problem.f0.monotonicity
+    lam = mu if mu > 0.0 else 0.0
+    frozen = replace(exponential_shift(problem, lam), f1=None)
+    op, alpha, theta = frozen.operator, frozen.alpha, frozen.theta
+    raw = estimate_constants(
+        op, alpha, frozen.horizon, theta=theta if theta > alpha else None,
+        rng=_estimator_rng(seed), trials=_CONSTANTS_TRIALS,
+    )
+    consts = raw.scaled(_SAFETY_MARGIN)
+    first = select_local_radius_and_delta(frozen, frozen.terminal_bound, consts)
+    steps, lines = n_steps, []
+    for grids in range(1, 4):  # _refined refuses a fourth grid
+        times = TimeGrid.uniform(frozen.horizon, steps).times
+        try:
+            _window_steps(first.delta, float(times[1] - times[0]), steps)
+            return SolvePlan(lam, raw, consts, first, n_steps, steps, tuple(lines))
+        except GridTooCoarse as need:
+            steps, line = _refined(need, steps, grids, n_paths, problem.noise_dim, seed)
+            lines.append(line)
+
+
 def general_solve(
     problem: BsdeProblem,
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
     sink: Callable[[int, np.ndarray, np.ndarray | None, tuple | None], None] | None = None,
+    *,
+    plan: SolvePlan | None = None,
 ) -> tuple[SolutionPair, SolverReport]:
     """Solve the equation on [0, T]: the one solve driver.
 
-    Once per solve: the validation gate, the exponential shift that removes a
-    positive monotonicity constant from f0, and the empirical operator
-    constants.  Once per grid: step factors, terminal values and their bound
-    check.  A window shorter than one grid step, as ``global_solve`` selects
-    it, restarts on a grid refined by an integer factor and resampled from the
-    same seed, up to three grids in all, once the coarse attempt is released;
-    a grid whose ensemble (``ensemble_nbytes``) would not fit in physical
-    memory is not drawn.  A basis with more features than paths is rejected
-    before any fit: each fit would be underdetermined.
+    Once per solve: the validation gate and the plan (``plan_solve``: shift,
+    operator constants, first window and its grid), the caller's ``plan`` or
+    one made from the ensemble's step count and seed.  An ensemble coarser
+    than the plan is released and the planned grid drawn from its seed before
+    any terminal value.  Once per grid: step factors, terminal values and
+    their bound check.  Only a paste window, whose length follows from the
+    C_2 fitted on the first window, can still be shorter than one step; the
+    solve then restarts on a grid refined by an integer factor, resampled
+    once the coarse attempt is released, within the plan's three grids.
+    ``report.grid_refined`` is against ``plan.base_steps``.  A basis with
+    more features than paths is rejected before any fit.
 
     The (y, z)-coupled driver f1 is handled by the weighted outer fixed point:
     each outer step runs the window sweep ``global_solve`` with f1 frozen
@@ -959,8 +1020,9 @@ def general_solve(
             "basis", f"{n_features} regression features exceed the {ensemble.n_paths} paths, "
             "so every fit would be underdetermined"
         )
-    mu = problem.f0.monotonicity
-    lam = mu if mu > 0.0 else 0.0
+    if plan is None:
+        plan = plan_solve(problem, ensemble.grid.n_steps, ensemble.seed, ensemble.n_paths)
+    lam = plan.lam
     work = exponential_shift(problem, lam)
     # The sweep sees f1 only as a frozen path, so window selection and the
     # a-priori bound C1 use driver bound 0.  C1 is a solve.csv column: using
@@ -970,24 +1032,21 @@ def general_solve(
     k_lip = problem.driver_lipschitz
     beta = 4.0 * k_lip ** 2 + 1.0
     op, alpha, theta = work.operator, work.alpha, work.theta
-
-    raw = estimate_constants(
-        op, alpha, work.horizon, theta=theta if theta > alpha else None,
-        rng=_estimator_rng(ensemble.seed), trials=_CONSTANTS_TRIALS,
-    )
-    consts = raw.scaled(_SAFETY_MARGIN)
     report = SolverReport(
-        alpha=problem.alpha,
-        theta=problem.theta,
-        lambda_shift=lam,
-        seed=ensemble.seed,
-        n_paths=ensemble.n_paths,
-        n_noise=ensemble.n_noise,
-        constants={"raw": asdict(raw), "scaled": asdict(consts)},
+        alpha=problem.alpha, theta=problem.theta, lambda_shift=lam, seed=ensemble.seed,
+        n_paths=ensemble.n_paths, n_noise=ensemble.n_noise, messages=list(plan.refinements),
+        constants={"raw": asdict(plan.raw), "scaled": asdict(plan.consts)},
     )
 
-    base_steps = ensemble.grid.n_steps
-    for attempt in range(3):
+    steps = plan.n_steps
+    for grids in range(len(plan.refinements) + 1, 4):  # _refined refuses a fourth grid
+        if ensemble.grid.n_steps != steps:
+            # the coarser ensemble and any attempt on it are released before the
+            # finer one is drawn; the closures hold their arrays through these names
+            grid = TimeGrid.uniform(ensemble.grid.horizon, steps)
+            draw = (ensemble.n_noise, ensemble.n_paths, ensemble.seed)
+            ensemble = sweep = fits = y_kept = z_kept = terminal_values = None
+            ensemble = sample_ensemble(grid, *draw)
         grid = ensemble.grid
         times = grid.times
         try:
@@ -1041,7 +1100,7 @@ def general_solve(
 
             if f1 is None:
                 global_solve(
-                    frozen, ensemble, basis, consts, factors, terminal_values, report,
+                    frozen, ensemble, basis, plan, factors, terminal_values, report,
                     node_sink=exit_node,
                 )
                 break
@@ -1083,7 +1142,7 @@ def general_solve(
             bad_streak = 0
             for _ in range(_MAX_OUTER):
                 global_solve(
-                    frozen, ensemble, basis, consts, factors, terminal_values, report,
+                    frozen, ensemble, basis, plan, factors, terminal_values, report,
                     driver, node_sink=to_previous,
                 )
                 dist = math.sqrt(float((w * y_sq).sum()) + float((w * z_sq).sum()))
@@ -1108,29 +1167,11 @@ def general_solve(
                 emit(l, *previous(l, basis.design(ensemble, l)), fits[l])
             break
         except GridTooCoarse as need:
-            if attempt == 2:
-                raise GridTooCoarse(
-                    "grid refinement did not reach the required window resolution"
-                ) from need
-            factor = need.factor
-        # the coarse attempt is released before the finer ensemble is drawn; the
-        # closures hold their arrays through these names
-        n_noise, n_paths, seed = ensemble.n_noise, ensemble.n_paths, ensemble.seed
-        ensemble = sweep = fits = y_kept = z_kept = terminal_values = None
-        steps = grid.n_steps * factor
-        held = ensemble_nbytes(steps, n_paths, n_noise)
-        if held > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-            raise GridTooCoarse(
-                f"a grid refined to {Decimal(steps):.3e} steps needs {Decimal(held):.3e} "
-                "bytes of increments and checkpoints, more than this machine's physical memory"
-            )
-        report.messages.append(
-            f"window below one grid step: grid refined x{factor} to "
-            f"{steps} steps and resampled (seed {seed})"
-        )
-        ensemble = sample_ensemble(TimeGrid.uniform(grid.horizon, steps), n_noise, n_paths, seed)
+            steps, line = _refined(need, grid.n_steps, grids, ensemble.n_paths,
+                                   ensemble.n_noise, ensemble.seed)
+            report.messages.append(line)
 
-    report.grid_refined = ensemble.grid.n_steps // base_steps
+    report.grid_refined = ensemble.grid.n_steps // plan.base_steps
     if f1 is not None:
         report.outer = {
             "beta": beta,

@@ -5,7 +5,7 @@ least-squares projections onto polynomial features of the current Brownian
 coordinates (the standard regression Monte Carlo construction).  Everything is
 deterministic given (seed, M, grid): paths are drawn in fixed blocks of 1024,
 block b seeded by child b of ``SeedSequence(seed)``, so enlarging M appends new
-paths without redrawing existing ones.
+paths without redrawing existing ones and two threads can draw the blocks.
 
 The increments are stored node-major, ``increments[l, m, k]``, because a solve
 reads them one node at a time in a right-to-left sweep.  The coordinates
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -156,25 +157,37 @@ def sample_ensemble(grid: TimeGrid, k: int, m: int, seed: int) -> WienerEnsemble
 
     Each block of 1024 paths is drawn from its own child generator in draws
     of 128 paths; the normal stream is sequential, so these are the values of
-    one (1024, L, K) draw.  Each draw is written node-major into ``out``.
+    one (1024, L, K) draw, scaled by sqrt(dt) and written node-major into ``out``.
+    The calling thread draws the even blocks and a worker, started and joined
+    here, the odd ones: the fills release the GIL and write disjoint paths.
     """
     if k < 1 or m < 1:
         raise ValueError("need at least one path and one noise coordinate")
     n_steps = grid.n_steps
     out = np.empty((n_steps, m, k))
-    buf = np.empty((_SUB_BLOCK, n_steps, k))
+    scale = np.sqrt(grid.deltas)[:, None]
     # one path's K values at one node are one record, so the transposing copy
     # moves 8 K bytes per element
     record = np.dtype((np.void, 8 * k))
     out_rec = out.view(record)[:, :, 0]
     children = np.random.SeedSequence(seed).spawn((m + _PATH_BLOCK - 1) // _PATH_BLOCK)
-    for b, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        for lo in range(b * _PATH_BLOCK, min((b + 1) * _PATH_BLOCK, m), _SUB_BLOCK):
-            n = min(_SUB_BLOCK, m - lo)
-            rng.standard_normal(out=buf[:n])
-            out_rec[:, lo : lo + n] = buf[:n].view(record)[:, :, 0].T
-    out *= np.sqrt(grid.deltas)[:, None, None]
+    # a buffer per thread, both allocated here: one made on the worker raised peak RSS
+    bufs = np.empty((2, _SUB_BLOCK, n_steps, k))
+
+    def draw(parity):
+        buf = bufs[parity]
+        for b in range(parity, len(children), 2):
+            rng = np.random.default_rng(children[b])
+            for lo in range(b * _PATH_BLOCK, min((b + 1) * _PATH_BLOCK, m), _SUB_BLOCK):
+                n = min(_SUB_BLOCK, m - lo)
+                rng.standard_normal(out=buf[:n])
+                buf[:n] *= scale
+                out_rec[:, lo : lo + n] = buf[:n].view(record)[:, :, 0].T
+
+    with ThreadPoolExecutor(max_workers=1) as worker:  # joined on leaving, raised or not
+        odd = worker.submit(draw, 1)
+        draw(0)
+        odd.result()
     return WienerEnsemble(grid=grid, increments=out, seed=int(seed))
 
 

@@ -20,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mildbsde.cli
+import mildbsde.config
 import mildbsde.solver
+import mildbsde.wiener
 from mildbsde import load_solution
 from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
 from mildbsde.config import ExperimentConfig, load_config
@@ -73,6 +75,19 @@ def write_reaction_diffusion_config(path: Path, out: Path, paths=400, steps=20, 
         )
     )
     return cfg
+
+
+def record_draws(monkeypatch) -> list:
+    """The step counts of the ensembles a solve draws, through either module."""
+    drawn, sample = [], mildbsde.wiener.sample_ensemble
+
+    def recorded(grid, *args):
+        drawn.append(grid.n_steps)
+        return sample(grid, *args)
+
+    for module in (mildbsde.config, mildbsde.solver):
+        monkeypatch.setattr(module, "sample_ensemble", recorded)
+    return drawn
 
 
 # (section, key) -> (the loaded value, integer, least): a config that loads
@@ -468,6 +483,17 @@ class TestSolveCommand:
         assert "validation failure: basis: 325 regression features exceed the 300 paths" in err
         assert not (tmp_path / "x" / "solve.csv").exists()
 
+    def test_spin_solve_draws_once_at_the_planned_grid(self, tmp_path, monkeypatch):
+        # spin-chain's first window is shorter than its 100 steps: the plan
+        # refines to 200 before the draw, so no 100-step ensemble is drawn
+        drawn = record_draws(monkeypatch)
+        out = tmp_path / "run"
+        run_solve(load_config(write_spin_config(tmp_path, out, paths=400, steps=100)))
+        assert drawn == [200]
+        report = json.loads((out / "report.json").read_text())["report"]
+        assert report["grid_refined"] == 2 and report["n_steps"] == 200
+        assert sum("grid refined" in m for m in report["messages"]) == 1
+
     def test_refinement_beyond_memory_exits_3(self, tmp_path, capsys):
         # odd_power = 50 at a terminal amplitude of 170 asks for a window some
         # 6e304 times shorter than a step; no memory holds those paths
@@ -715,6 +741,13 @@ class TestConvergenceStudy:
         residuals = [float(r.split(",")[2]) for r in rows]
         # more paths must not grow the residual beyond 2x Monte Carlo noise
         assert residuals[1] <= 2.0 * residuals[0]
+
+
+    def test_study_draws_once_per_entry(self, tmp_path, monkeypatch):
+        drawn = record_draws(monkeypatch)
+        cfg = write_spin_config(tmp_path, tmp_path / "study", paths=300, steps=100)
+        assert main(["convergence-study", "--config", str(cfg), "--m-ladder", "300,400"]) == 0
+        assert drawn == [200, 200]
 
 
 class TestGronwallCommand:

@@ -31,6 +31,7 @@ from mildbsde.solver import (
     exponential_shift,
     general_solve,
     local_solve,
+    plan_solve,
     residual,
     select_local_radius_and_delta,
     zero_drift,
@@ -899,7 +900,8 @@ class TestGeneralSolve:
     @pytest.mark.parametrize("cap, grids", [(None, 1), (0.015, 2)])
     def test_per_solve_work_runs_once(self, monkeypatch, window_cap, cap, grids):
         # the constants depend on no grid and the terminal values on no outer
-        # iterate; a window cap below one step (0.025) forces one refinement
+        # iterate; a window cap below one step (0.025) forces one refinement,
+        # which the plan makes before any terminal value is computed
         calls = {"constants": 0, "terminal": 0}
         estimate = mildbsde.solver.estimate_constants
 
@@ -918,13 +920,14 @@ class TestGeneralSolve:
         _, rep = general_solve(prob, ens, RegressionBasis(degree=2))
         assert rep.outer["iterations"] > 1
         assert rep.grid_refined == grids
-        assert calls == {"constants": 1, "terminal": grids}
+        assert calls == {"constants": 1, "terminal": 1}
         # the refinement is reported and survives the later outer sweeps
         assert sum("grid refined" in m for m in rep.messages) == grids - 1
 
     def test_every_sweep_selects_first_and_paste_window(self, monkeypatch, window_cap):
-        # each outer sweep selects its first window from the terminal bound
-        # and its paste windows from the C_2 it fitted on that first window
+        # the plan selects the first window from the terminal bound once per
+        # solve, and each outer sweep its paste windows from the C_2 it fitted
+        # on that first window
         select, sweep = mildbsde.solver.select_local_radius_and_delta, mildbsde.solver.global_solve
         calls, fits = [], []
 
@@ -945,12 +948,12 @@ class TestGeneralSolve:
         window_cap(0.2)
         _, rep = general_solve(prob, ens, RegressionBasis(degree=2))
         assert len(rep.windows) == 5 and rep.outer["iterations"] > 1
-        assert len(fits) == rep.outer["iterations"] and len(calls) == 2 * len(fits)
+        assert len(fits) == rep.outer["iterations"] and len(calls) == 1 + len(fits)
         gap = rep.theta - rep.alpha
-        for (first_bound, _), (paste_bound, _), (c2, delta1) in zip(calls[::2], calls[1::2], fits):
-            assert first_bound == prob.terminal_bound
+        assert calls[0][0] == prob.terminal_bound
+        for (paste_bound, _), (c2, delta1) in zip(calls[1:], fits, strict=True):
             assert paste_bound == c2 / delta1 ** gap
-        assert rep.selection == asdict(calls[-2][1])
+        assert rep.selection == asdict(calls[0][1])
         assert rep.selection_paste == asdict(calls[-1][1])
 
     def test_rank_deficient_count_sums_the_windows(self, window_cap):
@@ -970,7 +973,7 @@ class TestGeneralSolve:
         assert first.rank_deficient == first.iterations + 1 > 0
 
     def test_refinement_stops_before_a_fourth_draw(self, monkeypatch):
-        # the third grid that is still too coarse raises at once; no finer
+        # the plan finds the third grid still too coarse and raises at once; no
         # ensemble is drawn for a solve that never runs
         drawn = []
         sample = mildbsde.solver.sample_ensemble
@@ -989,7 +992,7 @@ class TestGeneralSolve:
         with pytest.raises(mildbsde.solver.GridTooCoarse,
                            match="grid refinement did not reach the required window resolution"):
             general_solve(prob, ens, RegressionBasis(degree=2))
-        assert drawn == [20, 40]
+        assert drawn == []
 
     def test_refinement_beyond_memory_draws_nothing(self, monkeypatch):
         # a refinement factor no memory can hold is a solver failure named
@@ -1040,6 +1043,81 @@ class TestGeneralSolve:
         prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(ValueError, match="uniform time grid"):
             general_solve(prob, ens, RegressionBasis(degree=2))
+
+
+class TestPlanSolve:
+    """The grid is planned before the draw, so a solve draws one ensemble."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.integers(1, 200),
+        cap=st.floats(1e-3, 2.0),
+        horizon=st.floats(0.1, 3.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_planned_grid_resolves_the_capped_first_window(self, steps, cap, horizon, seed):
+        # each grid the plan tries but the last is too coarse for the capped
+        # window; the last one, which the solve draws, is not
+        prob = make_problem(DiagonalOperator([1.0]), w_end, T=horizon)
+        window_steps, tried = mildbsde.solver._window_steps, []
+
+        def capped(delta, dt, n_steps):
+            tried.append((n_steps, dt))
+            return window_steps(min(delta, cap), dt, n_steps)
+
+        with patch.object(mildbsde.solver, "_window_steps", capped):
+            plan = plan_solve(prob, steps, seed, 100)
+        assert tried[0][0] == plan.base_steps == steps and tried[-1][0] == plan.n_steps
+        assert len(tried) == 1 + len(plan.refinements)
+        assert all(dt > cap for _, dt in tried[:-1])
+        drawn = TimeGrid.uniform(horizon, plan.n_steps).deltas
+        assert tried[-1][1] == drawn[0] <= cap
+        assert plan.n_steps % steps == 0
+
+    def test_passed_plan_solves_as_a_plan_made_inside(self, window_cap):
+        # a cap below one step (0.025) refines the grid: drawing at the planned
+        # grid and passing the plan gives the solve that plans from the coarse
+        # ensemble and draws the planned one itself
+        prob, ens = TestGeneralSolve._coupled()
+        window_cap(0.015)
+        inside, rep_inside = general_solve(prob, ens, RegressionBasis(degree=2))
+        plan = plan_solve(prob, ens.grid.n_steps, ens.seed, ens.n_paths)
+        assert (plan.base_steps, plan.n_steps) == (40, 80)
+        planned = sample_ensemble(TimeGrid.uniform(1.0, 80), 1, ens.n_paths, ens.seed)
+        passed, rep_passed = general_solve(prob, planned, RegressionBasis(degree=2), plan=plan)
+        np.testing.assert_array_equal(inside.y, passed.y)
+        np.testing.assert_array_equal(inside.z, passed.z)
+        rep_inside.runtime_seconds = rep_passed.runtime_seconds = 0.0
+        assert asdict(rep_inside) == asdict(rep_passed)
+        assert rep_passed.grid_refined == 2 and rep_passed.messages == list(plan.refinements)
+
+
+    def test_short_paste_window_retries_on_a_finer_grid(self, monkeypatch, window_cap):
+        # the plan resolves the first window; the paste window, known only
+        # after it, is shorter than one step (0.025), so the solve draws once more
+        select, sample = mildbsde.solver.select_local_radius_and_delta, sample_ensemble
+        drawn = []
+
+        def short_paste(problem, bound, consts):
+            sel = select(problem, bound, consts)
+            return sel if bound == problem.terminal_bound else replace(sel, delta=0.015)
+
+        def counted_sample(grid, *args):
+            drawn.append(grid.n_steps)
+            return sample(grid, *args)
+
+        monkeypatch.setattr(mildbsde.solver, "select_local_radius_and_delta", short_paste)
+        monkeypatch.setattr(mildbsde.solver, "sample_ensemble", counted_sample)
+        window_cap(0.2)
+        prob, ens = TestGeneralSolve._coupled()
+        retried, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        assert drawn == [80] and rep.grid_refined == 2
+        assert sum("grid refined" in m for m in rep.messages) == 1
+        fine = sample(TimeGrid.uniform(1.0, 80), 1, ens.n_paths, ens.seed)
+        direct, rep_direct = general_solve(prob, fine, RegressionBasis(degree=2))
+        np.testing.assert_array_equal(retried.y, direct.y)
+        np.testing.assert_array_equal(retried.z, direct.z)
+        assert rep_direct.grid_refined == 1 and rep_direct.windows == rep.windows
 
 
 class TestWeightedDistance:

@@ -150,6 +150,33 @@ class TestPathAccess:
         assert ens.increments.flags.c_contiguous
         assert ens.increments.tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("m, steps, k", [(4000, 80, 6), (10000, 40, 5)],
+                             ids=["reaction-diffusion", "spin-chain"])
+    def test_preset_path_counts_draw_the_block_draw(self, m, steps, k):
+        # the presets' path counts, 4 and 10 blocks split between two threads
+        grid = TimeGrid.uniform(1.0, steps)
+        ens = sample_ensemble(grid, k, m, seed=m)
+        expect = np.ascontiguousarray(path_major_draw(grid, k, m, m).transpose(1, 0, 2))
+        assert ens.increments.tobytes() == expect.tobytes()
+
+    def test_worker_error_surfaces_and_no_thread_is_left(self, monkeypatch):
+        start = threading.active_count()
+        sample_ensemble(TimeGrid.uniform(1.0, 10), 2, 3000, seed=1)
+        assert threading.active_count() == start
+        default_rng, on_main = np.random.default_rng, []
+
+        def failing(seed_seq):
+            if seed_seq.spawn_key == (1,):  # block 1, an odd one
+                on_main.append(threading.current_thread() is threading.main_thread())
+                raise RuntimeError("block 1 failed")
+            return default_rng(seed_seq)
+
+        monkeypatch.setattr(np.random, "default_rng", failing)
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            sample_ensemble(TimeGrid.uniform(1.0, 10), 2, 3000, seed=1)
+        assert on_main == [False]
+        assert threading.active_count() == start
+
     @settings(max_examples=40, deadline=None)
     @given(
         m=st.integers(1, 300),
