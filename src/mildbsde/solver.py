@@ -15,8 +15,8 @@ measured.  It has three layers:
 * ``global_solve``: right-to-left pasting of windows for one frozen driver
   path.  It selects every window: the first from the terminal bound, the
   later ones with the radius of the invariant ball supplied by a fitted
-  blow-up envelope.  A worker thread fits Z on each converged window and
-  hands its nodes out while the next window iterates,
+  blow-up envelope.  A helper thread fits Z on each converged window while
+  the next one iterates, and takes half of each per-node batch it finds idle,
 * ``general_solve``: the only solve driver.  It applies the exponential change
   of variables removing a positive monotonicity constant from f0, estimates
   the operator constants, refines the grid when a window is shorter than one
@@ -37,7 +37,7 @@ import numbers
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, replace
 from decimal import Decimal
 from typing import Callable
@@ -469,6 +469,25 @@ def select_local_radius_and_delta(
 # Picard machinery
 
 
+def _shared(helper: ThreadPoolExecutor | None, fn: Callable, nodes) -> list:
+    """``[fn(node) for node in nodes]``, the later half of ``nodes`` offered to ``helper``
+    (None: the plain loop).  This thread runs the earlier half, then takes the later half
+    back unless ``helper`` has started it.  Each half keeps the order, so the first error in
+    it is raised, this thread's first.  Both halves are done when this returns or raises."""
+    nodes = list(nodes)
+    cut = (len(nodes) + 1) // 2
+    if helper is None or cut == len(nodes):
+        return [fn(node) for node in nodes]
+    later = helper.submit(lambda: [fn(node) for node in nodes[cut:]])
+    try:
+        done = [fn(node) for node in nodes[:cut]]
+    except BaseException:
+        if not later.cancel():
+            wait((later,))
+        raise
+    return done + ([fn(node) for node in nodes[cut:]] if later.cancel() else later.result())
+
+
 def _picard_targets(
     problem: BsdeProblem,
     factors: tuple[np.ndarray, np.ndarray],
@@ -478,6 +497,7 @@ def _picard_targets(
     terminal_values: np.ndarray,
     u: np.ndarray | None,
     f1_window: np.ndarray | None,
+    helper: ThreadPoolExecutor | None = None,
 ) -> np.ndarray:
     """Raw conditional-expectation targets of the window map, shape (W+1, M, N).
 
@@ -488,6 +508,7 @@ def _picard_targets(
     ``f1_window`` holds the frozen driver at the window's nodes, (W, M, N).  The
     states ``u[:W]`` the drift sees come from ``_project_to_ball``, so they
     lie in the ball.  A non-finite drift value raises ``NonFiniteDrift``.
+    The nodes' drift terms are shared with ``helper``; the recursion is not.
     """
     decay, kernel_int = factors
     width = end - start
@@ -495,16 +516,19 @@ def _picard_targets(
     targets[width] = terminal_values
     f0 = problem.f0
     drift_on = u is not None and not f0.is_zero
-    acc = targets[width]
-    for j in range(width - 1, -1, -1):
+
+    def drift_term(j):
         l = start + j
         f_val = 0.0
         if drift_on:
             f_val = _finite_drift("f0", f0(float(times[l]), u[j]), l, times[l])
         if f1_window is not None:
             f_val = f_val + f1_window[j]
-        acc = kernel_int[l] * f_val + decay[l] * acc
-        targets[j] = acc
+        np.multiply(kernel_int[l], f_val, out=targets[j])
+
+    _shared(helper, drift_term, range(width - 1, -1, -1))
+    for j in range(width - 1, -1, -1):
+        targets[j] += decay[start + j] * targets[j + 1]
     return targets
 
 
@@ -535,14 +559,11 @@ def _bound_first(
     group keeps a bound at or below the floor, so ``values.max()`` is the
     maximum of the exact values to the bit, NaN included, and ``values >
     floor`` is the mask exact values give.  This relies on a subset of a
-    batch getting the whole batch's exact bits.  For alpha = 0 the bound is
-    the norm, and nothing is normed twice.
+    batch getting the whole batch's exact bits.
     """
     values = fold(h_alpha_norm_bound(op, alpha, x))
     if weights is not None:
         values = values * weights
-    if alpha == 0.0:
-        return values
 
     def exact(groups):
         norms = fold(h_alpha_norm_batch(op, alpha, x[groups]))
@@ -559,7 +580,8 @@ def _bound_first(
     return values
 
 
-def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> tuple[int, list]:
+def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float,
+                     helper: ThreadPoolExecutor | None = None) -> tuple[int, list]:
     """Rescale interior states radially onto the alpha ball, in place.
 
     Polynomial regression can overshoot a bounded target on tail paths; the
@@ -572,19 +594,22 @@ def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float) -> tupl
     none of them was rescaled.
     ``_bound_first`` with the radius as its floor norms exactly only the
     states whose bound can reach the radius, so the clip mask is the one
-    exact norms give.
+    exact norms give, one node at a time, shared with ``helper``.
     """
-    scales = [None] * (len(y) - 1)
     if not math.isfinite(radius):
-        return 0, scales
-    norms = _bound_first(problem.operator, problem.alpha, y[:-1], floor=radius)
-    mask = norms > radius
-    count = int(np.count_nonzero(mask))
-    if count:
+        return 0, [None] * (len(y) - 1)
+
+    def clip(j):
+        norms = _bound_first(problem.operator, problem.alpha, y[j], floor=radius)
+        mask = norms > radius
+        if not mask.any():
+            return 0, None
         scale = np.where(mask, radius / np.maximum(norms, 1e-300), 1.0)
-        y[:-1] *= scale[..., None]
-        scales = [row.copy() if hit.any() else None for row, hit in zip(scale, mask)]
-    return count, scales
+        y[j] *= scale[:, None]
+        return int(np.count_nonzero(mask)), scale
+
+    counts, scales = zip(*_shared(helper, clip, range(len(y) - 1)))
+    return sum(counts), list(scales)
 
 
 # folds of a window's (W, M) norms to one value per node
@@ -615,6 +640,7 @@ def local_solve(
     f1_window: np.ndarray | None = None,
     *,
     designs: list,
+    helper: ThreadPoolExecutor | None = None,
 ) -> tuple[np.ndarray, WindowStats, list]:
     """Fixed point y (W+1, M, N) of the window map by Picard iteration, with its stats.
 
@@ -632,7 +658,8 @@ def local_solve(
     above one raise ``PicardDivergence``, and the caller may halve the window.
     ``_bound_first`` takes that sup exactly while norming exactly only the
     nodes whose bound can reach it; a NaN state makes it NaN, which neither
-    stops the loop nor counts as divergence.
+    stops the loop nor counts as divergence.  Every per-node step of a pass
+    (drift terms, fits, projection, differences) is shared with ``helper``.
     """
     times = ensemble.grid.times
     op, alpha = problem.operator, problem.alpha
@@ -643,21 +670,26 @@ def local_solve(
     factors_seen: list[float] = []
     bad_streak = 0
     for it in range(_MAX_ITER + 1):
-        targets = _picard_targets(problem, factors, times, start, end, terminal_values, u, f1_window)
         # each fit overwrites its own row of the targets, which it reads first
-        y, coefs = targets, []
-        for j, held in enumerate(designs):
-            l = start + j
+        y = _picard_targets(problem, factors, times, start, end, terminal_values, u, f1_window,
+                            helper)
+
+        def fit_row(j):
+            l, held = start + j, designs[j]
             phi = basis.design(ensemble, l) if held is None else held
             fit = _fit(ensemble, basis, l, phi, y[j])
             y[j] = fit.fitted
-            rank_deficient += int(fit.rank_deficient)
-            coefs.append(fit.coef)
-        count, scales = _project_to_ball(problem, y, radius)
+            return fit.coef, fit.rank_deficient
+
+        coefs, deficient = zip(*_shared(helper, fit_row, range(len(designs))))
+        rank_deficient += sum(deficient)
+        count, scales = _project_to_ball(problem, y, radius, helper)
         clipped += count
         if it:  # pass 0 has no previous pass to measure against
+            # u, which nothing reads any more, takes the differences
+            _shared(helper, lambda j: np.subtract(y[j], u[j], out=u[j]), range(len(u) - 1))
             # sup over window nodes of the ensemble-L2 alpha norm
-            dist = float(_bound_first(op, alpha, y[:-1] - u[:-1], fold=_ensemble_l2).max())
+            dist = float(_bound_first(op, alpha, u[:-1], fold=_ensemble_l2).max())
             if distances:
                 factor = dist / distances[-1] if distances[-1] > 0 else 0.0
                 factors_seen.append(factor)
@@ -718,6 +750,7 @@ def global_solve(
     driver: Callable[[int, np.ndarray], np.ndarray] | None = None,
     *,
     node_sink: Callable[[int, np.ndarray, Regression | None, tuple | None], None],
+    helper: ThreadPoolExecutor,
 ) -> None:
     """Right-to-left window sweep on [0, T] for one frozen driver path.
 
@@ -743,8 +776,11 @@ def global_solve(
     ``report.messages``.
 
     Once a window has converged and the paste selection has kept the grid,
-    a worker thread, started and joined within this call, takes it while the
-    next window iterates here; at most one window is in flight.  Each node l
+    the solve's one ``helper`` thread takes it while the next window iterates
+    here; at most one window is in flight, and it is joined before this call
+    returns or raises.  Meanwhile each batch of the next window's per-node
+    work, its frozen driver included, offers half of its nodes to the helper,
+    which takes them once the window in flight has left.  Each node l
     gets the fit ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` on its
     window's design, whose fitted values are Z_l, and goes to
     ``node_sink(l, y_l, z_fit, y_fit)`` with y_fit = (coef, scale) from
@@ -789,28 +825,32 @@ def global_solve(
             node_sink(l, y[j], z_fit, fits[j])
 
     in_flight = None
-    with ThreadPoolExecutor(max_workers=1) as worker:  # joined on leaving, raised or not
+    try:
         end = n_steps
         while end > 0:
             first = end == n_steps
             steps = min(steps_per_window, end)
-            # built once per window, for its driver, Picard passes and Z fits;
-            # past the cap, the leftmost nodes build theirs at each use
+            # built once per window here (built on the helper, they raise the peak
+            # RSS), for its driver, Picard passes and Z fits; past the cap, the
+            # leftmost nodes build theirs at each use
             designs = [basis.design(ensemble, l) if end - l <= max_held else None
                        for l in range(end - steps, end)]
             f1_window = None
             if driver is not None:
                 f1_window = np.empty((steps,) + terminal_values.shape)
-                for j, l in enumerate(range(end - steps, end)):
-                    f1_window[j] = driver(l, designs[j] if designs[j] is not None
-                                          else basis.design(ensemble, l))
+
+                def freeze(j):
+                    l, held = end - steps + j, designs[j]
+                    f1_window[j] = driver(l, basis.design(ensemble, l) if held is None else held)
+
+                _shared(helper, freeze, range(steps))
             halvings = 0
             while True:
                 try:
                     y, stats, fits = local_solve(
                         problem, ensemble, basis, factors, end - steps, end, join, radius,
                         tol=tol, f1_window=None if f1_window is None else f1_window[-steps:],
-                        designs=designs[-steps:],
+                        designs=designs[-steps:], helper=helper,
                     )
                     break
                 except PicardDivergence as err:
@@ -835,13 +875,16 @@ def global_solve(
                     radius = sel2.radius
                     steps_per_window = _window_steps(sel2.delta, dt, n_steps)
                     window_count = 1 + math.ceil(start / steps_per_window)
-            # to the worker once the paste selection has kept the grid and the last window left
+            # to the helper once the paste selection has kept the grid and the last window left
             if in_flight is not None:
                 in_flight.result()
-            in_flight = worker.submit(exit_window, y, fits, designs[-steps:], start, end)
+            in_flight = helper.submit(exit_window, y, fits, designs[-steps:], start, end)
             join = y[0].copy()  # the next window starts here
             end = start
         in_flight.result()
+    finally:  # the window in flight is joined, raised or not
+        if in_flight is not None:
+            wait((in_flight,))
 
     report.windows = windows
     report.picard_factors = [f for w in windows for f in w.factors]
@@ -990,19 +1033,22 @@ def general_solve(
     once, with ``fit = (y_coef, y_clip, z_coef, shift)``: ``_rebuild_node`` on
     the node's design, times ``shift``, gives y_l and z_l bit for bit.  The
     returned pair then has ``y = z = None``; without a sink it keeps Y and Z.
-    Without f1 the sweep's worker thread feeds the exit one window behind the
-    Picard iteration, so the sink runs there, and a solve with a sink holds
-    the ensemble and two windows with their designs.  With f1 the outer
-    distance and the next frozen driver need the whole previous iterate: the
-    loop holds it as each node's regression coefficients, (B, N) for Y and
-    (B, N K) for Z in place of the (M, N) and (M, N, K) values, and the
-    per-path scale the ball projection applied to Y.  The worker overwrites a
-    node once its distance to the previous iterate is taken, only on converged
-    windows, so the driver reads the previous iterate.  Every read rebuilds Y
-    and Z from the coefficients on the design the sweep holds, equal to the
-    fitted values bit for bit.  The converged iterate replays through the same
-    exit on the calling thread, on one design built per node.  A sink's
-    exception ends the solve.
+    The solve starts one helper thread for ``global_solve`` and joins it on
+    leaving, raised or not.  Without f1 the helper feeds the exit one window
+    behind the Picard iteration, so the sink runs there, and a solve with a
+    sink holds the ensemble and two windows with their designs.  With f1 the
+    outer distance and the next frozen driver need the whole previous
+    iterate: the loop holds it as each node's regression coefficients, (B, N)
+    for Y and (B, N K) for Z in place of the (M, N) and (M, N, K) values, and
+    the per-path scale the ball projection applied to Y.  The helper
+    overwrites a node once its distance to the previous iterate is taken,
+    only on converged windows, so the driver reads the previous iterate.
+    Every read rebuilds Y and Z from the coefficients on the design the sweep
+    holds, equal to the fitted values bit for bit.  The converged iterate
+    replays through the same exit, two nodes at a time: each node's design,
+    rebuild, norms and residual terms are shared with the helper, then the
+    pair enters the residual and the sink in descending order on the calling
+    thread.  A sink's exception ends the solve.
     """
     t0 = time.perf_counter()
     if not problem.validated:
@@ -1039,137 +1085,151 @@ def general_solve(
     )
 
     steps = plan.n_steps
-    for grids in range(len(plan.refinements) + 1, 4):  # _refined refuses a fourth grid
-        if ensemble.grid.n_steps != steps:
-            # the coarser ensemble and any attempt on it are released before the
-            # finer one is drawn; the closures hold their arrays through these names
-            grid = TimeGrid.uniform(ensemble.grid.horizon, steps)
-            draw = (ensemble.n_noise, ensemble.n_paths, ensemble.seed)
-            ensemble = sweep = fits = y_kept = z_kept = terminal_values = None
-            ensemble = sample_ensemble(grid, *draw)
-        grid = ensemble.grid
-        times = grid.times
-        try:
-            factors = _step_factors(op, grid.deltas)
-            terminal_values = np.asarray(work.terminal(ensemble), dtype=float)
-            if terminal_values.shape != (ensemble.n_paths, op.dimension):
-                raise ValueError("terminal map returned the wrong shape")
-            term_max = float(h_alpha_norm_batch(op, alpha, terminal_values).max())
-            if not math.isfinite(term_max):  # NaN passes any comparison with the bound
-                raise ValidationError(
-                    "terminal", f"alpha norm {term_max:g} is not finite on some path"
-                )
-            if term_max > work.terminal_bound * (1.0 + 1e-9):
-                raise ValidationError(
-                    "terminal", f"alpha norm {term_max:g} exceeds the declared bound "
-                    f"{work.terminal_bound:g} on some path"
-                )
-            report.n_steps = grid.n_steps
+    with ThreadPoolExecutor(max_workers=1) as helper:  # joined on leaving, raised or not
+        for grids in range(len(plan.refinements) + 1, 4):  # _refined refuses a fourth grid
+            if ensemble.grid.n_steps != steps:
+                # the coarser ensemble and any attempt on it are released before the
+                # finer one is drawn; the closures hold their arrays through these names
+                grid = TimeGrid.uniform(ensemble.grid.horizon, steps)
+                draw = (ensemble.n_noise, ensemble.n_paths, ensemble.seed)
+                ensemble = sweep = fits = y_kept = z_kept = terminal_values = None
+                ensemble = sample_ensemble(grid, *draw)
+            grid = ensemble.grid
+            times = grid.times
+            try:
+                factors = _step_factors(op, grid.deltas)
+                terminal_values = np.asarray(work.terminal(ensemble), dtype=float)
+                if terminal_values.shape != (ensemble.n_paths, op.dimension):
+                    raise ValueError("terminal map returned the wrong shape")
+                term_max = float(h_alpha_norm_batch(op, alpha, terminal_values).max())
+                if not math.isfinite(term_max):  # NaN passes any comparison with the bound
+                    raise ValidationError(
+                        "terminal", f"alpha norm {term_max:g} is not finite on some path"
+                    )
+                if term_max > work.terminal_bound * (1.0 + 1e-9):
+                    raise ValidationError(
+                        "terminal", f"alpha norm {term_max:g} exceeds the declared bound "
+                        f"{work.terminal_bound:g} on some path"
+                    )
+                report.n_steps = grid.n_steps
 
-            # the one exit of a node: its norms, shifted back, into the residual, then out
-            y_scale = np.exp(-lam * times)
-            sweep = _ResidualSweep(problem, grid, ensemble, factors, terminal_values * y_scale[-1])
-            # per node: mean and max of |Y|_H and max of the theta norm, on the shifted Y
-            node_norms = np.empty((3, grid.n_steps + 1))
-            y_shape = (grid.n_steps + 1,) + terminal_values.shape
-            z_node = terminal_values.shape + (ensemble.n_noise,)
-            y_kept = z_kept = None
-            if sink is None:
-                y_kept = np.empty(y_shape)
-                z_kept = np.empty((grid.n_steps,) + z_node)
+                # the one exit of a node: its norms, shifted back, into the residual, then out
+                y_scale = np.exp(-lam * times)
+                sweep = _ResidualSweep(problem, grid, ensemble, factors,
+                                       terminal_values * y_scale[-1])
+                # per node: mean and max of |Y|_H and max of the theta norm, on the shifted Y
+                node_norms = np.empty((3, grid.n_steps + 1))
+                y_shape = (grid.n_steps + 1,) + terminal_values.shape
+                z_node = terminal_values.shape + (ensemble.n_noise,)
+                y_kept = z_kept = None
+                if sink is None:
+                    y_kept = np.empty(y_shape)
+                    z_kept = np.empty((grid.n_steps,) + z_node)
 
-            def emit(l, y_l, z_l, fit):
-                h = np.linalg.norm(y_l, axis=-1)
-                theta_max = _bound_first(op, theta, y_l).max() if theta > 0 else h.max()
-                node_norms[:, l] = h.mean(), h.max(), theta_max
-                if lam:
-                    y_l = y_l * y_scale[l]
-                    z_l = None if z_l is None else z_l * y_scale[l]
-                if z_l is not None:
-                    sweep.add(l, y_l, z_l)
-                if sink is not None:
-                    sink(l, y_l, z_l, None if fit is None else (*fit, y_scale[l]))
-                    return
-                y_kept[l] = y_l
-                if z_l is not None:
-                    z_kept[l] = z_l
+                def shifted(l, y_l, z_l):
+                    # the node's norms, then the node shifted back; on either thread
+                    h = np.linalg.norm(y_l, axis=-1)
+                    theta_max = _bound_first(op, theta, y_l).max() if theta > 0 else h.max()
+                    node_norms[:, l] = h.mean(), h.max(), theta_max
+                    if lam:
+                        y_l = y_l * y_scale[l]
+                        z_l = None if z_l is None else z_l * y_scale[l]
+                    return y_l, z_l
 
-            def exit_node(l, y_l, z_fit, y_fit):
-                fit = None if z_fit is None else (*y_fit, z_fit.coef)
-                emit(l, y_l, None if z_fit is None else z_fit.fitted, fit)
+                def out(l, y_l, z_l, fit):
+                    if sink is not None:
+                        sink(l, y_l, z_l, None if fit is None else (*fit, y_scale[l]))
+                        return
+                    y_kept[l] = y_l
+                    if z_l is not None:
+                        z_kept[l] = z_l
 
-            if f1 is None:
-                global_solve(
-                    frozen, ensemble, basis, plan, factors, terminal_values, report,
-                    node_sink=exit_node,
-                )
-                break
-            w = np.exp(beta * times[:-1]) * grid.deltas
-            y_sq = np.empty(grid.n_steps)
-            z_sq = np.empty(grid.n_steps)
-            # the previous iterate, per node the coefficients of Y and Z on the
-            # node's design and Y's projection scale; None until the first sweep,
-            # whose frozen Y and Z are zero
-            fits: list = [None] * grid.n_steps
-            y_zero, z_zero = np.zeros(terminal_values.shape), np.zeros(z_node)
+                def exit_node(l, y_l, z_fit, y_fit):
+                    y_l, z_l = shifted(l, y_l, None if z_fit is None else z_fit.fitted)
+                    if z_l is not None:
+                        sweep.add(l, y_l, z_l)
+                    out(l, y_l, z_l, None if z_fit is None else (*y_fit, z_fit.coef))
 
-            def previous(l, design):
-                # (Y_l, Z_l) of the previous iterate, rebuilt bit for bit on node l's design
-                if fits[l] is None:
-                    return y_zero, z_zero
-                return _rebuild_node(design, *fits[l], ensemble.n_noise)
-
-            def to_previous(l, y_l, z_fit, y_fit):
-                # the distance to the previous iterate, which is then overwritten;
-                # node L carries no Z and its Y is the terminal values in every iterate
-                if z_fit is None:
-                    return
-                # on the design this fit has just used; squared in place, as the
-                # worker's arrays add to the next window's Picard iteration
-                y_prev, z_prev = previous(l, z_fit.design)
-                y_sq[l] = np.square(y_l - y_prev).sum(axis=-1).mean()
-                z_diff = z_fit.fitted - z_prev
-                z_sq[l] = np.square(z_diff, out=z_diff).sum(axis=(-1, -2)).mean()
-                fits[l] = (*y_fit, z_fit.coef)
-
-            def driver(l, design):
-                # f1 frozen at the previous iterate, whose node l is not yet overwritten
-                y_l, z_l = previous(l, design)
-                return _finite_drift("f1", f1(float(times[l]), y_l, z_l), l, times[l])
-
-            distances: list[float] = []
-            sq_factors: list[float] = []
-            bad_streak = 0
-            for _ in range(_MAX_OUTER):
-                global_solve(
-                    frozen, ensemble, basis, plan, factors, terminal_values, report,
-                    driver, node_sink=to_previous,
-                )
-                dist = math.sqrt(float((w * y_sq).sum()) + float((w * z_sq).sum()))
-                if distances:
-                    prev = distances[-1]
-                    sq = (dist / prev) ** 2 if prev > 0 else 0.0
-                    sq_factors.append(sq)
-                    bad_streak = bad_streak + 1 if sq >= 1.0 else 0
-                    if bad_streak >= 2:
-                        raise OuterDivergence(
-                            f"weighted squared factor at or above one twice (last {sq:.3f})"
-                        )
-                distances.append(dist)
-                if dist == 0.0 or dist < max(1e-9, 0.02 * distances[0]) or k_lip == 0.0:
+                if f1 is None:
+                    global_solve(
+                        frozen, ensemble, basis, plan, factors, terminal_values, report,
+                        node_sink=exit_node, helper=helper,
+                    )
                     break
-            else:
-                raise OuterDivergence(
-                    f"outer iteration did not converge within {_MAX_OUTER} steps"
-                )
-            emit(grid.n_steps, terminal_values, None, None)
-            for l in range(grid.n_steps - 1, -1, -1):
-                emit(l, *previous(l, basis.design(ensemble, l)), fits[l])
-            break
-        except GridTooCoarse as need:
-            steps, line = _refined(need, grid.n_steps, grids, ensemble.n_paths,
-                                   ensemble.n_noise, ensemble.seed)
-            report.messages.append(line)
+                w = np.exp(beta * times[:-1]) * grid.deltas
+                y_sq = np.empty(grid.n_steps)
+                z_sq = np.empty(grid.n_steps)
+                # the previous iterate, per node the coefficients of Y and Z on the
+                # node's design and Y's projection scale; None until the first sweep,
+                # whose frozen Y and Z are zero
+                fits: list = [None] * grid.n_steps
+                y_zero, z_zero = np.zeros(terminal_values.shape), np.zeros(z_node)
+
+                def previous(l, design):
+                    # (Y_l, Z_l) of the previous iterate, rebuilt bit for bit on node l's design
+                    if fits[l] is None:
+                        return y_zero, z_zero
+                    return _rebuild_node(design, *fits[l], ensemble.n_noise)
+
+                def to_previous(l, y_l, z_fit, y_fit):
+                    # the distance to the previous iterate, which is then overwritten;
+                    # node L carries no Z and its Y is the terminal values in every iterate
+                    if z_fit is None:
+                        return
+                    # on the design this fit has just used; squared in place, as the
+                    # worker's arrays add to the next window's Picard iteration
+                    y_prev, z_prev = previous(l, z_fit.design)
+                    y_sq[l] = np.square(y_l - y_prev).sum(axis=-1).mean()
+                    z_diff = z_fit.fitted - z_prev
+                    z_sq[l] = np.square(z_diff, out=z_diff).sum(axis=(-1, -2)).mean()
+                    fits[l] = (*y_fit, z_fit.coef)
+
+                def driver(l, design):
+                    # f1 frozen at the previous iterate, whose node l is not yet overwritten
+                    y_l, z_l = previous(l, design)
+                    return _finite_drift("f1", f1(float(times[l]), y_l, z_l), l, times[l])
+
+                distances: list[float] = []
+                sq_factors: list[float] = []
+                bad_streak = 0
+                for _ in range(_MAX_OUTER):
+                    global_solve(
+                        frozen, ensemble, basis, plan, factors, terminal_values, report,
+                        driver, node_sink=to_previous, helper=helper,
+                    )
+                    dist = math.sqrt(float((w * y_sq).sum()) + float((w * z_sq).sum()))
+                    if distances:
+                        prev = distances[-1]
+                        sq = (dist / prev) ** 2 if prev > 0 else 0.0
+                        sq_factors.append(sq)
+                        bad_streak = bad_streak + 1 if sq >= 1.0 else 0
+                        if bad_streak >= 2:
+                            raise OuterDivergence(
+                                f"weighted squared factor at or above one twice (last {sq:.3f})"
+                            )
+                    distances.append(dist)
+                    if dist == 0.0 or dist < max(1e-9, 0.02 * distances[0]) or k_lip == 0.0:
+                        break
+                else:
+                    raise OuterDivergence(
+                        f"outer iteration did not converge within {_MAX_OUTER} steps"
+                    )
+                exit_node(grid.n_steps, terminal_values, None, None)
+
+                def replay(l):
+                    y_l, z_l = shifted(l, *previous(l, basis.design(ensemble, l)))
+                    return l, y_l, z_l, sweep.terms(l, y_l, z_l)
+
+                for top in range(grid.n_steps - 1, -1, -2):  # two nodes at a time
+                    pair = range(top, max(top - 2, -1), -1)
+                    for l, y_l, z_l, terms in _shared(helper, replay, pair):
+                        sweep.commit(l, y_l, *terms)  # in descending l, as the exit's add
+                        out(l, y_l, z_l, fits[l])
+                break
+            except GridTooCoarse as need:
+                steps, line = _refined(need, grid.n_steps, grids, ensemble.n_paths,
+                                       ensemble.n_noise, ensemble.seed)
+                report.messages.append(line)
 
     report.grid_refined = ensemble.grid.n_steps // plan.base_steps
     if f1 is not None:
@@ -1196,7 +1256,8 @@ class _ResidualSweep:
 
     ``add(l, y_l, z_l)`` must see l = L-1, L-2, ..., 0 in turn; it evaluates
     the drift at its node and updates the running integrals with the same
-    arithmetic, in the same order, as a pass over the whole grid.
+    arithmetic, in the same order, as a pass over the whole grid.  It is
+    ``commit(l, y_l, *terms(l, y_l, z_l))``, and only ``commit`` needs the order.
     ``factors`` are the grid's step decays and kernel integrals, as
     ``spectral._step_factors`` returns them; ``terminal`` is Y at node L.
     """
@@ -1220,9 +1281,9 @@ class _ResidualSweep:
         self.next_node = grid.n_steps - 1
 
     def add(self, l: int, y_l: np.ndarray, z_l: np.ndarray) -> None:
-        if l != self.next_node:
-            raise ValueError(f"residual expected node {self.next_node}, got node {l}")
-        self.next_node -= 1
+        self.commit(l, y_l, *self.terms(l, y_l, z_l))
+
+    def terms(self, l: int, y_l: np.ndarray, z_l: np.ndarray) -> tuple:
         t = float(self.times[l])
         f0, f1 = self.problem.f0, self.problem.f1
         f_val = 0.0
@@ -1230,8 +1291,13 @@ class _ResidualSweep:
             f_val = f0(t, y_l)
         if f1 is not None:
             f_val = f_val + f1(t, y_l, z_l)
+        return f_val, np.einsum("mnk,mk->mn", z_l, self.increments[l])
+
+    def commit(self, l: int, y_l: np.ndarray, f_val, zdw: np.ndarray) -> None:
+        if l != self.next_node:
+            raise ValueError(f"residual expected node {self.next_node}, got node {l}")
+        self.next_node -= 1
         decay = self.decay[l]
-        zdw = np.einsum("mnk,mk->mn", z_l, self.increments[l])
         self.int_f = self.kernel_int[l] * f_val + decay * self.int_f
         self.int_z = zdw + decay * self.int_z
         self.prop_term = decay * self.prop_term

@@ -136,9 +136,9 @@ class _SeminormGrid:
     coarse argmax.  The grid starts at 1025 points and only doubles, so the
     stride is at least 8.
 
-    ``w_sq_max[n]`` is the largest squared weight of component n over the whole
-    fine grid.  Since max_p sum_n x_n^2 W[p, n] <= sum_n x_n^2 max_p W[p, n],
-    ``seminorm_bound`` caps the grid seminorm with one matrix-vector product.
+    ``bound_weights`` (N, 2) holds ones and each component's largest squared
+    weight over the fine grid, so one product x^2 @ bound_weights gives |x|_H^2
+    and, as max_p sum_n x_n^2 W[p, n] <= sum_n x_n^2 max_p W[p, n], a seminorm cap.
     """
 
     def __init__(self, op: DiagonalOperator, alpha: float, rel_tol: float = 1e-5):
@@ -163,7 +163,7 @@ class _SeminormGrid:
         offsets = np.arange(-stride, stride + 1)
         # (C, 2s+1, N)
         self.windows = w_sq[np.clip(coarse_idx[:, None] + offsets, 0, n_points - 1)]
-        self.w_sq_max = w_sq.max(axis=0)  # (N,)
+        self.bound_weights = np.stack([np.ones(w_sq.shape[1]), w_sq.max(axis=0)], axis=1)
 
     def seminorm(self, x: np.ndarray) -> np.ndarray:
         """Seminorm of a batch of states; x has shape (..., N)."""
@@ -177,10 +177,6 @@ class _SeminormGrid:
             out[lo : lo + _ROW_BLOCK] = np.einsum("bn,bpn->bp", block, local).max(axis=-1)
         return np.sqrt(out.reshape(shape))
 
-    def seminorm_bound(self, x: np.ndarray) -> np.ndarray:
-        """Upper bound of ``seminorm`` (up to rounding): sqrt(x^2 . w_sq_max)."""
-        return np.sqrt(np.square(x) @ self.w_sq_max)
-
 
 def h_alpha_norm_batch(op: DiagonalOperator, alpha: float, x: np.ndarray) -> np.ndarray:
     """Full interpolation norm |x|_H + [x]_alpha for a batch; the H norm when alpha = 0."""
@@ -192,18 +188,15 @@ def h_alpha_norm_batch(op: DiagonalOperator, alpha: float, x: np.ndarray) -> np.
 
 
 def h_alpha_norm_bound(op: DiagonalOperator, alpha: float, x: np.ndarray) -> np.ndarray:
-    """Cheap upper bound of ``h_alpha_norm_batch``: |x|_H + sqrt(x^2 . max_t w^2).
-
-    The H norm is taken exactly as ``h_alpha_norm_batch`` takes it, so for
-    alpha = 0 the bound has the same bits as the norm.  For alpha > 0 it is
-    at least the norm up to rounding (a relative N * eps), and it is tight
-    for eigenvectors.
-    """
+    """Cheap upper bound of ``h_alpha_norm_batch`` from one product with x^2:
+    sqrt(x^2 . 1) + sqrt(x^2 . max_t w^2), the first term alone for alpha = 0.
+    It is at least the norm up to rounding (a relative N * eps: the H norm's
+    squares are summed in another order), and tight for eigenvectors."""
     x = op._check_state(x)
-    h = np.linalg.norm(x, axis=-1)
     if alpha == 0.0:
-        return h
-    return h + op.norm_grid(alpha).seminorm_bound(x)
+        return np.sqrt(np.square(x) @ np.ones(x.shape[-1]))
+    roots = np.sqrt(np.square(x) @ op.norm_grid(alpha).bound_weights)
+    return roots[..., 0] + roots[..., 1]
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,11 @@ class WienerEnsemble:
     node, c = ceil(sqrt(L)/3), and the per-node ridged Gram matrices.  No fit
     leaves any other state here.  ``dataclasses.replace`` starts the caches
     empty.  ``solver.global_solve`` reads one ensemble from two threads: the
-    checkpoints are assigned only once filled, and the threads never share a
-    Gram key.  Its worker fits on designs the main thread built (past their
-    byte cap, it builds the rest) and only at nodes of converged windows,
+    checkpoints are assigned only once filled, and the threads never touch
+    one node's Gram key at the same time.  Its helper fits converged windows,
     whose keys are stored, while the main thread fits the next window, to
-    the left.
+    the left; and the two threads share that window's nodes, each node on
+    one thread, in batches each joined before the next one starts.
     """
 
     grid: TimeGrid

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from unittest.mock import patch
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mildbsde.models
 import mildbsde.solver
 import mildbsde.wiener
 from mildbsde.solver import (
@@ -27,6 +29,7 @@ from mildbsde.solver import (
     _path_max,
     _picard_targets,
     _project_to_ball,
+    _shared,
     apriori_h_bound,
     exponential_shift,
     general_solve,
@@ -458,10 +461,10 @@ class TestLocalSolve:
             calls.append(x.shape[:-1])
             return norm(op, alpha, x)
 
-        def recorded_projection(problem, y, radius):
+        def recorded_projection(problem, y, radius, helper=None):
             bound = h_alpha_norm_bound(problem.operator, problem.alpha, y[:-1])
             near.append(int(np.count_nonzero(bound * (1.0 + 1e-12) > radius)))
-            projected = project(problem, y, radius)
+            projected = project(problem, y, radius, helper)
             passes.append(y.copy())
             return projected
 
@@ -527,8 +530,8 @@ class TestLocalSolve:
         # which neither stops the loop nor counts as divergence: it runs out
         project = mildbsde.solver._project_to_ball
 
-        def plant_nan(problem, y, radius):
-            projected = project(problem, y, radius)
+        def plant_nan(problem, y, radius, helper=None):
+            projected = project(problem, y, radius, helper)
             y[5, 0, 1] = np.nan
             return projected
 
@@ -826,11 +829,11 @@ class TestGeneralSolve:
             per_sweep.append(len(calls) - before)
             designs_per_sweep.append(len(built) - designs_before)
 
-        def whole_grid_sweep(*args, node_sink):
+        def whole_grid_sweep(*args, node_sink, helper):
             *head, driver = args
             # before any node is overwritten
             rows = [driver(l, design(RegressionBasis(degree=2), ens, l)) for l in range(n_steps)]
-            sweep(*head, lambda l, _: rows[l], node_sink=node_sink)
+            sweep(*head, lambda l, _: rows[l], node_sink=node_sink, helper=helper)
 
         monkeypatch.setattr(mildbsde.solver, "local_solve", halve_first_window)
         monkeypatch.setattr(RegressionBasis, "design", counted_design)
@@ -1404,6 +1407,129 @@ class TestWindowPipeline:
         for sol in solved:
             np.testing.assert_array_equal(sol.y, ref.y)
             np.testing.assert_array_equal(sol.z, ref.z)
+
+
+class TestShared:
+    """A per-node batch: this thread runs the earlier half of the nodes and
+    offers the later half to the solve's helper, taking it back if the helper
+    has not started it."""
+
+    @staticmethod
+    def _handed_over(helper, fn, nodes):
+        # the helper always runs the later half, and this thread waits for it
+        nodes = list(nodes)
+        cut = (len(nodes) + 1) // 2
+        if helper is None or cut == len(nodes):
+            return [fn(node) for node in nodes]
+        later = helper.submit(lambda: [fn(node) for node in nodes[cut:]])
+        return [fn(node) for node in nodes[:cut]] + later.result()
+
+    @pytest.mark.parametrize("count", range(1, 8))
+    def test_results_equal_the_plain_loop(self, count):
+        nodes = range(10, 10 + count)
+        ran = []
+
+        def square(node):
+            ran.append(node)
+            return node * node
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            assert _shared(helper, square, nodes) == [node * node for node in nodes]
+        assert sorted(ran) == list(nodes)
+        assert _shared(None, square, nodes) == [node * node for node in nodes]
+
+    def test_busy_helper_leaves_both_halves_here(self):
+        # the helper waits on an event that only this test sets, after the
+        # batch: the batch must not wait for it
+        release = threading.Event()
+        threads = []
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            blocked = helper.submit(release.wait, 60.0)
+            got = _shared(helper, lambda node: threads.append(threading.get_ident()) or node,
+                          range(7))
+            assert not blocked.done()
+            release.set()
+        assert got == list(range(7))
+        assert threads == [threading.get_ident()] * 7
+
+    @pytest.mark.parametrize("bad", [[1], [4], [1, 4]])
+    def test_first_error_surfaces_this_threads_first(self, bad):
+        # nodes 0-2 run here, 3-5 on the helper, which starts before node 0
+        # ends; the first failing node of a half raises, this thread's first,
+        # and only once both halves are done
+        started, done = threading.Event(), []
+
+        def fn(node):
+            if node == 3:
+                started.set()
+            if node == 0:
+                assert started.wait(60.0)
+            if node in bad:
+                raise ValueError(f"node {node}")
+            done.append(node)
+            return node
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            with pytest.raises(ValueError, match=f"node {bad[0]}"):
+                _shared(helper, fn, range(6))
+            assert 3 in done
+
+    def test_no_thread_outlives_a_failed_batch(self, window_cap):
+        # f0 turns NaN at nodes 31 and 28 of the window [27, 33]: the serial
+        # loop reaches 31 first, which is in this thread's half, and 28 is
+        # in the helper's; the solve names node 31 and leaves no thread
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 40), 1, 1000, seed=61)
+        window_cap(0.3)
+        bad = {float(ens.grid.times[l]) for l in (31, 28)}
+
+        def poisoned(t, y):
+            return np.full_like(y, np.nan) if t in bad else -np.tanh(y)
+
+        f0 = DissipativeDrift(fn=poisoned, growth_scale=1.1, growth_power=2.0, lipschitz=1.1)
+        prob = make_problem(DiagonalOperator([1.0]), lambda e: 0.4 * np.tanh(w_end(e)),
+                            bound=0.4, f0=f0)
+        threads = threading.active_count()
+        with pytest.raises(NonFiniteDrift, match="at node 31 "):
+            general_solve(prob, ens, RegressionBasis(degree=2))
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("case", ["coupled-clipped", "spin-chain"])
+    def test_handed_over_halves_keep_every_bit(self, monkeypatch, window_cap, case):
+        # every helper half run on the helper, or every batch run here alone:
+        # the same Y, Z and report
+        if case == "spin-chain":
+            prob = mildbsde.models.build_preset("spin-chain")
+            prob.validated = True
+            ens = sample_ensemble(TimeGrid.uniform(prob.horizon, 100), prob.noise_dim, 1000, 5)
+            basis = RegressionBasis()
+        else:
+            prob, ens = TestGeneralSolve._coupled(lambda e: 0.4 * np.tanh(5.0 * w_end(e)))
+            window_cap(0.3)
+            basis = RegressionBasis(degree=2)
+        shared, handed = mildbsde.solver._shared, []
+
+        def handed_over(helper, fn, nodes):
+            handed.append(len(nodes) > 1)
+            return self._handed_over(helper, fn, nodes)
+
+        threads = threading.active_count()
+        monkeypatch.setattr(mildbsde.solver, "_shared", lambda helper, fn, nodes:
+                            shared(None, fn, nodes))
+        alone, alone_rep = general_solve(prob, ens, basis)
+        monkeypatch.setattr(mildbsde.solver, "_shared", handed_over)
+        fresh = sample_ensemble(ens.grid, ens.n_noise, ens.n_paths, ens.seed)
+        split, split_rep = general_solve(prob, fresh, basis)
+        assert any(handed)
+        assert split.y.tobytes() == alone.y.tobytes()
+        assert split.z.tobytes() == alone.z.tobytes()
+        alone_rep.runtime_seconds = split_rep.runtime_seconds = 0.0
+        assert asdict(split_rep) == asdict(alone_rep)
+        assert threading.active_count() == threads
+        if case == "spin-chain":
+            assert alone_rep.grid_refined == 2
+        else:
+            assert alone_rep.outer["iterations"] > 1
+            assert sum(w.ball_clipped for w in alone_rep.windows) > 0
 
 
 class TestNonFiniteDrift:
