@@ -1177,7 +1177,7 @@ def general_solve(
                     if z_fit is None:
                         return
                     # on the design this fit has just used; squared in place, as the
-                    # worker's arrays add to the next window's Picard iteration
+                    # helper's arrays add to the next window's Picard iteration
                     y_prev, z_prev = previous(l, z_fit.design)
                     y_sq[l] = np.square(y_l - y_prev).sum(axis=-1).mean()
                     z_diff = z_fit.fitted - z_prev
