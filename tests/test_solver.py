@@ -1313,7 +1313,7 @@ class TestZSink:
 
 
 class TestWindowPipeline:
-    """The node exit runs on a worker thread, one window behind the Picard iteration."""
+    """The node exit runs on the helper thread, one window behind the Picard iteration."""
 
     class SinkFull(Exception):
         pass
