@@ -580,36 +580,29 @@ def _bound_first(
     return values
 
 
-def _project_to_ball(problem: BsdeProblem, y: np.ndarray, radius: float,
-                     helper: ThreadPoolExecutor | None = None) -> tuple[int, list]:
-    """Rescale interior states radially onto the alpha ball, in place.
+def _project_to_ball(problem: BsdeProblem, y_l: np.ndarray, radius: float) -> tuple:
+    """Rescale one node's states (M, N) radially onto the alpha ball, in place.
 
     Polynomial regression can overshoot a bounded target on tail paths; the
     true conditional expectation lies in the (convex) ball, so pulling the
     estimate back onto it never increases the pathwise error.  This is the one
-    place that keeps the drift's states in the ball: afterwards every interior
-    state has an exact alpha norm within a few ulp of the radius or below it.
-    Returns the number of rescaled states (0 for an infinite radius) and, per
-    interior node, the (M,) scale its states were multiplied by, or None where
-    none of them was rescaled.
-    ``_bound_first`` with the radius as its floor norms exactly only the
-    states whose bound can reach the radius, so the clip mask is the one
-    exact norms give, one node at a time, shared with ``helper``.
+    place that keeps the drift's states in the ball: afterwards every state
+    has an exact alpha norm within a few ulp of the radius or below it.
+    Returns the number of rescaled states and the (M,) scale the states were
+    multiplied by, or (0, None) for an infinite radius or where none of them
+    was rescaled.  ``_bound_first`` with the radius as its floor norms exactly
+    only the states whose bound can reach the radius, so the clip mask is the
+    one exact norms give.
     """
     if not math.isfinite(radius):
-        return 0, [None] * (len(y) - 1)
-
-    def clip(j):
-        norms = _bound_first(problem.operator, problem.alpha, y[j], floor=radius)
-        mask = norms > radius
-        if not mask.any():
-            return 0, None
-        scale = np.where(mask, radius / np.maximum(norms, 1e-300), 1.0)
-        y[j] *= scale[:, None]
-        return int(np.count_nonzero(mask)), scale
-
-    counts, scales = zip(*_shared(helper, clip, range(len(y) - 1)))
-    return sum(counts), list(scales)
+        return 0, None
+    norms = _bound_first(problem.operator, problem.alpha, y_l, floor=radius)
+    mask = norms > radius
+    if not mask.any():
+        return 0, None
+    scale = np.where(mask, radius / np.maximum(norms, 1e-300), 1.0)
+    y_l *= scale[:, None]
+    return int(np.count_nonzero(mask)), scale
 
 
 # folds of a window's (W, M) norms to one value per node
@@ -647,19 +640,21 @@ def local_solve(
     ``factors`` are the grid's step decays and kernel integrals; ``designs``
     holds the caller's design of each node of the window, or None where it
     holds none and the node builds its design at each fit.  Pass 0 is the
-    drift-free start, passes 1 to ``_MAX_ITER`` are Picard steps; each pass
-    fits its targets on those designs and projects them onto the ball.  Also
-    returned, per node of the last pass: the fit's coefficients and the
-    per-path scale the projection applied (None if it clipped no state of
-    the node), so design @ coef times that scale is the node's y bit for bit.
-    The loop stops when
-    the sup-over-nodes ensemble-L2 alpha distance of successive passes is zero,
-    or below tol after ``_MIN_ITER`` steps; two consecutive distance ratios
+    drift-free start, passes 1 to ``_MAX_ITER`` are Picard steps.  Each pass
+    is two batches of per-node work shared with ``helper``: the drift terms,
+    before the serial recursion of ``_picard_targets``, then one step per
+    node that fits the node's target on its design, projects it onto the
+    ball and, from pass 1 on, overwrites the previous pass's row with the
+    difference.  Also returned, per node of the last pass: the fit's
+    coefficients and the per-path scale the projection applied (None if it
+    clipped no state of the node), so design @ coef times that scale is the
+    node's y bit for bit.  The loop stops when the sup-over-nodes
+    ensemble-L2 alpha distance of successive passes is zero, or below tol
+    after ``_MIN_ITER`` steps; two consecutive distance ratios
     above one raise ``PicardDivergence``, and the caller may halve the window.
     ``_bound_first`` takes that sup exactly while norming exactly only the
     nodes whose bound can reach it; a NaN state makes it NaN, which neither
-    stops the loop nor counts as divergence.  Every per-node step of a pass
-    (drift terms, fits, projection, differences) is shared with ``helper``.
+    stops the loop nor counts as divergence.
     """
     times = ensemble.grid.times
     op, alpha = problem.operator, problem.alpha
@@ -674,20 +669,20 @@ def local_solve(
         y = _picard_targets(problem, factors, times, start, end, terminal_values, u, f1_window,
                             helper)
 
-        def fit_row(j):
+        def step(j):
             l, held = start + j, designs[j]
             phi = basis.design(ensemble, l) if held is None else held
             fit = _fit(ensemble, basis, l, phi, y[j])
             y[j] = fit.fitted
-            return fit.coef, fit.rank_deficient
+            count, scale = _project_to_ball(problem, y[j], radius)
+            if it:  # u, which nothing reads any more, takes the difference
+                np.subtract(y[j], u[j], out=u[j])
+            return fit.coef, fit.rank_deficient, count, scale
 
-        coefs, deficient = zip(*_shared(helper, fit_row, range(len(designs))))
+        coefs, deficient, counts, scales = zip(*_shared(helper, step, range(len(designs))))
         rank_deficient += sum(deficient)
-        count, scales = _project_to_ball(problem, y, radius, helper)
-        clipped += count
+        clipped += sum(counts)
         if it:  # pass 0 has no previous pass to measure against
-            # u, which nothing reads any more, takes the differences
-            _shared(helper, lambda j: np.subtract(y[j], u[j], out=u[j]), range(len(u) - 1))
             # sup over window nodes of the ensemble-L2 alpha norm
             dist = float(_bound_first(op, alpha, u[:-1], fold=_ensemble_l2).max())
             if distances:
@@ -779,9 +774,10 @@ def global_solve(
     the solve's one ``helper`` thread takes it while the next window iterates
     here; at most one window is in flight, and it is joined before this call
     returns or raises.  Meanwhile each batch of the next window's per-node
-    work, its frozen driver included, offers half of its nodes to the helper,
-    which takes them once the window in flight has left.  Each node l
-    gets the fit ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` on its
+    work (its frozen driver, then two per Picard pass: the drift terms and
+    the step of fit, projection and difference) offers half of its nodes
+    to the helper, which takes them once the window in flight has left.
+    Each node l gets the fit ``martingale_z_estimate`` of ``decay[l] * y[l + 1]`` on its
     window's design, whose fitted values are Z_l, and goes to
     ``node_sink(l, y_l, z_fit, y_fit)`` with y_fit = (coef, scale) from
     ``local_solve``: node L first, with z_fit = y_fit = None, then strictly
@@ -1024,7 +1020,8 @@ def general_solve(
     under which the squared distances contract by 1/2 in theory; the loop
     stops below max(1e-9, 0.02 d_1), with d_1 the first distance.  Without f1
     one sweep solves the equation; a driver independent of (y, z) (K = 0)
-    ends the loop after one outer step.
+    ends the loop after one outer step.  Where exp(beta T) overflows a float
+    the weights would, so that raises ``OuterDivergence`` before any sweep.
 
     Every node leaves the solve through one exit: its norms are recorded for
     the bound checks, it is shifted back by exp(-lam t_l), added to the
@@ -1077,6 +1074,9 @@ def general_solve(
     f1 = work.f1
     k_lip = problem.driver_lipschitz
     beta = 4.0 * k_lip ** 2 + 1.0
+    if f1 is not None and beta * problem.horizon > math.log(sys.float_info.max):
+        raise OuterDivergence(f"the outer distance's weight exp(beta T) overflows a float: "
+                              f"beta = 4 K^2 + 1 = {beta:g}, T = {problem.horizon:g}")
     op, alpha, theta = work.operator, work.alpha, work.theta
     report = SolverReport(
         alpha=problem.alpha, theta=problem.theta, lambda_shift=lam, seed=ensemble.seed,

@@ -473,6 +473,17 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "solver failure: outer iteration did not converge within 1 steps" in err
 
+    def test_overflowing_outer_weight_exits_3(self, tmp_path, capsys):
+        # beta = 4 K^2 + 1 = 785 on T = 1: exp(beta T) is no float, so the
+        # solve fails naming beta before any outer sweep
+        cfg = write_reaction_diffusion_config(tmp_path, tmp_path / "x")
+        cfg.write_text(cfg.read_text() + "\n[model]\ndriver_strength = 14\n")
+        assert main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "solver failure: the outer distance's weight exp(beta T) overflows" in err
+        assert "beta = 4 K^2 + 1 = 785, T = 1" in err
+        assert not (tmp_path / "x" / "solve.csv").exists()
+
     def test_basis_larger_than_the_path_count_exits_2(self, tmp_path, capsys):
         # 24 modes with every coordinate in a degree-2 basis is 325 features,
         # more than the 300 paths: each fit would be underdetermined

@@ -20,6 +20,7 @@ from mildbsde.solver import (
     BsdeProblem,
     DissipativeDrift,
     NonFiniteDrift,
+    OuterDivergence,
     PicardDivergence,
     SolverReport,
     ValidationError,
@@ -271,9 +272,9 @@ class TestPicardMap:
         radius = 0.3779523779525669
         for alpha in (0.0, 0.3):
             prob = make_problem(op, lambda e: np.zeros((e.n_paths, 5)), bound=1.0, alpha=alpha)
-            y = np.random.default_rng(0).standard_normal((2, 1000, 5))
+            y = np.random.default_rng(0).standard_normal((1000, 5))
             assert _project_to_ball(prob, y, radius)[0] == 1000
-            worst = float(h_alpha_norm_batch(op, alpha, y[:-1]).max())
+            worst = float(h_alpha_norm_batch(op, alpha, y).max())
             assert worst <= radius * (1.0 + 1e-9)
             assert worst == pytest.approx(radius, rel=1e-12)
 
@@ -289,23 +290,21 @@ class TestPicardMap:
     )
     def test_projection_keeps_states_in_ball(self, alpha, spectrum, scales, radius, seed):
         # the projection is the one place that keeps the drift in its ball:
-        # afterwards every interior state is inside it up to the relative 1e-9
-        # of the terminal-bound check, the last row is untouched and the count
-        # is the number of states whose exact norm was above the radius
+        # afterwards every state of the node is inside it up to the relative
+        # 1e-9 of the terminal-bound check, and the count is the number of
+        # states whose exact norm was above the radius
         op = DiagonalOperator(spectrum)
         prob = make_problem(
             op, lambda e: np.zeros((e.n_paths, op.dimension)), bound=1.0, alpha=alpha
         )
         rng = np.random.default_rng(seed)
-        states = rng.standard_normal((2, len(scales), op.dimension))
-        before = h_alpha_norm_batch(op, alpha, states[0])
+        states = rng.standard_normal((len(scales), op.dimension))
+        before = h_alpha_norm_batch(op, alpha, states)
         # scale each state to a multiple of the radius, straddling it
-        states[0] *= (radius * np.asarray(scales) / np.maximum(before, 1e-300))[:, None]
-        last = states[-1].copy()
-        outside = int(np.count_nonzero(h_alpha_norm_batch(op, alpha, states[0]) > radius))
+        states *= (radius * np.asarray(scales) / np.maximum(before, 1e-300))[:, None]
+        outside = int(np.count_nonzero(h_alpha_norm_batch(op, alpha, states) > radius))
         assert _project_to_ball(prob, states, radius)[0] == outside
-        assert float(h_alpha_norm_batch(op, alpha, states[0]).max()) <= radius * (1.0 + 1e-9)
-        assert states[-1].tobytes() == last.tobytes()
+        assert float(h_alpha_norm_batch(op, alpha, states).max()) <= radius * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_bound_first_projection_equals_exact_projection(self, alpha):
@@ -314,12 +313,12 @@ class TestPicardMap:
         # norm can round in either order, and mixed states whose bound exceeds
         # the radius while their exact norm does not
         def exact_projection(op, alpha, y, radius):
-            norms = h_alpha_norm_batch(op, alpha, y[:-1])
+            norms = h_alpha_norm_batch(op, alpha, y)
             mask = norms > radius
             count = int(np.count_nonzero(mask))
             if count:
                 scale = np.where(mask, radius / np.maximum(norms, 1e-300), 1.0)
-                y[:-1] *= scale[..., None]
+                y *= scale[..., None]
             return count
 
         op = DiagonalOperator(np.r_[np.full(8, 3.0), 0.0, 1.0, 40.0, 900.0])
@@ -336,11 +335,11 @@ class TestPicardMap:
         ulps[-400:] = 0
         scale = radius / exact * (1.0 + ulps * np.finfo(float).eps)
         scale[-400:] *= rng.uniform(0.995, 1.0, 400)  # mixed states just inside
-        y = np.stack([states * scale[:, None], np.zeros_like(states)])
-        norms = h_alpha_norm_batch(op, alpha, y[0])
+        y = states * scale[:, None]
+        norms = h_alpha_norm_batch(op, alpha, y)
         assert (norms > radius).any() and (norms <= radius).any()
         if alpha > 0:
-            bound = h_alpha_norm_bound(op, alpha, y[0])
+            bound = h_alpha_norm_bound(op, alpha, y)
             assert ((bound > radius) & (norms <= radius)).any()
 
         y_exact = y.copy()
@@ -447,29 +446,9 @@ class TestLocalSolve:
                                   tol=1e-10, designs=window_designs(small_ensemble, basis, 30, 50))
         assert all(f <= 0.6 for f in stats.factors)
 
-    @pytest.mark.parametrize("radius", [3.0, 1.0])
-    def test_exact_norms_only_where_a_bound_can_decide(self, monkeypatch, radius):
-        # each Picard step norms exactly the node with the largest distance
-        # bound and the nodes whose bound reaches that node's exact distance,
-        # and the projection only the states whose bound reaches the radius
-        # (within the slack); the distances are the whole-window ones, bit for
-        # bit.  The tighter radius clips some states.
-        calls, near, passes = [], [], []
-        norm, project = mildbsde.solver.h_alpha_norm_batch, mildbsde.solver._project_to_ball
-
-        def counted_norm(op, alpha, x):
-            calls.append(x.shape[:-1])
-            return norm(op, alpha, x)
-
-        def recorded_projection(problem, y, radius, helper=None):
-            bound = h_alpha_norm_bound(problem.operator, problem.alpha, y[:-1])
-            near.append(int(np.count_nonzero(bound * (1.0 + 1e-12) > radius)))
-            projected = project(problem, y, radius, helper)
-            passes.append(y.copy())
-            return projected
-
-        monkeypatch.setattr(mildbsde.solver, "h_alpha_norm_batch", counted_norm)
-        monkeypatch.setattr(mildbsde.solver, "_project_to_ball", recorded_projection)
+    @staticmethod
+    def _cubic_window(radius):
+        # a cubic drift on the 20-node window [30, 50], alpha = 0.2
         ens = sample_ensemble(TimeGrid.uniform(1.0, 50), 1, 400, seed=7)
         op = DiagonalOperator([0.5])
         f0 = DissipativeDrift(
@@ -479,18 +458,48 @@ class TestLocalSolve:
         prob = make_problem(
             op, lambda e: np.tanh(2.0 * w_end(e)), bound=1.0, f0=f0, alpha=0.2
         )
-        factors = _step_factors(op, ens.grid.deltas)
         basis = RegressionBasis(degree=2)
-        _, stats, _ = local_solve(prob, ens, basis, factors, 30, 50, prob.terminal(ens),
-                                  radius=radius, tol=1e-10,
-                                  designs=window_designs(ens, basis, 30, 50))
+        args = (prob, ens, basis, _step_factors(op, ens.grid.deltas), 30, 50,
+                prob.terminal(ens), radius)
+        return args, window_designs(ens, basis, 30, 50)
+
+    @pytest.mark.parametrize("radius", [3.0, 1.0])
+    def test_exact_norms_only_where_a_bound_can_decide(self, monkeypatch, radius):
+        # each Picard step norms exactly the node with the largest distance
+        # bound and the nodes whose bound reaches that node's exact distance,
+        # and the projection only the states whose bound reaches the radius
+        # (within the slack); the distances are the whole-window ones, bit for
+        # bit.  The tighter radius clips some states.
+        calls, near, nodes = [], [], []
+        norm, project = mildbsde.solver.h_alpha_norm_batch, mildbsde.solver._project_to_ball
+
+        def counted_norm(op, alpha, x):
+            calls.append(x.shape[:-1])
+            return norm(op, alpha, x)
+
+        def recorded_projection(problem, y_l, radius):
+            # without a helper the nodes of a pass run in order
+            bound = h_alpha_norm_bound(problem.operator, problem.alpha, y_l)
+            near.append(int(np.count_nonzero(bound * (1.0 + 1e-12) > radius)))
+            projected = project(problem, y_l, radius)
+            nodes.append(y_l.copy())
+            return projected
+
+        monkeypatch.setattr(mildbsde.solver, "h_alpha_norm_batch", counted_norm)
+        monkeypatch.setattr(mildbsde.solver, "_project_to_ball", recorded_projection)
+        args, designs = self._cubic_window(radius)
+        prob, ens = args[:2]
+        op = prob.operator
+        _, stats, _ = local_solve(*args, tol=1e-10, designs=designs)
 
         def node_distances(norms):
             return np.sqrt(np.mean(norms ** 2, axis=1))
 
+        assert len(nodes) == 20 * (stats.iterations + 1)
+        passes = [np.stack(nodes[k:k + 20]) for k in range(0, len(nodes), 20)]
         whole, decisive = [], 0
         for prev, cur in zip(passes, passes[1:]):
-            diff = cur[:-1] - prev[:-1]
+            diff = cur - prev
             exact = node_distances(h_alpha_norm_batch(op, 0.2, diff))
             bound = node_distances(h_alpha_norm_bound(op, 0.2, diff))
             whole.append(float(exact.max()))
@@ -528,11 +537,14 @@ class TestLocalSolve:
     def test_nan_state_is_not_convergence(self, small_ensemble, monkeypatch):
         # a NaN in one state of a non-leading node makes every distance NaN,
         # which neither stops the loop nor counts as divergence: it runs out
-        project = mildbsde.solver._project_to_ball
+        project, seen = mildbsde.solver._project_to_ball, []
 
-        def plant_nan(problem, y, radius, helper=None):
-            projected = project(problem, y, radius, helper)
-            y[5, 0, 1] = np.nan
+        def plant_nan(problem, y_l, radius):
+            # without a helper the 20 nodes of a pass run in order: node 5 is the sixth
+            projected = project(problem, y_l, radius)
+            if len(seen) % 20 == 5:
+                y_l[0, 1] = np.nan
+            seen.append(y_l)
             return projected
 
         monkeypatch.setattr(mildbsde.solver, "_project_to_ball", plant_nan)
@@ -540,6 +552,50 @@ class TestLocalSolve:
         args, designs = self._drift_free_window(small_ensemble)
         with pytest.raises(PicardDivergence, match=r"no convergence .*\(last distance nan\)"):
             local_solve(*args, radius=3.0, tol=1e-12, designs=designs)
+
+    def test_each_pass_is_two_batches(self, monkeypatch):
+        # a pass shares its drift terms, then one step per node (fit,
+        # projection, difference), with the helper: two batches per pass,
+        # and the window of a solve without a helper, bit for bit
+        shared, batches = mildbsde.solver._shared, []
+
+        def counted(helper, fn, nodes):
+            batches.append(len(nodes))
+            return shared(helper, fn, nodes)
+
+        args, designs = self._cubic_window(1.0)
+        alone, alone_stats, alone_fits = local_solve(*args, tol=1e-10, designs=designs)
+        monkeypatch.setattr(mildbsde.solver, "_shared", counted)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            y, stats, fits = local_solve(*args, tol=1e-10, designs=designs, helper=helper)
+        assert stats.iterations > 1 and stats.ball_clipped > 0
+        assert batches == [20] * (2 * (stats.iterations + 1))
+        assert y.tobytes() == alone.tobytes()
+        assert stats == alone_stats
+        for (coef, scale), (alone_coef, alone_scale) in zip(fits, alone_fits):
+            assert coef.tobytes() == alone_coef.tobytes()
+            assert (scale is None) == (alone_scale is None)
+            assert scale is None or scale.tobytes() == alone_scale.tobytes()
+
+    def test_join_row_stays_in_every_pass(self, monkeypatch):
+        # no step writes the join row, although some join states lie outside
+        # the ball the other rows are clipped into: each pass's array, the
+        # returned one and those the differences overwrote, keeps the join bits
+        targets, arrays = mildbsde.solver._picard_targets, []
+
+        def recorded(*args):
+            arrays.append(targets(*args))
+            return arrays[-1]
+
+        monkeypatch.setattr(mildbsde.solver, "_picard_targets", recorded)
+        args, designs = self._cubic_window(0.5)
+        prob, join = args[0], args[6]
+        assert (h_alpha_norm_batch(prob.operator, prob.alpha, join) > 0.5).any()
+        y, stats, _ = local_solve(*args, tol=1e-10, designs=designs)
+        assert stats.ball_clipped > 0
+        assert len(arrays) == stats.iterations + 1 and arrays[-1] is y
+        for array in arrays:
+            assert array[-1].tobytes() == join.tobytes()
 
     def test_divergent_iteration_raises(self, small_ensemble, monkeypatch):
         # anti-dissipative expanding drift with an over-long window
@@ -757,6 +813,18 @@ class TestGeneralSolve:
         assert scaled["margin"] == 1.2
         for name in ("m_alpha", "c_alpha", "g_holder"):
             assert scaled[name] == 1.2 * raw[name]
+
+    def test_overflowing_outer_weight_fails_before_any_sweep(self, monkeypatch):
+        # K = 14 gives beta = 785 on T = 1, and exp(785) overflows a float: the
+        # solve refuses before its first sweep instead of running out its outer
+        # steps on infinite weights
+        prob = mildbsde.models.build_preset("reaction-diffusion-1d", driver_strength=14.0)
+        ens = sample_ensemble(TimeGrid.uniform(prob.horizon, 20), prob.noise_dim, 400, seed=3)
+        sweeps = []
+        monkeypatch.setattr(mildbsde.solver, "global_solve", lambda *a, **k: sweeps.append(a))
+        with pytest.raises(OuterDivergence, match=r"beta = 4 K\^2 \+ 1 = 785, T = 1$"):
+            general_solve(prob, ens, RegressionBasis(degree=2, n_coords=3))
+        assert sweeps == []
 
     def test_driver_free_delegates(self, small_ensemble):
         op = DiagonalOperator([0.0])
