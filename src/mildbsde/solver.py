@@ -527,8 +527,9 @@ def _picard_targets(
         np.multiply(kernel_int[l], f_val, out=targets[j])
 
     _shared(helper, drift_term, range(width - 1, -1, -1))
+    carry = np.empty(terminal_values.shape)
     for j in range(width - 1, -1, -1):
-        targets[j] += decay[start + j] * targets[j + 1]
+        targets[j] += np.multiply(decay[start + j], targets[j + 1], out=carry)
     return targets
 
 
@@ -949,6 +950,11 @@ class SolvePlan:
     refinements: tuple[str, ...]
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _refined(need: GridTooCoarse, steps: int, grids: int, n_paths: int, n_noise: int, seed: int):
     """(``need.factor`` times ``steps``, its report line) for grid ``grids + 1``; a fourth grid,
     or one whose ensemble would not fit in physical memory, raises ``GridTooCoarse``."""
@@ -956,7 +962,7 @@ def _refined(need: GridTooCoarse, steps: int, grids: int, n_paths: int, n_noise:
         raise GridTooCoarse("grid refinement did not reach the required window resolution") from need
     steps *= need.factor
     held = ensemble_nbytes(steps, n_paths, n_noise)
-    if held > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    if held > _physical_memory():
         raise GridTooCoarse(
             f"a grid refined to {Decimal(steps):.3e} steps needs {Decimal(held):.3e} "
             "bytes of increments and checkpoints, more than this machine's physical memory"
@@ -1123,6 +1129,14 @@ def general_solve(
                 z_node = terminal_values.shape + (ensemble.n_noise,)
                 y_kept = z_kept = None
                 if sink is None:
+                    kept = 8 * (math.prod(y_shape) + grid.n_steps * math.prod(z_node))
+                    held = ensemble.increments.nbytes
+                    if kept + held > _physical_memory():
+                        raise SolverError(
+                            f"keeping Y and Z needs {Decimal(kept):.3e} bytes beside the "
+                            f"{Decimal(held):.3e} of increments, more than this machine's "
+                            "physical memory; pass a sink to take each node as it exits"
+                        )
                     y_kept = np.empty(y_shape)
                     z_kept = np.empty((grid.n_steps,) + z_node)
 

@@ -314,7 +314,11 @@ def martingale_z_estimate(
     regression noise drops (deterministic next values give Z at ridge-bias
     scale instead of one Monte Carlo standard error).  Both fits use one
     design of the node: ``design`` if the caller holds it, else built here.
-    Returns the second fit: ``fitted`` is Z, shape
+    The products are formed path-contiguous, (N, K, M) from contiguous copies
+    of the centered values and dW transposed, with the same two roundings per
+    value, and the fit reads their transpose, an F-ordered (M, N K) view.
+    With B >= 2 features ``phi.T @ targets`` gives the C-ordered targets' bits
+    on that view, so Z keeps them.  Returns the second fit: ``fitted`` is Z, shape
     (M, N, K), and ``(design @ coef).reshape(M, N, K)`` rebuilds it bit for bit
     from the (B, N K) coefficients.
     """
@@ -327,7 +331,10 @@ def martingale_z_estimate(
     dw = ensemble.increments[t_index]
     dt = float(ensemble.grid.deltas[t_index])
     phi = basis.design(ensemble, t_index) if design is None else design
-    centered = next_value - _fit(ensemble, basis, t_index, phi, next_value).fitted
-    targets = (centered[:, :, None] * dw[:, None, :] / dt).reshape(m, -1)
-    fit = _fit(ensemble, basis, t_index, phi, targets)
+    fitted = _fit(ensemble, basis, t_index, phi, next_value).fitted
+    centered = np.subtract(next_value, fitted, out=fitted)
+    # path-contiguous (N, K, M) products, read as the (M, N K) targets
+    targets = np.ascontiguousarray(centered.T)[:, None, :] * np.ascontiguousarray(dw.T)
+    targets /= dt
+    fit = _fit(ensemble, basis, t_index, phi, targets.reshape(-1, m).T)
     return replace(fit, fitted=fit.fitted.reshape(m, n, ensemble.n_noise))

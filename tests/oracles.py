@@ -3,7 +3,8 @@
 ``interpolation_norm`` maximizes the (alpha, inf) seminorm of one state on a
 doubling geometric grid, independently of the calibrated batch kernel.
 ``verify_on_process`` checks a solved process against the Gronwall envelope.
-Neither is on the solve path, so they live here and not in the package.
+``martingale_z_reference`` is the Z estimate with its targets formed path by
+path.  None is on the solve path, so they live here and not in the package.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from mildbsde.gronwall import GronwallInput, gronwall_constant
 from mildbsde.spectral import DiagonalOperator, _grid_lo, _seminorm_values
+from mildbsde.wiener import Regression, RegressionBasis, WienerEnsemble, conditional_expectation
 
 
 @dataclass(frozen=True)
@@ -108,3 +110,16 @@ def verify_on_process(
     margins = envelope - values[:upper]
     worst = float(margins.min())
     return GronwallVerdict(True, bool(worst >= -hypothesis_rtol * scale), worst, constant)
+
+
+def martingale_z_reference(
+    ensemble: WienerEnsemble, basis: RegressionBasis, t_index: int, next_value: np.ndarray
+) -> Regression:
+    """``martingale_z_estimate`` with its (M, N K) targets formed path-major:
+    centered (x) dW / dt by broadcasting over the (M, N, K) axes."""
+    m = next_value.shape[0]
+    dw = ensemble.increments[t_index]
+    dt = float(ensemble.grid.deltas[t_index])
+    centered = next_value - conditional_expectation(ensemble, basis, t_index, next_value).fitted
+    targets = (centered[:, :, None] * dw[:, None, :] / dt).reshape(m, -1)
+    return conditional_expectation(ensemble, basis, t_index, targets)

@@ -149,19 +149,26 @@ class TestSpinSystem:
         y = np.random.default_rng(22).standard_normal((30, 5))
         np.testing.assert_allclose(f0(0.0, -y), -f0(0.0, y), rtol=1e-12)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(1, 3),
         y=arrays(
             np.float64,
-            st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6)),
+            st.tuples(st.lists(st.integers(1, 4), max_size=2), st.integers(1, 21)).map(
+                lambda shape: (*shape[0], shape[1])
+            ),
             elements=st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0),
         ),
+        strided=st.booleans(),
     )
-    @example(k=1, y=np.array([[[-0.0, 0.0, -0.0]]]))
-    def test_bits_of_the_np_pad_form(self, k, y):
-        # the drift fills a zero buffer in place of np.pad; its bits, signed
-        # zeros included, are those of the np.pad form
+    @example(k=1, y=np.array([[[-0.0, 0.0, -0.0]]]), strided=False)
+    @example(k=1, y=np.array([[-0.0], [0.0]]), strided=True)
+    def test_bits_of_the_np_pad_form(self, k, y, strided):
+        # the drift differences the flat state in place of np.pad; its bits,
+        # signed zeros included, are those of the np.pad form, also on a
+        # strided view, a single site and a 1-D state
+        if strided:
+            y = np.repeat(y, 2, axis=-1)[..., ::2]
         def odd_power(d):
             sq = d * d
             even = sq

@@ -22,6 +22,7 @@ from mildbsde.solver import (
     NonFiniteDrift,
     OuterDivergence,
     PicardDivergence,
+    SolverError,
     SolverReport,
     ValidationError,
     WindowCollapse,
@@ -825,6 +826,35 @@ class TestGeneralSolve:
         with pytest.raises(OuterDivergence, match=r"beta = 4 K\^2 \+ 1 = 785, T = 1$"):
             general_solve(prob, ens, RegressionBasis(degree=2, n_coords=3))
         assert sweeps == []
+
+    def test_kept_solution_beyond_memory_fails_before_allocating(self, monkeypatch):
+        # without a sink the solve keeps Y (L+1, M, N) and Z (L, M, N, K) beside
+        # the increments (L, M, K); past physical memory it names the bytes and
+        # asks for a sink instead of failing in numpy's allocation
+        steps, paths = 10, 200
+        prob = make_problem(DiagonalOperator([0.5]), lambda e: np.tanh(w_end(e)))
+        basis = RegressionBasis(degree=2)
+        needed = 8 * ((steps + 1) * paths + steps * paths + steps * paths)
+        memory, sweeps = [needed - 1], []
+        monkeypatch.setattr(mildbsde.solver, "_physical_memory", lambda: memory[0])
+        sweep = mildbsde.solver.global_solve
+        monkeypatch.setattr(mildbsde.solver, "global_solve",
+                            lambda *a, **k: sweeps.append(a) or sweep(*a, **k))
+
+        def solve(sink=None):
+            ens = sample_ensemble(TimeGrid.uniform(1.0, steps), 1, paths, seed=5)
+            return general_solve(prob, ens, basis, sink)
+
+        with pytest.raises(SolverError, match=r"keeping Y and Z needs 3\.360e\+4 bytes .*pass a sink"):
+            solve()
+        assert sweeps == []
+        memory[0] = 1
+        seen = []
+        streamed, _ = solve(lambda l, y_l, z_l, fit: seen.append(l))
+        assert streamed.y is None and seen == list(range(steps, -1, -1))
+        memory[0] = needed
+        kept, _ = solve()
+        assert kept.y.shape == (steps + 1, paths, 1) and kept.z.shape == (steps, paths, 1, 1)
 
     def test_driver_free_delegates(self, small_ensemble):
         op = DiagonalOperator([0.0])

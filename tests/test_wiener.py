@@ -11,11 +11,13 @@ import mildbsde.wiener
 from mildbsde.wiener import (
     RegressionBasis,
     TimeGrid,
+    _fit,
     conditional_expectation,
     ensemble_nbytes,
     martingale_z_estimate,
     sample_ensemble,
 )
+from oracles import martingale_z_reference
 
 
 class TestTimeGrid:
@@ -484,6 +486,58 @@ class TestMartingaleZ:
         assert rebuilt.dtype == fit.fitted.dtype and rebuilt.shape == fit.fitted.shape
         assert rebuilt.tobytes() == fit.fitted.tobytes()
         assert fit.design.tobytes() == design.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        noise=st.integers(1, 8),
+        dim=st.integers(1, 8),
+        degree=st.integers(1, 3),
+        coords=st.integers(1, 8),
+        ridge=st.sampled_from([1e-8, 0.0]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_path_contiguous_targets_give_the_reference_bytes(
+        self, data, noise, dim, degree, coords, ridge, seed
+    ):
+        # the estimate forms its targets as (N, K, M) products read through a
+        # transposed view; coef and Z keep the bytes of the path-major targets
+        basis = RegressionBasis(degree=degree, n_coords=coords, ridge=ridge)
+        paths = data.draw(st.integers(basis.n_features(noise), 3000), label="paths")
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 3), noise, paths, seed=seed)
+        nxt = np.sin(np.random.default_rng(seed).standard_normal((paths, dim)))
+        fit = martingale_z_estimate(ens, basis, 1, nxt)
+        expect = martingale_z_reference(ens, basis, 1, nxt)
+        assert fit.coef.tobytes() == expect.coef.tobytes()
+        assert fit.fitted.tobytes() == expect.fitted.tobytes()
+        assert fit.fitted.shape == (paths, dim, noise)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        noise=st.integers(1, 6),
+        degree=st.integers(1, 3),
+        coords=st.integers(1, 6),
+        columns=st.integers(1, 48),
+        ridge=st.sampled_from([1e-8, 0.0]),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_fit_keeps_its_bytes_on_f_ordered_targets(
+        self, data, noise, degree, coords, columns, ridge, seed
+    ):
+        # with B >= 2 features, phi.T @ targets and the solve give the same bits
+        # whether the targets are C- or F-ordered, which the Z estimate's
+        # transposed view needs
+        basis = RegressionBasis(degree=degree, n_coords=coords, ridge=ridge)
+        paths = data.draw(st.integers(basis.n_features(noise), 3000), label="paths")
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 2), noise, paths, seed=seed)
+        phi = basis.design(ens, 1)
+        assert phi.shape[1] >= 2
+        targets = np.random.default_rng(seed).standard_normal((paths, columns))
+        c_fit = _fit(ens, basis, 1, phi, targets)
+        f_fit = _fit(ens, basis, 1, phi, np.asfortranarray(targets))
+        assert f_fit.coef.tobytes() == c_fit.coef.tobytes()
+        assert f_fit.fitted.tobytes() == c_fit.fitted.tobytes()
 
     def test_final_node_rejected(self, big_ensemble):
         basis = RegressionBasis()
