@@ -22,7 +22,6 @@ from .solver import (
     BoundedDriver,
     BsdeProblem,
     DissipativeDrift,
-    SolutionPair,
     SolverReport,
     apriori_h_bound,
     exponential_shift,

@@ -124,10 +124,10 @@ def run_solve(cfg: ExperimentConfig) -> Path:
         if y_clip is not None:
             clips[l] = y_clip
 
-    solution, report = _planned_solve(cfg, problem, basis, sink)
+    report = _planned_solve(cfg, problem, basis, sink)
     clipped = sorted(clips)
     np.savez(
-        out / "solution.npz", times=solution.grid.times, shift=kept["shift"],
+        out / "solution.npz", times=np.asarray(report.times), shift=kept["shift"],
         y_terminal=kept["y_terminal"].astype(np.float32),
         y_coef=kept["y_coef"], z_coef=kept["z_coef"],
         clip_nodes=np.array(clipped, dtype=np.int64),
@@ -339,8 +339,8 @@ def run_convergence_study(cfg: ExperimentConfig, m_ladder, l_ladder) -> Path:
     for m in m_ladder:
         for l in l_ladder:
             # the study reads the report only: Y and Z are dropped node by node
-            _, report = _planned_solve(replace(cfg, paths=m, steps=l), problem, basis,
-                                       lambda *node: None)
+            report = _planned_solve(replace(cfg, paths=m, steps=l), problem, basis,
+                                    lambda *node: None)
             picard = max(report.picard_factors) if report.picard_factors else 0.0
             outer = 0.0
             if report.outer and report.outer["squared_factors"]:

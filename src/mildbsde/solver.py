@@ -67,7 +67,6 @@ __all__ = [
     "DissipativeDrift",
     "BoundedDriver",
     "BsdeProblem",
-    "SolutionPair",
     "SolverReport",
     "WindowSelection",
     "SolvePlan",
@@ -265,19 +264,6 @@ class BsdeProblem:
     @property
     def driver_lipschitz(self) -> float:
         return 0.0 if self.f1 is None else self.f1.lipschitz_const
-
-
-@dataclass
-class SolutionPair:
-    """Adapted grid processes: y at every node, z on left nodes of each step.
-
-    ``y`` and ``z`` are None when ``general_solve`` handed the nodes one by
-    one to a ``sink`` instead of keeping them.
-    """
-
-    grid: TimeGrid
-    y: np.ndarray | None  # (L+1, M, N)
-    z: np.ndarray | None = None  # (L, M, N, K)
 
 
 @dataclass(frozen=True)
@@ -1000,10 +986,10 @@ def general_solve(
     problem: BsdeProblem,
     ensemble: WienerEnsemble,
     basis: RegressionBasis,
-    sink: Callable[[int, np.ndarray, np.ndarray | None, tuple | None], None] | None = None,
+    sink: Callable[[int, np.ndarray, np.ndarray | None, tuple | None], None],
     *,
     plan: SolvePlan | None = None,
-) -> tuple[SolutionPair, SolverReport]:
+) -> SolverReport:
     """Solve the equation on [0, T]: the one solve driver.
 
     Once per solve: the validation gate and the plan (``plan_solve``: shift,
@@ -1031,15 +1017,15 @@ def general_solve(
 
     Every node leaves the solve through one exit: its norms are recorded for
     the bound checks, it is shifted back by exp(-lam t_l), added to the
-    residual, and then ``sink(l, y_l, z_l, fit)``, when given, receives it:
-    node L first with ``z_l = fit = None``, then nodes L-1 down to 0, each
-    once, with ``fit = (y_coef, y_clip, z_coef, shift)``: ``_rebuild_node`` on
-    the node's design, times ``shift``, gives y_l and z_l bit for bit.  The
-    returned pair then has ``y = z = None``; without a sink it keeps Y and Z.
+    residual, and then ``sink(l, y_l, z_l, fit)`` receives it: node L first
+    with ``z_l = fit = None``, then nodes L-1 down to 0, each once, with
+    ``fit = (y_coef, y_clip, z_coef, shift)``: ``_rebuild_node`` on the node's
+    design, times ``shift``, gives y_l and z_l bit for bit.  The solve returns
+    its ``SolverReport`` and never holds Y or Z on all paths.
     The solve starts one helper thread for ``global_solve`` and joins it on
     leaving, raised or not.  Without f1 the helper feeds the exit one window
-    behind the Picard iteration, so the sink runs there, and a solve with a
-    sink holds the ensemble and two windows with their designs.  With f1 the
+    behind the Picard iteration, so the sink runs there, and the solve holds
+    the ensemble and two windows with their designs.  With f1 the
     outer distance and the next frozen driver need the whole previous
     iterate: the loop holds it as each node's regression coefficients, (B, N)
     for Y and (B, N K) for Z in place of the (M, N) and (M, N, K) values, and
@@ -1098,7 +1084,7 @@ def general_solve(
                 # finer one is drawn; the closures hold their arrays through these names
                 grid = TimeGrid.uniform(ensemble.grid.horizon, steps)
                 draw = (ensemble.n_noise, ensemble.n_paths, ensemble.seed)
-                ensemble = sweep = fits = y_kept = z_kept = terminal_values = None
+                ensemble = sweep = fits = terminal_values = None
                 ensemble = sample_ensemble(grid, *draw)
             grid = ensemble.grid
             times = grid.times
@@ -1125,20 +1111,7 @@ def general_solve(
                                        terminal_values * y_scale[-1])
                 # per node: mean and max of |Y|_H and max of the theta norm, on the shifted Y
                 node_norms = np.empty((3, grid.n_steps + 1))
-                y_shape = (grid.n_steps + 1,) + terminal_values.shape
                 z_node = terminal_values.shape + (ensemble.n_noise,)
-                y_kept = z_kept = None
-                if sink is None:
-                    kept = 8 * (math.prod(y_shape) + grid.n_steps * math.prod(z_node))
-                    held = ensemble.increments.nbytes
-                    if kept + held > _physical_memory():
-                        raise SolverError(
-                            f"keeping Y and Z needs {Decimal(kept):.3e} bytes beside the "
-                            f"{Decimal(held):.3e} of increments, more than this machine's "
-                            "physical memory; pass a sink to take each node as it exits"
-                        )
-                    y_kept = np.empty(y_shape)
-                    z_kept = np.empty((grid.n_steps,) + z_node)
 
                 def shifted(l, y_l, z_l):
                     # the node's norms, then the node shifted back; on either thread
@@ -1151,12 +1124,7 @@ def general_solve(
                     return y_l, z_l
 
                 def out(l, y_l, z_l, fit):
-                    if sink is not None:
-                        sink(l, y_l, z_l, None if fit is None else (*fit, y_scale[l]))
-                        return
-                    y_kept[l] = y_l
-                    if z_l is not None:
-                        z_kept[l] = z_l
+                    sink(l, y_l, z_l, None if fit is None else (*fit, y_scale[l]))
 
                 def exit_node(l, y_l, z_fit, y_fit):
                     y_l, z_l = shifted(l, y_l, None if z_fit is None else z_fit.fitted)
@@ -1255,10 +1223,9 @@ def general_solve(
             "squared_factors": sq_factors,
         }
     _record_bound_checks(frozen, report, times, *node_norms)
-    solution = SolutionPair(grid=ensemble.grid, y=y_kept, z=z_kept)
     report.residual_value = sweep.value()
     report.runtime_seconds = time.perf_counter() - t0
-    return solution, report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -1324,14 +1291,12 @@ class _ResidualSweep:
         return math.sqrt(self.total / self.horizon)
 
 
-def residual(
-    problem: BsdeProblem,
-    solution: SolutionPair,
-    ensemble: WienerEnsemble,
-) -> float:
+def residual(problem: BsdeProblem, ensemble: WienerEnsemble, y: np.ndarray, z: np.ndarray) -> float:
     """Ensemble-L2 defect of the integral equation along the solved paths.
 
-    At every node the defect
+    ``y`` holds Y at the L + 1 nodes of the ensemble's grid and ``z`` holds Z
+    at its first L nodes; other node counts raise ``ValueError``.  At every
+    node the defect
         Y_t - int_t^T exp((s-t)A) f ds + sum_s exp((s-t)A) Z_s dW_s - exp((T-t)A) xi
     is accumulated with the solver's own quadrature; the result is the square
     root of its squared H norm averaged over paths and integrated in t/T.
@@ -1339,10 +1304,12 @@ def residual(
     The nodes are taken right to left, one at a time, as they also leave
     ``general_solve`` through its node exit.
     """
-    y, z = solution.y, solution.z
-    if z is None:
-        raise ValueError("residual needs the stochastic-integral component")
-    grid = solution.grid
+    grid = ensemble.grid
+    if len(y) != grid.n_steps + 1 or len(z) != grid.n_steps:
+        raise ValueError(
+            f"the ensemble's grid has {grid.n_steps} steps, so residual needs Y on "
+            f"{grid.n_steps + 1} nodes and Z on {grid.n_steps}; got {len(y)} and {len(z)}"
+        )
     factors = _step_factors(problem.operator, grid.deltas)
     sweep = _ResidualSweep(problem, grid, ensemble, factors, y[-1])
     for l in range(grid.n_steps - 1, -1, -1):

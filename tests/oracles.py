@@ -4,7 +4,9 @@
 doubling geometric grid, independently of the calibrated batch kernel.
 ``verify_on_process`` checks a solved process against the Gronwall envelope.
 ``martingale_z_reference`` is the Z estimate with its targets formed path by
-path.  None is on the solve path, so they live here and not in the package.
+path.  ``kept_solve`` collects Y and Z on all paths from ``general_solve``'s
+node exit, and ``drop_node`` is the sink of a solve read only through its
+report.  None is on the solve path, so they live here and not in the package.
 """
 from __future__ import annotations
 
@@ -14,8 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from mildbsde.gronwall import GronwallInput, gronwall_constant
+from mildbsde.solver import BsdeProblem, SolverReport, general_solve
 from mildbsde.spectral import DiagonalOperator, _grid_lo, _seminorm_values
-from mildbsde.wiener import Regression, RegressionBasis, WienerEnsemble, conditional_expectation
+from mildbsde.wiener import (
+    Regression, RegressionBasis, TimeGrid, WienerEnsemble, conditional_expectation,
+)
 
 
 @dataclass(frozen=True)
@@ -123,3 +128,40 @@ def martingale_z_reference(
     centered = next_value - conditional_expectation(ensemble, basis, t_index, next_value).fitted
     targets = (centered[:, :, None] * dw[:, None, :] / dt).reshape(m, -1)
     return conditional_expectation(ensemble, basis, t_index, targets)
+
+
+@dataclass(frozen=True)
+class KeptSolution:
+    """Y at every node and Z on the left node of each step, on all paths."""
+
+    grid: TimeGrid
+    y: np.ndarray  # (L+1, M, N)
+    z: np.ndarray  # (L, M, N, K)
+
+
+def kept_solve(
+    problem: BsdeProblem, ensemble: WienerEnsemble, basis: RegressionBasis, **kw
+) -> tuple[KeptSolution, SolverReport]:
+    """``general_solve`` with a sink that copies each node in, Y allocated at
+    node L and Z at node L-1.  The grid is the ensemble's, or the uniform grid
+    of the solve's L steps when it refined."""
+    kept = {}
+
+    def collect(l, y_l, z_l, fit):
+        if z_l is None:  # node L, the first to leave
+            kept["y"] = np.empty((l + 1,) + y_l.shape)
+        elif "z" not in kept:  # node L-1, the first with a Z
+            kept["z"] = np.empty((l + 1,) + z_l.shape)
+        kept["y"][l] = y_l
+        if z_l is not None:
+            kept["z"][l] = z_l
+
+    report = general_solve(problem, ensemble, basis, collect, **kw)
+    grid = ensemble.grid
+    if grid.n_steps != len(kept["y"]) - 1:
+        grid = TimeGrid.uniform(grid.horizon, len(kept["y"]) - 1)
+    return KeptSolution(grid, kept["y"], kept["z"]), report
+
+
+def drop_node(l, y_l, z_l, fit) -> None:
+    """A ``general_solve`` sink that drops each node."""

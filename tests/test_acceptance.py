@@ -21,7 +21,7 @@ from mildbsde.spectral import (
     semigroup_apply,
 )
 from mildbsde.wiener import RegressionBasis, TimeGrid, sample_ensemble
-from oracles import interpolation_norm, verify_on_process
+from oracles import drop_node, interpolation_norm, kept_solve, verify_on_process
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -50,7 +50,7 @@ def linear_run(oracle_ensemble):
     prob = linear_problem(lambda e: e.path_at(e.grid.n_steps)[:, :1])
     basis = RegressionBasis(degree=2, ridge=1e-8)
     start = time.perf_counter()
-    sol, rep = general_solve(prob, oracle_ensemble, basis)
+    sol, rep = kept_solve(prob, oracle_ensemble, basis)
     elapsed = time.perf_counter() - start
     return sol, rep, elapsed
 
@@ -62,7 +62,7 @@ def spin_run():
     ens = sample_ensemble(grid, prob.noise_dim, 10000, seed=424242)
     basis = RegressionBasis(degree=2, ridge=1e-8)
     start = time.perf_counter()
-    sol, rep = general_solve(prob, ens, basis)
+    sol, rep = kept_solve(prob, ens, basis)
     elapsed = time.perf_counter() - start
     return prob, sol, rep, elapsed
 
@@ -73,7 +73,7 @@ def rd_run():
     grid = TimeGrid.uniform(prob.horizon, 80)
     ens = sample_ensemble(grid, prob.noise_dim, 4000, seed=515151)
     basis = RegressionBasis(degree=2, n_coords=3, ridge=1e-8)
-    sol, rep = general_solve(prob, ens, basis)
+    sol, rep = kept_solve(prob, ens, basis)
     return prob, sol, rep
 
 
@@ -105,7 +105,7 @@ class TestCriterion2QuadraticOracle:
     def test_second_moment_representation(self, oracle_ensemble):
         prob = linear_problem(lambda e: e.path_at(e.grid.n_steps)[:, :1] ** 2)
         basis = RegressionBasis(degree=2, ridge=1e-8)
-        sol, rep = general_solve(prob, oracle_ensemble, basis)
+        sol, rep = kept_solve(prob, oracle_ensemble, basis)
         grid = oracle_ensemble.grid
         w = np.stack([oracle_ensemble.path_at(l)[:, 0]
                       for l in range(oracle_ensemble.grid.n_steps + 1)])
@@ -267,7 +267,7 @@ class TestCriterion9ResidualConvergence:
         for m in (1000, 10000):
             ens = sample_ensemble(grid, 1, m, seed=3141)
             prob = linear_problem(lambda e: e.path_at(e.grid.n_steps)[:, :1])
-            sol, rep = general_solve(prob, ens, basis)
+            rep = general_solve(prob, ens, basis, drop_node)
             residuals[m] = rep.residual_value
         ratio = residuals[1000] / residuals[10000]
         ok = ratio >= 2.5

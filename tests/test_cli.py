@@ -27,8 +27,9 @@ from mildbsde import load_solution
 from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
 from mildbsde.config import ExperimentConfig, load_config
 from mildbsde.models import ValidationError
-from mildbsde.solver import BoundedDriver, BsdeProblem, DissipativeDrift, SolverError, general_solve
+from mildbsde.solver import BoundedDriver, BsdeProblem, DissipativeDrift, SolverError
 from mildbsde.spectral import DiagonalOperator
+from oracles import kept_solve
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -254,7 +255,7 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(cfg_path)]) == 0
         cfg = load_config(cfg_path)
         problem = cfg.make_problem()
-        sol, _ = general_solve(problem, cfg.make_ensemble(problem), cfg.make_basis())
+        sol, _ = kept_solve(problem, cfg.make_ensemble(problem), cfg.make_basis())
         self._assert_loads_as(out, sol)
 
     @staticmethod
@@ -310,7 +311,7 @@ class TestSolveCommand:
                                    out_dir=str(out))
             with contextlib.redirect_stdout(io.StringIO()):
                 run_solve(cfg)
-            sol, report = general_solve(prob, cfg.make_ensemble(prob), cfg.make_basis())
+            sol, report = kept_solve(prob, cfg.make_ensemble(prob), cfg.make_basis())
             if case == "clipped":
                 with np.load(out / "solution.npz") as arrays:
                     assert arrays["clip_nodes"].size > 0

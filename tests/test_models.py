@@ -22,9 +22,10 @@ from mildbsde.models import (
     spin_drift_fn,
     validate_problem,
 )
-from mildbsde.solver import DissipativeDrift, general_solve
+from mildbsde.solver import DissipativeDrift
 from mildbsde.spectral import h_alpha_norm_batch
 from mildbsde.wiener import RegressionBasis, TimeGrid, sample_ensemble
+from oracles import kept_solve
 
 
 class TestReactionDiffusion:
@@ -82,7 +83,7 @@ class TestReactionDiffusion:
         prob.validated = True
         grid = TimeGrid.uniform(1.0, 40)
         ens = sample_ensemble(grid, 4, 2000, seed=9)
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2, n_coords=2))
+        sol, rep = kept_solve(prob, ens, RegressionBasis(degree=2, n_coords=2))
         xi = prob.terminal(ens)
         a = prob.operator.eigenvalues
         for l in (0, 20, 40):

@@ -22,7 +22,6 @@ from mildbsde.solver import (
     NonFiniteDrift,
     OuterDivergence,
     PicardDivergence,
-    SolverError,
     SolverReport,
     ValidationError,
     WindowCollapse,
@@ -51,6 +50,7 @@ from mildbsde.spectral import (
 from mildbsde.wiener import (
     Regression, RegressionBasis, TimeGrid, martingale_z_estimate, sample_ensemble,
 )
+from oracles import drop_node, kept_solve
 
 
 def w_end(ensemble):
@@ -236,7 +236,7 @@ class TestPicardMap:
         # no drift, deterministic terminal: Y(t) = exp((T-t)A) xi on every path
         op = DiagonalOperator([2.0])
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0)
-        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        sol, _ = kept_solve(prob, small_ensemble, RegressionBasis(degree=2))
         times = small_ensemble.grid.times
         for l in range(51):
             expect = math.exp(-2.0 * (times[50] - times[l]))
@@ -257,7 +257,7 @@ class TestPicardMap:
         # A = 0, terminal W_T: Y(t) = W_t and Z = 1
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
-        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        sol, _ = kept_solve(prob, small_ensemble, RegressionBasis(degree=2))
         w = np.stack([small_ensemble.path_at(l)[:, 0]
                       for l in range(small_ensemble.grid.n_steps + 1)])
         err = np.sqrt(np.mean((sol.y[:, :, 0] - w) ** 2, axis=1))
@@ -623,12 +623,12 @@ class TestGlobalSolve:
             terminal=w_end, terminal_bound=math.inf,
         )
         with pytest.raises(ValidationError):
-            general_solve(prob, small_ensemble, RegressionBasis())
+            general_solve(prob, small_ensemble, RegressionBasis(), drop_node)
 
     def test_terminal_bit_exact_and_z_shape(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        sol, rep = kept_solve(prob, small_ensemble, RegressionBasis(degree=2))
         np.testing.assert_array_equal(sol.y[-1], w_end(small_ensemble))
         assert sol.z.shape == (50, small_ensemble.n_paths, 1, 1)
         assert len(rep.windows) == 1  # drift-free: one window covers [0, T]
@@ -645,7 +645,7 @@ class TestGlobalSolve:
         prob = make_problem(op, lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
         window_cap(0.15)
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        rep = general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
         assert len(rep.windows) > 1
         # joins share the same stored values: reconstruct per-window ends
         for w in rep.windows:
@@ -682,7 +682,7 @@ class TestGlobalSolve:
         monkeypatch.setattr(mildbsde.solver, "local_solve", first_call_diverges)
         basis = RegressionBasis(degree=2)
         window_cap(0.15)
-        sol, rep = general_solve(prob, ens, basis)
+        sol, rep = kept_solve(prob, ens, basis)
         assert rep.lambda_shift == 0.0 and rep.grid_refined == 1
         assert len(rep.windows) >= 3
         assert [w.halvings for w in rep.windows] == [1] + [0] * (len(rep.windows) - 1)
@@ -708,7 +708,7 @@ class TestGlobalSolve:
 
         monkeypatch.setattr(RegressionBasis, "design", counted_design)
         window_cap(0.15)
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        rep = general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
         assert len(rep.windows) > 1 and all(w.halvings == 0 for w in rep.windows)
         assert all(w.iterations >= 2 for w in rep.windows)
         assert sorted(built) == list(range(40))
@@ -735,7 +735,7 @@ class TestGlobalSolve:
             held_bytes.clear()
             built.clear()
             ens = sample_ensemble(TimeGrid.uniform(1.0, 20), 1, paths, seed=29)
-            return general_solve(prob, ens, basis)
+            return kept_solve(prob, ens, basis)
 
         monkeypatch.setattr(mildbsde.solver, "local_solve", recorded_solve)
         monkeypatch.setattr(RegressionBasis, "design", counted_design)
@@ -776,8 +776,8 @@ class TestGlobalSolve:
         # declared monotonicity 0: no shift, mu y stays inside f0
         folded = make_problem(op, terminal, bound=0.4, f0=replace(f0, monotonicity=0.0))
         basis = RegressionBasis(degree=2)
-        sol_a, rep_a = general_solve(prob, ens, basis)
-        sol_b, rep_b = general_solve(folded, ens, basis)
+        sol_a, rep_a = kept_solve(prob, ens, basis)
+        sol_b, rep_b = kept_solve(folded, ens, basis)
         assert rep_a.lambda_shift == mu and rep_b.lambda_shift == 0.0
         assert sol_a.grid.n_steps == sol_b.grid.n_steps == 320
         scale = np.sqrt(np.mean(sol_a.y ** 2))
@@ -791,7 +791,7 @@ class TestGlobalSolve:
         )
         prob = make_problem(op, lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), drop_node)
         assert rep.max_y_h <= 1.1 * rep.c1_bound
 
 
@@ -808,7 +808,7 @@ class TestGeneralSolve:
             fn=lambda t, y: -np.tanh(y), growth_scale=1.1, growth_power=2.0, lipschitz=1.1
         )
         prob = make_problem(op, lambda e: 0.5 * np.tanh(w_end(e)), bound=0.5, f0=f0)
-        _, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), drop_node)
         raw, scaled = rep.constants["raw"], rep.constants["scaled"]
         assert raw["margin"] == 1.0
         assert scaled["margin"] == 1.2
@@ -824,42 +824,13 @@ class TestGeneralSolve:
         sweeps = []
         monkeypatch.setattr(mildbsde.solver, "global_solve", lambda *a, **k: sweeps.append(a))
         with pytest.raises(OuterDivergence, match=r"beta = 4 K\^2 \+ 1 = 785, T = 1$"):
-            general_solve(prob, ens, RegressionBasis(degree=2, n_coords=3))
+            general_solve(prob, ens, RegressionBasis(degree=2, n_coords=3), drop_node)
         assert sweeps == []
-
-    def test_kept_solution_beyond_memory_fails_before_allocating(self, monkeypatch):
-        # without a sink the solve keeps Y (L+1, M, N) and Z (L, M, N, K) beside
-        # the increments (L, M, K); past physical memory it names the bytes and
-        # asks for a sink instead of failing in numpy's allocation
-        steps, paths = 10, 200
-        prob = make_problem(DiagonalOperator([0.5]), lambda e: np.tanh(w_end(e)))
-        basis = RegressionBasis(degree=2)
-        needed = 8 * ((steps + 1) * paths + steps * paths + steps * paths)
-        memory, sweeps = [needed - 1], []
-        monkeypatch.setattr(mildbsde.solver, "_physical_memory", lambda: memory[0])
-        sweep = mildbsde.solver.global_solve
-        monkeypatch.setattr(mildbsde.solver, "global_solve",
-                            lambda *a, **k: sweeps.append(a) or sweep(*a, **k))
-
-        def solve(sink=None):
-            ens = sample_ensemble(TimeGrid.uniform(1.0, steps), 1, paths, seed=5)
-            return general_solve(prob, ens, basis, sink)
-
-        with pytest.raises(SolverError, match=r"keeping Y and Z needs 3\.360e\+4 bytes .*pass a sink"):
-            solve()
-        assert sweeps == []
-        memory[0] = 1
-        seen = []
-        streamed, _ = solve(lambda l, y_l, z_l, fit: seen.append(l))
-        assert streamed.y is None and seen == list(range(steps, -1, -1))
-        memory[0] = needed
-        kept, _ = solve()
-        assert kept.y.shape == (steps + 1, paths, 1) and kept.z.shape == (steps, paths, 1, 1)
 
     def test_driver_free_delegates(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), drop_node)
         assert rep.outer is None
 
     def test_constant_driver_single_outer_iteration(self, small_ensemble):
@@ -870,7 +841,7 @@ class TestGeneralSolve:
         )
         prob = make_problem(op, lambda e: 0.4 * np.tanh(w_end(e)),
                             bound=0.4, f1=f1)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), drop_node)
         assert rep.outer["iterations"] == 1
         assert rep.outer["beta"] == 1.0
 
@@ -887,7 +858,7 @@ class TestGeneralSolve:
 
     def test_coupled_driver_contracts(self):
         prob, ens = self._coupled()
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        rep = general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
         assert rep.outer["beta"] == pytest.approx(2.0)
         assert rep.outer["iterations"] <= 10
         assert all(f <= 0.6 for f in rep.outer["squared_factors"])
@@ -941,7 +912,7 @@ class TestGeneralSolve:
         basis = RegressionBasis(degree=2)
         halved, per_sweep, designs_per_sweep = [], [], []
         with patch.object(mildbsde.solver, "global_solve", counted_sweep):
-            sol, rep = general_solve(prob, ens, basis)
+            sol, rep = kept_solve(prob, ens, basis)
         sweeps = rep.outer["iterations"]
         assert halved == [8] and sum("halving" in m for m in rep.messages) == 1
         assert sweeps > 1
@@ -955,7 +926,7 @@ class TestGeneralSolve:
         assert misread == []
         halved = []
         with patch.object(mildbsde.solver, "global_solve", whole_grid_sweep):
-            whole, whole_rep = general_solve(prob, ens, basis)
+            whole, whole_rep = kept_solve(prob, ens, basis)
         assert whole_rep.outer == rep.outer
         np.testing.assert_array_equal(sol.y, whole.y)
         np.testing.assert_array_equal(sol.z, whole.z)
@@ -978,7 +949,7 @@ class TestGeneralSolve:
 
         monkeypatch.setattr(mildbsde.solver, "local_solve", recorded_solve)
         window_cap(0.3)
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        sol, rep = kept_solve(prob, ens, RegressionBasis(degree=2))
         assert rep.outer["iterations"] > 1
         assert sum(w.ball_clipped for w in rep.windows) > 0 and any(clipped.values())
         assert sorted(rows) == list(range(ens.grid.n_steps))
@@ -990,11 +961,11 @@ class TestGeneralSolve:
         # ensemble; it must return the arrays of a cold solve
         prob, ens = self._coupled()
         basis = RegressionBasis(degree=2)
-        general_solve(prob, ens, basis)
+        general_solve(prob, ens, basis, drop_node)
         assert ens._ridged_gram
-        warm, _ = general_solve(prob, ens, basis)
+        warm, _ = kept_solve(prob, ens, basis)
         fresh = sample_ensemble(ens.grid, ens.n_noise, ens.n_paths, ens.seed)
-        cold, _ = general_solve(prob, fresh, basis)
+        cold, _ = kept_solve(prob, fresh, basis)
         np.testing.assert_array_equal(warm.y, cold.y)
         np.testing.assert_array_equal(warm.z, cold.z)
 
@@ -1018,7 +989,7 @@ class TestGeneralSolve:
         prob, ens = self._coupled(counted_terminal)
         if cap is not None:
             window_cap(cap)
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        rep = general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
         assert rep.outer["iterations"] > 1
         assert rep.grid_refined == grids
         assert calls == {"constants": 1, "terminal": 1}
@@ -1047,7 +1018,7 @@ class TestGeneralSolve:
         monkeypatch.setattr(mildbsde.solver, "global_solve", recorded_sweep)
         prob, ens = self._coupled()
         window_cap(0.2)
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        rep = general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
         assert len(rep.windows) == 5 and rep.outer["iterations"] > 1
         assert len(fits) == rep.outer["iterations"] and len(calls) == 1 + len(fits)
         gap = rep.theta - rep.alpha
@@ -1067,7 +1038,7 @@ class TestGeneralSolve:
         prob = make_problem(DiagonalOperator([1.0]), lambda e: 0.5 * np.tanh(w_end(e)),
                             bound=0.5, f0=f0)
         window_cap(0.15)
-        _, rep = general_solve(prob, ens, RegressionBasis(degree=2, ridge=0.0))
+        rep = general_solve(prob, ens, RegressionBasis(degree=2, ridge=0.0), drop_node)
         assert len(rep.windows) > 1
         assert rep.rank_deficient_count == sum(w.rank_deficient for w in rep.windows)
         first = next(w for w in rep.windows if w.start_index == 0)
@@ -1092,7 +1063,7 @@ class TestGeneralSolve:
         prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(mildbsde.solver.GridTooCoarse,
                            match="grid refinement did not reach the required window resolution"):
-            general_solve(prob, ens, RegressionBasis(degree=2))
+            general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
         assert drawn == []
 
     def test_refinement_beyond_memory_draws_nothing(self, monkeypatch):
@@ -1114,7 +1085,7 @@ class TestGeneralSolve:
         prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(mildbsde.solver.GridTooCoarse,
                            match=r"refined to 1\.000e\+13 steps .* physical memory"):
-            general_solve(prob, ens, RegressionBasis(degree=2))
+            general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
         assert drawn == []
 
     def test_refinement_frees_the_coarse_attempt(self, monkeypatch, window_cap):
@@ -1135,7 +1106,7 @@ class TestGeneralSolve:
         monkeypatch.setattr(mildbsde.solver, "sample_ensemble", checked_sample)
         prob = make_problem(DiagonalOperator([0.0]), w_end)
         window_cap(0.006)
-        _, rep = general_solve(prob, coarse_ensemble(), RegressionBasis(degree=2))
+        rep = general_solve(prob, coarse_ensemble(), RegressionBasis(degree=2), drop_node)
         assert rep.grid_refined == 2
         assert alive == [(200, False)]
 
@@ -1143,7 +1114,7 @@ class TestGeneralSolve:
         ens = sample_ensemble(TimeGrid(np.array([0.0, 0.1, 0.3, 0.6, 1.0])), 1, 200, seed=3)
         prob = make_problem(DiagonalOperator([0.0]), w_end)
         with pytest.raises(ValueError, match="uniform time grid"):
-            general_solve(prob, ens, RegressionBasis(degree=2))
+            general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
 
 
 class TestPlanSolve:
@@ -1181,11 +1152,11 @@ class TestPlanSolve:
         # ensemble and draws the planned one itself
         prob, ens = TestGeneralSolve._coupled()
         window_cap(0.015)
-        inside, rep_inside = general_solve(prob, ens, RegressionBasis(degree=2))
+        inside, rep_inside = kept_solve(prob, ens, RegressionBasis(degree=2))
         plan = plan_solve(prob, ens.grid.n_steps, ens.seed, ens.n_paths)
         assert (plan.base_steps, plan.n_steps) == (40, 80)
         planned = sample_ensemble(TimeGrid.uniform(1.0, 80), 1, ens.n_paths, ens.seed)
-        passed, rep_passed = general_solve(prob, planned, RegressionBasis(degree=2), plan=plan)
+        passed, rep_passed = kept_solve(prob, planned, RegressionBasis(degree=2), plan=plan)
         np.testing.assert_array_equal(inside.y, passed.y)
         np.testing.assert_array_equal(inside.z, passed.z)
         rep_inside.runtime_seconds = rep_passed.runtime_seconds = 0.0
@@ -1211,11 +1182,11 @@ class TestPlanSolve:
         monkeypatch.setattr(mildbsde.solver, "sample_ensemble", counted_sample)
         window_cap(0.2)
         prob, ens = TestGeneralSolve._coupled()
-        retried, rep = general_solve(prob, ens, RegressionBasis(degree=2))
+        retried, rep = kept_solve(prob, ens, RegressionBasis(degree=2))
         assert drawn == [80] and rep.grid_refined == 2
         assert sum("grid refined" in m for m in rep.messages) == 1
         fine = sample(TimeGrid.uniform(1.0, 80), 1, ens.n_paths, ens.seed)
-        direct, rep_direct = general_solve(prob, fine, RegressionBasis(degree=2))
+        direct, rep_direct = kept_solve(prob, fine, RegressionBasis(degree=2))
         np.testing.assert_array_equal(retried.y, direct.y)
         np.testing.assert_array_equal(retried.z, direct.z)
         assert rep_direct.grid_refined == 1 and rep_direct.windows == rep.windows
@@ -1285,7 +1256,7 @@ class TestWeightedDistance:
             lambda e: np.zeros((e.n_paths, dim)), f1=f1, noise=noise, T=horizon,
         )
         with patch.object(mildbsde.solver, "global_solve", sweep):
-            sol, rep = general_solve(prob, ens, basis)
+            sol, rep = kept_solve(prob, ens, basis)
         beta = 4.0 * lipschitz ** 2 + 1.0
         assert rep.outer["beta"] == beta
         first, second = rep.outer["distances"][:2]
@@ -1325,7 +1296,7 @@ def _whole_grid_residual(problem, solution, ensemble):
 
 
 class TestZSink:
-    """``general_solve(..., sink=...)`` against the solve that keeps Y and Z."""
+    """``general_solve(..., sink=...)`` against the Y and Z that ``kept_solve`` collects."""
 
     @staticmethod
     def _problem(case):
@@ -1356,7 +1327,7 @@ class TestZSink:
         ens = sample_ensemble(TimeGrid.uniform(1.0, 40), 1, 1000, seed=61)
         basis = RegressionBasis(degree=2)
         window_cap(0.3)
-        kept, kept_rep = general_solve(prob, ens, basis)
+        kept, kept_rep = kept_solve(prob, ens, basis)
         assert kept_rep.grid_refined == 1
         assert (kept_rep.lambda_shift > 0.0) == (case == "shifted")
         assert (kept_rep.outer is not None) == (case == "f1")
@@ -1366,7 +1337,7 @@ class TestZSink:
         def rec(l, y_l, z_l, fit):
             seen.append((l, y_l.copy(), None if z_l is None else z_l.copy()))
 
-        streamed, rep = general_solve(prob, ens, basis, sink=rec)
+        rep = general_solve(prob, ens, basis, sink=rec)
         n_steps = ens.grid.n_steps
         assert [l for l, _, _ in seen] == list(range(n_steps, -1, -1))
         assert seen[0][2] is None
@@ -1374,14 +1345,13 @@ class TestZSink:
             np.testing.assert_array_equal(y_l, kept.y[l])
             if l < n_steps:
                 np.testing.assert_array_equal(z_l, kept.z[l])
-        assert streamed.y is None and streamed.z is None
-        assert rep.residual_value == residual(prob, kept, ens)
+        assert rep.residual_value == residual(prob, ens, kept.y, kept.z)
         assert rep.residual_value == kept_rep.residual_value
         assert rep.residual_value == _whole_grid_residual(prob, kept, ens)
         shifted_y = kept.y
         if case == "shifted":
             # the kept pair is the shifted equation's solution, shifted back
-            direct, _ = general_solve(
+            direct, _ = kept_solve(
                 exponential_shift(prob, kept_rep.lambda_shift), ens, basis
             )
             scale = np.exp(-kept_rep.lambda_shift * ens.grid.times)
@@ -1400,7 +1370,7 @@ class TestZSink:
 
     def test_residual_takes_nodes_right_to_left_only(self, small_ensemble):
         prob = make_problem(DiagonalOperator([0.0]), w_end)
-        sol, _ = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        sol, _ = kept_solve(prob, small_ensemble, RegressionBasis(degree=2))
         factors = _step_factors(prob.operator, sol.grid.deltas)
         sweep = mildbsde.solver._ResidualSweep(prob, sol.grid, small_ensemble, factors, sol.y[-1])
         with pytest.raises(ValueError, match="expected node 49, got node 0"):
@@ -1439,7 +1409,7 @@ class TestWindowPipeline:
         assert threading.active_count() == threads
         # the same solve with a sink that keeps going ends every thread too
         seen.clear()
-        _, rep = general_solve(prob, ens, basis, sink=lambda l, y_l, z_l, fit: seen.append(l))
+        rep = general_solve(prob, ens, basis, sink=lambda l, y_l, z_l, fit: seen.append(l))
         assert len(rep.windows) == 7
         assert seen == list(range(40, -1, -1))
         assert threading.active_count() == threads
@@ -1485,11 +1455,11 @@ class TestWindowPipeline:
         basis = RegressionBasis(degree=2)
         window_cap(0.2)
         cold = sample_ensemble(ens.grid, ens.n_noise, ens.n_paths, ens.seed)
-        ref, _ = general_solve(prob, cold, basis)
+        ref, _ = kept_solve(prob, cold, basis)
         solved = [None] * 3
 
         def solve(i):
-            solved[i] = general_solve(prob, ens, basis)[0]
+            solved[i] = kept_solve(prob, ens, basis)[0]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -1588,7 +1558,7 @@ class TestShared:
                             bound=0.4, f0=f0)
         threads = threading.active_count()
         with pytest.raises(NonFiniteDrift, match="at node 31 "):
-            general_solve(prob, ens, RegressionBasis(degree=2))
+            general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("case", ["coupled-clipped", "spin-chain"])
@@ -1613,10 +1583,10 @@ class TestShared:
         threads = threading.active_count()
         monkeypatch.setattr(mildbsde.solver, "_shared", lambda helper, fn, nodes:
                             shared(None, fn, nodes))
-        alone, alone_rep = general_solve(prob, ens, basis)
+        alone, alone_rep = kept_solve(prob, ens, basis)
         monkeypatch.setattr(mildbsde.solver, "_shared", handed_over)
         fresh = sample_ensemble(ens.grid, ens.n_noise, ens.n_paths, ens.seed)
-        split, split_rep = general_solve(prob, fresh, basis)
+        split, split_rep = kept_solve(prob, fresh, basis)
         assert any(handed)
         assert split.y.tobytes() == alone.y.tobytes()
         assert split.z.tobytes() == alone.z.tobytes()
@@ -1656,7 +1626,7 @@ class TestNonFiniteDrift:
         )
         message = rf"^{which} returned a non-finite value at node 7 \(t = 0.35\)$"
         with pytest.raises(NonFiniteDrift, match=message):
-            general_solve(prob, ens, RegressionBasis(degree=2))
+            general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
 
 
 class TestResidual:
@@ -1664,24 +1634,41 @@ class TestResidual:
         # deterministic terminal, no drift: defect at quadrature/ridge scale
         op = DiagonalOperator([2.0])
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2), drop_node)
         assert rep.residual_value < 1e-6
 
     def test_unit_defect_injection(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, lambda e: np.ones((e.n_paths, 1)), bound=1.0)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
-        base = residual(prob, sol, small_ensemble)
+        sol, rep = kept_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        base = residual(prob, small_ensemble, sol.y, sol.z)
         perturbed = type(sol)(grid=sol.grid, y=sol.y + 1.0, z=sol.z)
         # the terminal row moved too, so compare against the defect formula:
         # Y_t + 1 - exp((T-t)A)(xi + 1) = defect + (1 - 1) for A = 0
-        shifted = residual(prob, perturbed, small_ensemble)
+        shifted = residual(prob, small_ensemble, perturbed.y, perturbed.z)
         assert shifted == pytest.approx(base, abs=1e-12)
         # perturb only interior values: the defect gains a unit component
         bumped = sol.y.copy()
         bumped[:-1] += 1.0
-        res = residual(prob, type(sol)(grid=sol.grid, y=bumped, z=sol.z), small_ensemble)
+        res = residual(prob, small_ensemble, bumped, sol.z)
         assert res == pytest.approx(math.sqrt(base ** 2 + 1.0), rel=1e-6)
+
+    def test_refined_solve_against_the_coarse_ensemble_is_refused(self, window_cap):
+        # a cap of 0.006, below one step (0.01), refines the 100-step grid to 200:
+        # that Y and Z against the ensemble the solve started from would pair
+        # the wrong nodes, and against the ensemble it drew give its residual
+        prob = make_problem(DiagonalOperator([0.0]), w_end)
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 100), 1, 200, seed=5)
+        window_cap(0.006)
+        sol, rep = kept_solve(prob, ens, RegressionBasis(degree=2))
+        assert rep.grid_refined == 2
+        with pytest.raises(ValueError, match=r"has 100 steps, so residual needs Y on 101 "
+                                             r"nodes and Z on 100; got 201 and 200$"):
+            residual(prob, ens, sol.y, sol.z)
+        drawn = sample_ensemble(sol.grid, 1, 200, seed=5)
+        assert residual(prob, drawn, sol.y, sol.z) == rep.residual_value
+        with pytest.raises(ValueError, match="got 200 and 200$"):
+            residual(prob, drawn, sol.y[1:], sol.z)
 
     def test_nonincreasing_under_grid_refinement(self):
         # on the martingale oracle the residual is regression-dominated, so
@@ -1693,7 +1680,7 @@ class TestResidual:
             ens = sample_ensemble(grid, 1, 5000, seed=271)
             op = DiagonalOperator([0.0])
             prob = make_problem(op, w_end)
-            _, rep = general_solve(prob, ens, basis)
+            rep = general_solve(prob, ens, basis, drop_node)
             values.append(rep.residual_value)
         for prev, nxt in zip(values, values[1:]):
             assert nxt <= 2.0 * prev
@@ -1701,7 +1688,7 @@ class TestResidual:
     def test_invariant_under_path_relabeling(self, small_ensemble):
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end)
-        sol, rep = general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+        sol, rep = kept_solve(prob, small_ensemble, RegressionBasis(degree=2))
         perm = np.random.default_rng(5).permutation(small_ensemble.n_paths)
         shuffled_ens = type(small_ensemble)(
             grid=small_ensemble.grid,
@@ -1709,8 +1696,8 @@ class TestResidual:
             seed=small_ensemble.seed,
         )
         shuffled_sol = type(sol)(grid=sol.grid, y=sol.y[:, perm], z=sol.z[:, perm])
-        a = residual(prob, sol, small_ensemble)
-        b = residual(prob, shuffled_sol, shuffled_ens)
+        a = residual(prob, small_ensemble, sol.y, sol.z)
+        b = residual(prob, shuffled_ens, shuffled_sol.y, shuffled_sol.z)
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -1746,7 +1733,7 @@ class TestProblemValidation:
         op = DiagonalOperator([0.0])
         prob = make_problem(op, w_end, bound=0.001)
         with pytest.raises(ValidationError, match="declared bound"):
-            general_solve(prob, small_ensemble, RegressionBasis(degree=2))
+            general_solve(prob, small_ensemble, RegressionBasis(degree=2), drop_node)
 
     @pytest.mark.parametrize("bound", [1.0, math.inf])
     def test_nan_terminal_rejected_before_any_fit(self, monkeypatch, bound):
@@ -1769,7 +1756,7 @@ class TestProblemValidation:
         prob = make_problem(DiagonalOperator([1.0, 4.0]), terminal, bound=bound, alpha=0.3)
         ens = sample_ensemble(TimeGrid.uniform(1.0, 10), 1, 200, seed=8)
         with pytest.raises(ValidationError, match="not finite") as err:
-            general_solve(prob, ens, RegressionBasis(degree=2))
+            general_solve(prob, ens, RegressionBasis(degree=2), drop_node)
         assert err.value.check == "terminal"
         assert fits == []
 
@@ -1794,7 +1781,7 @@ class TestProblemValidation:
         assert prob.theta == 0.6
         grid = TimeGrid.uniform(1.0, 20)
         ens = sample_ensemble(grid, 1, 500, seed=8)
-        sol, rep = general_solve(prob, ens, RegressionBasis(degree=1))
+        sol, rep = kept_solve(prob, ens, RegressionBasis(degree=1))
         a = op.eigenvalues
         np.testing.assert_allclose(
             sol.y[0], np.broadcast_to(0.1 * np.exp(-a), sol.y[0].shape), rtol=1e-6
