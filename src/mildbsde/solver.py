@@ -634,7 +634,7 @@ def local_solve(
     ball and, from pass 1 on, overwrites the previous pass's row with the
     difference.  Also returned, per node of the last pass: the fit's
     coefficients and the per-path scale the projection applied (None if it
-    clipped no state of the node), so design @ coef times that scale is the
+    clipped no state of the node), so np.dot(design, coef) times that scale is the
     node's y bit for bit.  The loop stops when the sup-over-nodes
     ensemble-L2 alpha distance of successive passes is zero, or below tol
     after ``_MIN_ITER`` steps; two consecutive distance ratios
@@ -909,12 +909,13 @@ def _record_bound_checks(
 
 
 def _rebuild_node(design, y_coef, y_clip, z_coef, n_noise):
-    """(Y_l, Z_l) from the node's ``design``, bit for bit: ``design @ y_coef`` times
-    the projection's per-path scale ``y_clip`` (None: no clip), ``design @ z_coef``."""
-    y_l = design @ y_coef
+    """(Y_l, Z_l) from the node's ``design``, bit for bit: ``np.dot(design, y_coef)``
+    times the projection's per-path scale ``y_clip`` (None: no clip) and
+    ``np.dot(design, z_coef)``, the products ``_fit`` forms."""
+    y_l = np.dot(design, y_coef)
     if y_clip is not None:
         y_l *= y_clip[:, None]
-    return y_l, (design @ z_coef).reshape(y_l.shape + (n_noise,))
+    return y_l, np.dot(design, z_coef).reshape(y_l.shape + (n_noise,))
 
 
 def _estimator_rng(seed: int) -> np.random.Generator:
@@ -1158,11 +1159,13 @@ def general_solve(
                     # node L carries no Z and its Y is the terminal values in every iterate
                     if z_fit is None:
                         return
-                    # on the design this fit has just used; squared in place, as the
-                    # helper's arrays add to the next window's Picard iteration
+                    # on the design this fit has just used; into the rebuilt Z and
+                    # squared in place, as the helper's arrays add to the next window's
+                    # Picard iteration; the first sweep's shared zeros are never written
                     y_prev, z_prev = previous(l, z_fit.design)
                     y_sq[l] = np.square(y_l - y_prev).sum(axis=-1).mean()
-                    z_diff = z_fit.fitted - z_prev
+                    z_diff = np.subtract(z_fit.fitted, z_prev,
+                                         out=None if z_prev is z_zero else z_prev)
                     z_sq[l] = np.square(z_diff, out=z_diff).sum(axis=(-1, -2)).mean()
                     fits[l] = (*y_fit, z_fit.coef)
 

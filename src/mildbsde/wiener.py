@@ -10,7 +10,7 @@ paths without redrawing existing ones and two threads can draw the blocks.
 The increments are stored node-major, ``increments[l, m, k]``, because a solve
 reads them one node at a time in a right-to-left sweep.  The coordinates
 W_{t_l} are not stored: ``WienerEnsemble.path_at`` rebuilds each one from a
-checkpoint every ceil(sqrt(L)/3) nodes, as a backward sweep with checkpoints
+checkpoint every ceil(sqrt(L)) nodes, as a backward sweep with checkpoints
 does (Griewank & Walther, Algorithm 799: revolve, ACM TOMS 26, 2000).
 """
 from __future__ import annotations
@@ -38,12 +38,12 @@ _SUB_BLOCK = 128  # paths per draw within a block; the normal stream is sequenti
 
 
 def _checkpoint_stride(n_steps: int) -> int:
-    """ceil(sqrt(L)/3), in integers so that it holds for any L.
+    """ceil(sqrt(L)), in integers so that it holds for any L.
 
-    The L/c + 1 checkpoints then hold about 3 sqrt(L) nodes, and a node is
-    rebuilt from its checkpoint with fewer than c additions.
+    The L // c + 1 checkpoints then hold at most sqrt(L) + 1 nodes, and a node
+    is rebuilt from its checkpoint with fewer than c additions.
     """
-    return math.isqrt(n_steps - 1) // 3 + 1
+    return math.isqrt(n_steps - 1) + 1
 
 
 def _checkpoint_rows(increments: np.ndarray, c: int) -> np.ndarray:
@@ -107,7 +107,7 @@ class WienerEnsemble:
     stored node-major: ``increments[l]`` is one contiguous (M, K) block.
     W_{t_l} is read with ``path_at(l)``.  The private fields are lazy caches
     of values derived from the increments: the checkpoints W at every c-th
-    node, c = ceil(sqrt(L)/3), and the per-node ridged Gram matrices.  No fit
+    node, c = ceil(sqrt(L)), and the per-node ridged Gram matrices.  No fit
     leaves any other state here.  ``dataclasses.replace`` starts the caches
     empty.  ``solver.global_solve`` reads one ensemble from two threads: the
     checkpoints are assigned only once filled, and the threads never touch
@@ -239,7 +239,7 @@ class RegressionBasis:
 
 @dataclass(frozen=True)
 class Regression:
-    """One least-squares fit on a node's ``design``: ``fitted`` is ``design @ coef``."""
+    """One least-squares fit on a node's ``design``: ``fitted`` is ``np.dot(design, coef)``."""
 
     fitted: np.ndarray
     coef: np.ndarray
@@ -288,11 +288,14 @@ def _fit(
             gram = phi.T @ phi
             lam = basis.ridge * np.trace(gram) / b
             ridged = ensemble._ridged_gram[basis, t_index] = gram + lam * np.eye(b)
-        coef = np.linalg.solve(ridged, phi.T @ targets)
+        coef = np.linalg.solve(ridged, np.dot(phi.T, targets))
     else:
         coef, _, rank, _ = np.linalg.lstsq(phi, targets, rcond=None)
         rank_deficient = rank < b
-    fitted = phi @ coef
+    # the targets go before the fit is formed: a caller that handed over its only
+    # reference never holds both
+    del targets
+    fitted = np.dot(phi, coef)
     if squeeze:
         fitted = fitted[:, 0]
         coef = coef[:, 0]
@@ -317,10 +320,11 @@ def martingale_z_estimate(
     The products are formed path-contiguous, (N, K, M) from contiguous copies
     of the centered values and dW transposed, with the same two roundings per
     value, and the fit reads their transpose, an F-ordered (M, N K) view.
-    With B >= 2 features ``phi.T @ targets`` gives the C-ordered targets' bits
-    on that view, so Z keeps them.  Returns the second fit: ``fitted`` is Z, shape
-    (M, N, K), and ``(design @ coef).reshape(M, N, K)`` rebuilds it bit for bit
-    from the (B, N K) coefficients.
+    With B >= 2 features ``np.dot(phi.T, targets)`` gives the C-ordered
+    targets' bits on that view, so Z keeps them.  ``_fit`` drops the targets
+    before it forms Z, so the call never holds both.  Returns the second fit:
+    ``fitted`` is Z, shape (M, N, K), and ``np.dot(design, coef).reshape(M, N, K)``
+    rebuilds it bit for bit from the (B, N K) coefficients.
     """
     next_value = np.asarray(next_value, dtype=float)
     if next_value.ndim == 1:
@@ -333,8 +337,13 @@ def martingale_z_estimate(
     phi = basis.design(ensemble, t_index) if design is None else design
     fitted = _fit(ensemble, basis, t_index, phi, next_value).fitted
     centered = np.subtract(next_value, fitted, out=fitted)
-    # path-contiguous (N, K, M) products, read as the (M, N K) targets
+    # built in a call of its own, so that _fit holds the targets' only reference
+    fit = _fit(ensemble, basis, t_index, phi, _z_targets(centered, dw, dt))
+    return replace(fit, fitted=fit.fitted.reshape(m, n, ensemble.n_noise))
+
+
+def _z_targets(centered: np.ndarray, dw: np.ndarray, dt: float) -> np.ndarray:
+    """centered (x) dW / dt: path-contiguous (N, K, M) products, read as the (M, N K) targets."""
     targets = np.ascontiguousarray(centered.T)[:, None, :] * np.ascontiguousarray(dw.T)
     targets /= dt
-    fit = _fit(ensemble, basis, t_index, phi, targets.reshape(-1, m).T)
-    return replace(fit, fitted=fit.fitted.reshape(m, n, ensemble.n_noise))
+    return targets.reshape(-1, centered.shape[0]).T

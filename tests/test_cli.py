@@ -346,7 +346,7 @@ class TestSolveCommand:
 
     def test_solve_holds_increments_and_checkpoints_not_paths(self, spin_solve_peak):
         # Y and Z leave the solve node by node. The ensemble holds its
-        # increments (about one Y), W at every 5th node (0.2 Y) and one rebuilt
+        # increments (about one Y), W at every 15th node (0.07 Y) and one rebuilt
         # node, so a whole solve and write stays below 1.8 Y; holding every
         # path would add another Y
         shapes, peak = spin_solve_peak

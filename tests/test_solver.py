@@ -715,8 +715,8 @@ class TestGlobalSolve:
 
     def test_designs_held_within_the_ensemble_bytes(self, monkeypatch):
         # one zero-drift window of 20 steps on K = 1: its 20 designs of 3
-        # features would take 480 M bytes, past the ensemble's 256 M, so it
-        # holds the 10 rightmost and the others build theirs at each use
+        # features would take 480 M bytes, past the ensemble's 208 M, so it
+        # holds the 8 rightmost and the others build theirs at each use
         paths, design_bytes = 500, 8 * 500 * 3
         prob = make_problem(DiagonalOperator([0.5]), lambda e: np.tanh(w_end(e)))
         basis = RegressionBasis(degree=2)
@@ -742,7 +742,7 @@ class TestGlobalSolve:
         sol, rep = run()
         cap = mildbsde.solver.ensemble_nbytes(20, paths, 1)
         held = cap // design_bytes
-        assert held == 10 and len(rep.windows) == 1
+        assert held == 8 and len(rep.windows) == 1
         assert held_bytes == [held * design_bytes] and held_bytes[0] <= cap
         # held once; each other node at every Picard pass and at its Z fit
         passes = rep.windows[0].iterations + 1

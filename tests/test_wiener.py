@@ -1,6 +1,8 @@
 """Ensemble statistics and regression conditional-expectation oracles."""
+import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +212,7 @@ class TestPathAccess:
         w = ens.path_at(steps)
         held = ens.increments.nbytes + ens._checkpoints.nbytes + w.nbytes
         assert ensemble_nbytes(steps, 50, 3) == held
+        assert len(ens._checkpoints) <= math.isqrt(steps) + 2
 
     def test_checkpoints_assigned_only_once_filled(self, monkeypatch):
         # a second thread reading the ensemble sees either no checkpoints or
@@ -482,7 +485,7 @@ class TestMartingaleZ:
         fit = martingale_z_estimate(ens, basis, node, nxt)
         design = basis.design(ens, node)
         assert fit.coef.shape == (design.shape[1], dim * noise)
-        rebuilt = (design @ fit.coef).reshape(paths, dim, noise)
+        rebuilt = np.dot(design, fit.coef).reshape(paths, dim, noise)
         assert rebuilt.dtype == fit.fitted.dtype and rebuilt.shape == fit.fitted.shape
         assert rebuilt.tobytes() == fit.fitted.tobytes()
         assert fit.design.tobytes() == design.tobytes()
@@ -525,7 +528,7 @@ class TestMartingaleZ:
     def test_fit_keeps_its_bytes_on_f_ordered_targets(
         self, data, noise, degree, coords, columns, ridge, seed
     ):
-        # with B >= 2 features, phi.T @ targets and the solve give the same bits
+        # with B >= 2 features, np.dot(phi.T, targets) and the solve give the same bits
         # whether the targets are C- or F-ordered, which the Z estimate's
         # transposed view needs
         basis = RegressionBasis(degree=degree, n_coords=coords, ridge=ridge)
@@ -538,6 +541,22 @@ class TestMartingaleZ:
         f_fit = _fit(ens, basis, 1, phi, np.asfortranarray(targets))
         assert f_fit.coef.tobytes() == c_fit.coef.tobytes()
         assert f_fit.fitted.tobytes() == c_fit.fitted.tobytes()
+
+    def test_node_exit_holds_one_z(self):
+        # the targets are dropped before Z is formed, so one estimate on a held
+        # design never holds the (N, K, M) targets and the fitted Z at once
+        m, n, k = 4000, 5, 5
+        ens = sample_ensemble(TimeGrid.uniform(1.0, 4), k, m, seed=36)
+        basis = RegressionBasis(degree=2)
+        design = basis.design(ens, 2)
+        nxt = np.sin(np.random.default_rng(36).standard_normal((m, n)))
+        tracemalloc.start()
+        try:
+            fit = martingale_z_estimate(ens, basis, 2, nxt, design)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.9 * fit.fitted.nbytes
 
     def test_final_node_rejected(self, big_ensemble):
         basis = RegressionBasis()
