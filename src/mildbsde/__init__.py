@@ -14,7 +14,6 @@ from .wiener import (
     RegressionBasis,
     TimeGrid,
     WienerEnsemble,
-    conditional_expectation,
     martingale_z_estimate,
     sample_ensemble,
 )

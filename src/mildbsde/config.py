@@ -23,7 +23,7 @@ their spec, which names the failing field.  The regression basis keeps the
     basis_coords =   ; defaults to all noise coordinates
 
     [validation]
-    suite = dissipativity,growth-lipschitz,smoothing-bound,interpolation-inequality,gronwall,gaussian-regression
+    suite = dissipativity,growth-lipschitz,smoothing-bound,interpolation-inequality
     trials = 2000
 """
 from __future__ import annotations
@@ -43,8 +43,6 @@ VALIDATION_SUITE = (
     "growth-lipschitz",
     "smoothing-bound",
     "interpolation-inequality",
-    "gronwall",
-    "gaussian-regression",
 )
 
 _DISCRETIZATION_DEFAULTS = {

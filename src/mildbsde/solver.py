@@ -965,11 +965,8 @@ def plan_solve(problem: BsdeProblem, n_steps: int, seed: int, n_paths: int) -> S
     mu = problem.f0.monotonicity
     lam = mu if mu > 0.0 else 0.0
     frozen = replace(exponential_shift(problem, lam), f1=None)
-    op, alpha, theta = frozen.operator, frozen.alpha, frozen.theta
-    raw = estimate_constants(
-        op, alpha, frozen.horizon, theta=theta if theta > alpha else None,
-        rng=_estimator_rng(seed), trials=_CONSTANTS_TRIALS,
-    )
+    raw = estimate_constants(frozen.operator, frozen.alpha, frozen.horizon,
+                             rng=_estimator_rng(seed), trials=_CONSTANTS_TRIALS)
     consts = raw.scaled(_SAFETY_MARGIN)
     first = select_local_radius_and_delta(frozen, frozen.terminal_bound, consts)
     steps, lines = n_steps, []

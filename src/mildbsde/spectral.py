@@ -8,10 +8,11 @@ interpolation norms
     ||x||_(alpha,inf) = |x|_H + sup_{0 < t <= 1} t^(1-alpha) |A exp(tA) x|_H
 
 are all computable in closed form per coordinate.  Constants that the solver
-needs but that have no closed form for a general spectrum (the smoothing
-constant, the interpolation-inequality constant, the Hoelder constant of the
-semigroup convolution, the operator norms M_alpha and C_alpha) are estimated
-empirically by sampling and grid maximization; see ``estimate_constants``.
+needs but that have no closed form for a general spectrum (the operator norms
+M_alpha and C_alpha and the Hoelder constant of the semigroup convolution)
+are estimated empirically by sampling and grid maximization; see
+``estimate_constants``.  The smoothing and interpolation-inequality checks
+estimate their constants the same way, for ``mildbsde validate``.
 """
 from __future__ import annotations
 
@@ -313,7 +314,6 @@ class EmpiricalConstants:
     m_alpha   sup_{0<=t<=T} of the semigroup operator norm on the alpha space
     c_alpha   sup_{0<t<=1} t^alpha ||exp(tA)||_(H -> alpha space)
     g_holder  Hoelder-norm constant of the semigroup convolution
-    c_interp  interpolation-inequality constant (None when no theta is in play)
     """
 
     alpha: float
@@ -321,7 +321,6 @@ class EmpiricalConstants:
     m_alpha: float
     c_alpha: float
     g_holder: float
-    c_interp: float | None = None
     margin: float = 1.0
 
     def scaled(self, margin: float) -> "EmpiricalConstants":
@@ -332,7 +331,6 @@ class EmpiricalConstants:
             m_alpha=self.m_alpha * margin,
             c_alpha=self.c_alpha * margin,
             g_holder=self.g_holder * margin,
-            c_interp=self.c_interp,
             margin=self.margin * margin,
         )
 
@@ -423,7 +421,6 @@ def estimate_constants(
     op: DiagonalOperator,
     alpha: float,
     horizon: float,
-    theta: float | None = None,
     rng: np.random.Generator | int | None = None,
     trials: int = 256,
 ) -> EmpiricalConstants:
@@ -432,16 +429,12 @@ def estimate_constants(
     m_alpha = estimate_m_alpha(op, alpha, horizon, trials=trials // 2, rng=rng)
     c_alpha = estimate_c_alpha(op, alpha, trials=trials, rng=rng)
     g_holder = estimate_g_holder(op, alpha, horizon, rng=rng)
-    c_interp = None
-    if theta is not None and 0.0 < alpha < theta < 1.0:
-        c_interp = estimate_interp_constant(op, alpha, theta, trials=trials * 4, rng=rng)
     return EmpiricalConstants(
         alpha=float(alpha),
         horizon=float(horizon),
         m_alpha=m_alpha,
         c_alpha=c_alpha,
         g_holder=g_holder,
-        c_interp=c_interp,
     )
 
 

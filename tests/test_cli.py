@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import mildbsde.cli
 import mildbsde.config
 import mildbsde.solver
+import mildbsde.spectral
 import mildbsde.wiener
 from mildbsde import load_solution
 from mildbsde.cli import main, run_gronwall_check, run_solve, run_validation
@@ -702,6 +703,46 @@ class TestValidateCommand:
         cfg_file.write_text("[experiment]\nseed = 5\n")
         assert main(["validate", "--config", str(cfg_file), "--preset", "spin-chain"]) == 0
         assert main(["validate", "--config", str(cfg_file)]) == 2
+
+    @pytest.mark.parametrize("name", ["nonesuch", "gronwall", "gaussian-regression"])
+    def test_unknown_item_exits_2_before_any_item_runs(self, tmp_path, capsys, name):
+        cfg = write_spin_config(tmp_path, tmp_path / "v")
+        assert main(["validate", "--config", str(cfg), "--suite", f"dissipativity,{name}"]) == 2
+        out, err = capsys.readouterr()
+        assert "PASS" not in out
+        assert f"unknown validation item(s): {name}" in err
+
+    def test_suite_names_every_item(self):
+        assert mildbsde.config.VALIDATION_SUITE == tuple(mildbsde.cli._VALIDATION_ITEMS)
+
+    @pytest.mark.parametrize(
+        "preset, exponents",
+        [("reaction-diffusion-1d", [(0.25, 0.75)] * 2), ("spin-chain", [])],
+        ids=["reaction-diffusion", "spin-chain"],
+    )
+    def test_exponent_checks_read_the_problem(self, monkeypatch, capsys, preset, exponents):
+        calls = {}
+        for name in ("smoothing_bound_check", "estimate_interp_constant"):
+            original = getattr(mildbsde.spectral, name)
+
+            def spy(op, alpha, theta, *args, _name=name, _original=original, **kwargs):
+                calls.setdefault(_name, []).append((alpha, theta))
+                return _original(op, alpha, theta, *args, **kwargs)
+
+            monkeypatch.setattr(mildbsde.spectral, name, spy)
+        cfg = ExperimentConfig(preset=preset, seed=3, validation_trials=40)
+        cfg.validation_suite = ("smoothing-bound", "interpolation-inequality")
+        run_validation(cfg)
+        assert calls.get("smoothing_bound_check", []) == exponents
+        assert calls.get("estimate_interp_constant", []) == exponents
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        for line, name in zip(lines, cfg.validation_suite):
+            if exponents:
+                assert line.startswith(f"PASS {name}: ")
+            else:
+                assert line.startswith(f"SKIP {name}: ")
+                assert not re.search(r"\d", line)
 
     @pytest.mark.parametrize("value", ["0", "-5", "2.5", "nan", "inf"])
     def test_bad_trials_exit_2(self, tmp_path, capsys, value):
