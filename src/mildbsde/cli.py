@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gronwall, models, spectral
-from .config import ExperimentConfig, _convert, load_config
+from . import gronwall, models
+from .config import ExperimentConfig, _convert, _words, load_config
 from .solver import SolverError, ValidationError, _check_number, _rebuild_node, general_solve, plan_solve
 from .wiener import RegressionBasis, TimeGrid, sample_ensemble
 
@@ -207,90 +207,22 @@ def load_solution(out_dir) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # validation suite
 
 
-def _dissipativity_item(problem, trials, rng) -> dict:
-    rep = models.sample_dissipativity(problem, trials, rng)
-    return {
-        "passed": rep.passed,
-        "detail": f"max inner product {rep.max_inner_product:.3e} over {rep.trials} pairs",
-    }
-
-
-def _growth_item(problem, trials, rng) -> dict:
-    if problem.f0.is_zero:
-        return {"passed": True, "detail": "zero drift"}
-    rep = models.sample_growth_and_lipschitz(problem, trials, rng)
-    return {
-        "passed": rep.growth_ok and rep.lipschitz_ok,
-        "detail": (
-            f"growth ratio {rep.worst_growth_ratio:.3f}, "
-            f"lipschitz ratio {rep.worst_lipschitz_ratio:.3f}"
-        ),
-    }
-
-
-_NO_THETA = "applies only where alpha is positive and below theta"
-
-
-def _smoothing_item(problem, trials, rng) -> dict:
-    alpha, theta = problem.alpha, problem.theta
-    if not 0.0 < alpha < theta:
-        return {"passed": None, "detail": _NO_THETA}
-    coarse = spectral.smoothing_bound_check(
-        problem.operator, alpha, theta, trials=trials // 4, rng=rng, t_points=64
-    )
-    fine = spectral.smoothing_bound_check(
-        problem.operator, alpha, theta, trials=trials // 4, rng=rng, t_points=192
-    )
-    stable = math.isfinite(fine) and fine <= coarse * 1.10 + 1e-12
-    return {
-        "passed": stable,
-        "detail": f"empirical constant {fine:.4f} (coarse grid {coarse:.4f})",
-    }
-
-
-def _interp_item(problem, trials, rng) -> dict:
-    alpha, theta = problem.alpha, problem.theta
-    if not 0.0 < alpha < theta:
-        return {"passed": None, "detail": _NO_THETA}
-    c_emp = spectral.estimate_interp_constant(
-        problem.operator, alpha, theta, trials=trials, rng=rng
-    )
-    fresh = spectral.estimate_interp_constant(
-        problem.operator, alpha, theta, trials=trials, rng=rng
-    )
-    return {
-        "passed": fresh <= 1.1 * c_emp,
-        "detail": f"constant {c_emp:.4f}, fresh resample {fresh:.4f}",
-    }
-
-
-_VALIDATION_ITEMS = {
-    "dissipativity": _dissipativity_item,
-    "growth-lipschitz": _growth_item,
-    "smoothing-bound": _smoothing_item,
-    "interpolation-inequality": _interp_item,
-}
-
-
-def run_validation(cfg: ExperimentConfig) -> dict:
-    """Execute the configured validation items, after checking every name; raise on
-    the first failure.  An item that does not apply has ``passed`` None: SKIP."""
-    unknown = [name for name in cfg.validation_suite if name not in _VALIDATION_ITEMS]
+def run_validation(cfg: ExperimentConfig) -> None:
+    """Run the configured ``models.CHECKS``, after checking every name; raise on the
+    first failure.  A check that does not apply prints SKIP."""
+    unknown = [name for name in cfg.validation_suite if name not in models.CHECKS]
     if unknown:
         raise ValidationError("config", f"unknown validation item(s): {', '.join(unknown)}")
     problem = cfg.make_problem()
     rng = np.random.default_rng(cfg.seed)
-    results = {}
     for name in cfg.validation_suite:
-        item = _VALIDATION_ITEMS[name](problem, cfg.validation_trials, rng)
-        results[name] = item
-        status = "SKIP" if item["passed"] is None else "PASS" if item["passed"] else "FAIL"
-        print(f"{status} {name}: {item['detail']}")
+        passed, detail = models.CHECKS[name](problem, cfg.validation_trials, rng)
+        status = "SKIP" if passed is None else "PASS" if passed else "FAIL"
+        print(f"{status} {name}: {detail}")
         if status == "FAIL":
-            raise ValidationError(name, item["detail"])
+            raise ValidationError(name, detail)
     if not cfg.validation_suite:
         print("PASS (empty validation suite)")
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +334,7 @@ def main(argv=None) -> int:
         elif args.command == "validate":
             cfg = _config_from_args(args)
             if args.suite is not None:
-                cfg.validation_suite = tuple(
-                    s.strip() for s in args.suite.split(",") if s.strip()
-                )
+                cfg.validation_suite = _words(args.suite)
             run_validation(cfg)
         elif args.command == "convergence-study":
             cfg = _config_from_args(args)

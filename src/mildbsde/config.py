@@ -7,6 +7,8 @@ validation failure.  So is a number that breaks its rule: ``paths``, ``steps``,
 integer of at least 0.  ``[model]`` numbers are checked by the same rule in
 their spec, which names the failing field.  The regression basis keeps the
 ``RegressionBasis`` defaults except its coordinates, which are set here.
+``[validation] suite`` is a comma list of names of ``models.CHECKS``, read as
+written; by default it holds every check, in the table's order.
 
     [experiment]
     preset = spin-chain | reaction-diffusion-1d   (required unless --preset given)
@@ -23,7 +25,7 @@ their spec, which names the failing field.  The regression basis keeps the
     basis_coords =   ; defaults to all noise coordinates
 
     [validation]
-    suite = dissipativity,growth-lipschitz,smoothing-bound,interpolation-inequality
+    suite = dissipativity,growth-lipschitz,smoothing-bound,interpolation-inequality,driver-bound
     trials = 2000
 """
 from __future__ import annotations
@@ -32,18 +34,13 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .models import BsdeProblem, build_preset
+from .models import CHECKS, BsdeProblem, build_preset
 from .solver import ValidationError, _check_number
 from .wiener import RegressionBasis, TimeGrid, WienerEnsemble, sample_ensemble
 
 __all__ = ["ExperimentConfig", "load_config", "VALIDATION_SUITE"]
 
-VALIDATION_SUITE = (
-    "dissipativity",
-    "growth-lipschitz",
-    "smoothing-bound",
-    "interpolation-inequality",
-)
+VALIDATION_SUITE = tuple(CHECKS)
 
 _DISCRETIZATION_DEFAULTS = {
     "spin-chain": {"paths": 10000, "steps": 100},
@@ -70,6 +67,11 @@ def _convert(text: str):
         except ValueError:
             return parts
     return text
+
+
+def _words(text: str) -> tuple[str, ...]:
+    """The nonempty entries of a comma list, as written."""
+    return tuple(w.strip() for w in text.split(",") if w.strip())
 
 
 @dataclass
@@ -164,13 +166,7 @@ def load_config(path: str | Path, preset: str | None = None) -> ExperimentConfig
     if "out_dir" in exp:
         exp["out_dir"] = str(exp["out_dir"])
 
-    if "validation_suite" in val:
-        suite = val["validation_suite"]
-        if suite is None:
-            val["validation_suite"] = ()  # explicitly empty selection
-        elif isinstance(suite, list):
-            val["validation_suite"] = tuple(suite)
-        else:
-            val["validation_suite"] = (str(suite),)
+    if "validation_suite" in val:  # the names as written; an empty value selects none
+        val["validation_suite"] = _words(parser.get("validation", "suite"))
 
     return ExperimentConfig(**exp, model_overrides=model, **disc, **val)

@@ -1,11 +1,12 @@
 """Application problems: a 1-D reaction-diffusion equation and a lattice spin chain.
 
 Both builders return fully specified ``BsdeProblem`` instances and validate the
-standing hypotheses by sampling (growth, local Lipschitz bounds, dissipativity,
-driver boundedness) before the solver will accept them.  This module is the
-only place that knows how the sampled checks are run: their ball radius, their
-state samplers and their allowances.  ``mildbsde validate`` calls the same
-checks, so a problem's own pair sampler (the spin chain's boundary-matched
+standing hypotheses by sampling (dissipativity, growth and local Lipschitz
+bounds, driver boundedness) before the solver will accept them.  Every sampled
+hypothesis check is an entry of one ordered table, ``CHECKS``, which alone
+knows their ball radius, their state samplers and their allowances.
+``validate_problem`` (the build gate) and ``mildbsde validate`` both loop over
+that table, so a problem's own pair sampler (the spin chain's boundary-matched
 pairs) is used in both places.
 
 Reaction-diffusion: Dirichlet Laplacian on an interval in its sine eigenbasis,
@@ -24,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .solver import BoundedDriver, BsdeProblem, DissipativeDrift, ValidationError, _check_number
+from . import spectral
 from .spectral import (
     DiagonalOperator,
     dirichlet_laplacian_eigenvalues,
@@ -41,8 +43,7 @@ __all__ = [
     "spin_drift_fn",
     "check_dissipativity",
     "check_growth_and_lipschitz",
-    "sample_dissipativity",
-    "sample_growth_and_lipschitz",
+    "CHECKS",
     "validate_problem",
     "build_preset",
     "PRESETS",
@@ -193,7 +194,6 @@ def build_reaction_diffusion(spec: ReactionDiffusionSpec) -> BsdeProblem:
         f0=drift,
         f1=driver,
         noise_dim=spec.modes,
-        label="reaction-diffusion-1d",
     )
     validate_problem(problem, trials=400, seed=_FIT_SEED + 1)
     return problem
@@ -306,7 +306,6 @@ def build_spin_system(spec: SpinSpec) -> BsdeProblem:
         f1=None,
         noise_dim=n,
         pair_sampler=_boundary_matched_pairs,
-        label="spin-chain",
     )
     validate_problem(problem, trials=400, seed=7)
     return problem
@@ -462,71 +461,104 @@ def check_growth_and_lipschitz(
     )
 
 
-def sample_dissipativity(problem: BsdeProblem, trials: int, rng=None) -> DissipativityReport:
+def _dissipativity(problem: BsdeProblem, trials: int, rng):
     """Dissipativity of f0 - mu y on the problem's pairs in the validation ball."""
-    op, alpha, f0 = problem.operator, problem.alpha, problem.f0
+    f0 = problem.f0
+    if f0.is_zero:
+        return True, "zero drift"
+    op, alpha = problem.operator, problem.alpha
     radius = _validation_radius(problem)
     pairs = problem.pair_sampler or _independent_pairs
-    return check_dissipativity(
+    rep = check_dissipativity(
         lambda y: f0(0.0, y) - f0.monotonicity * y,
         lambda r: pairs(op, alpha, radius, _BATCH, r),
         trials, rng, radius=radius,
     )
+    return rep.passed, f"max inner product {rep.max_inner_product:.3e} over {rep.trials} pairs"
 
 
-def sample_growth_and_lipschitz(problem: BsdeProblem, trials: int, rng=None) -> GrowthReport:
+def _growth_lipschitz(problem: BsdeProblem, trials: int, rng):
     """Growth and local Lipschitz ratios of f0 on states in the validation ball."""
+    if problem.f0.is_zero:
+        return True, "zero drift"
     op, alpha = problem.operator, problem.alpha
     radius = _validation_radius(problem)
-    return check_growth_and_lipschitz(
+    rep = check_growth_and_lipschitz(
         problem.f0, lambda r: _ball_samples(op, alpha, radius, _BATCH, r),
         trials, op, alpha, radius, rng,
     )
+    return rep.growth_ok and rep.lipschitz_ok, (
+        f"growth ratio {rep.worst_growth_ratio:.3f}, "
+        f"lipschitz ratio {rep.worst_lipschitz_ratio:.3f}"
+    )
 
 
-def validate_problem(problem: BsdeProblem, trials: int = 400, seed: int = 0) -> dict:
-    """Run the sampled hypothesis checks and mark the problem validated.
+_NO_THETA = "applies only where alpha is positive and below theta"
+
+
+def _smoothing_bound(problem: BsdeProblem, trials: int, rng):
+    """The alpha -> theta smoothing constant, stable from a coarse to a fine t-grid."""
+    alpha, theta = problem.alpha, problem.theta
+    if not 0.0 < alpha < theta:
+        return None, _NO_THETA
+    coarse = spectral.smoothing_bound_check(
+        problem.operator, alpha, theta, trials=trials // 4, rng=rng, t_points=64
+    )
+    fine = spectral.smoothing_bound_check(
+        problem.operator, alpha, theta, trials=trials // 4, rng=rng, t_points=192
+    )
+    stable = math.isfinite(fine) and fine <= coarse * 1.10 + 1e-12
+    return stable, f"empirical constant {fine:.4f} (coarse grid {coarse:.4f})"
+
+
+def _interpolation_inequality(problem: BsdeProblem, trials: int, rng):
+    """The interpolation constant at (alpha, theta), stable under a fresh resample."""
+    alpha, theta = problem.alpha, problem.theta
+    if not 0.0 < alpha < theta:
+        return None, _NO_THETA
+    c_emp = spectral.estimate_interp_constant(problem.operator, alpha, theta, trials=trials, rng=rng)
+    fresh = spectral.estimate_interp_constant(problem.operator, alpha, theta, trials=trials, rng=rng)
+    return fresh <= 1.1 * c_emp, f"constant {c_emp:.4f}, fresh resample {fresh:.4f}"
+
+
+def _driver_bound(problem: BsdeProblem, trials: int, rng):
+    """Sampled |f1|_H against its declared bound, on one batch in the validation ball."""
+    f1 = problem.f1
+    if f1 is None:
+        return None, "no driver f1"
+    op = problem.operator
+    y = _ball_samples(op, problem.alpha, _validation_radius(problem), _BATCH, rng)
+    z = rng.standard_normal((_BATCH, op.dimension, problem.noise_dim))
+    worst = float(np.linalg.norm(f1(0.0, y, z), axis=-1).max())
+    passed = worst <= f1.bound * (1.0 + 1e-9)  # a NaN fails too
+    return passed, f"sampled |f1| {worst:.3e} against declared bound {f1.bound:.3e}"
+
+
+# name -> check(problem, trials, rng) -> (passed, or None where it does not
+# apply, and a detail line); ``mildbsde validate`` runs its suite from here,
+# in this order by default, and ``validate_problem`` runs three of them
+CHECKS: dict[str, Callable[[BsdeProblem, int, np.random.Generator], tuple[bool | None, str]]] = {
+    "dissipativity": _dissipativity,
+    "growth-lipschitz": _growth_lipschitz,
+    "smoothing-bound": _smoothing_bound,
+    "interpolation-inequality": _interpolation_inequality,
+    "driver-bound": _driver_bound,
+}
+
+
+def validate_problem(problem: BsdeProblem, trials: int = 400, seed: int = 0) -> None:
+    """Run the build gate's checks of ``CHECKS`` and mark the problem validated.
 
     Checks: dissipativity up to the declared monotonicity constant, growth and
     local Lipschitz bounds inside the validation ball, and driver boundedness.
     Raises ``ValidationError`` naming the first failing check.
     """
     rng = np.random.default_rng(seed)
-    results: dict = {}
-    if not problem.f0.is_zero:
-        diss = sample_dissipativity(problem, trials, rng)
-        results["dissipativity"] = diss
-        if not diss.passed:
-            raise ValidationError(
-                "dissipativity",
-                f"max inner product {diss.max_inner_product:.3e} exceeds the declared "
-                f"monotonicity allowance",
-            )
-        growth = sample_growth_and_lipschitz(problem, trials, rng)
-        results["growth"] = growth
-        if not growth.growth_ok:
-            raise ValidationError(
-                "growth",
-                f"sampled ratio {growth.worst_growth_ratio:.3f} exceeds the declared scale",
-            )
-        if not growth.lipschitz_ok:
-            raise ValidationError(
-                "local-lipschitz",
-                f"sampled ratio {growth.worst_lipschitz_ratio:.3f} exceeds the declared profile",
-            )
-    if problem.f1 is not None:
-        op = problem.operator
-        y = _ball_samples(op, problem.alpha, _validation_radius(problem), _BATCH, rng)
-        z = rng.standard_normal((_BATCH, op.dimension, problem.noise_dim))
-        vals = np.linalg.norm(problem.f1(0.0, y, z), axis=-1)
-        results["driver-bound"] = worst = float(vals.max())
-        if not worst <= problem.f1.bound * (1.0 + 1e-9):  # a NaN fails too
-            raise ValidationError(
-                "driver-bound",
-                f"sampled |f1| = {worst:.3e} exceeds declared bound {problem.f1.bound:.3e}",
-            )
+    for name in ("dissipativity", "growth-lipschitz", "driver-bound"):
+        passed, detail = CHECKS[name](problem, trials, rng)
+        if passed is not None and not passed:
+            raise ValidationError(name, detail)
     problem.validated = True
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,6 @@ class BsdeProblem:
     noise_dim: int = 1
     terminal_bound_h: float | None = None
     pair_sampler: Callable[..., tuple[np.ndarray, np.ndarray]] | None = None
-    label: str = ""
     validated: bool = False
 
     def __post_init__(self):
@@ -397,7 +396,6 @@ def exponential_shift(problem: BsdeProblem, lam: float) -> BsdeProblem:
         terminal_bound_h=problem.terminal_bound_h * outer_factor,
         f0=new_f0,
         f1=new_f1,
-        label=problem.label + f"[shift {lam:g}]" if problem.label else f"[shift {lam:g}]",
     )
 
 

@@ -11,8 +11,9 @@ are all computable in closed form per coordinate.  Constants that the solver
 needs but that have no closed form for a general spectrum (the operator norms
 M_alpha and C_alpha and the Hoelder constant of the semigroup convolution)
 are estimated empirically by sampling and grid maximization; see
-``estimate_constants``.  The smoothing and interpolation-inequality checks
-estimate their constants the same way, for ``mildbsde validate``.
+``estimate_constants``.  ``smoothing_bound_check`` and
+``estimate_interp_constant`` estimate theirs the same way, for the
+``smoothing-bound`` and ``interpolation-inequality`` entries of ``models.CHECKS``.
 """
 from __future__ import annotations
 

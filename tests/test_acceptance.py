@@ -33,7 +33,7 @@ def linear_problem(op_dim_terminal):
     op = DiagonalOperator([0.0])
     prob = BsdeProblem(
         operator=op, horizon=1.0, alpha=0.0, terminal=op_dim_terminal,
-        terminal_bound=math.inf, noise_dim=1, label="martingale-oracle",
+        terminal_bound=math.inf, noise_dim=1,
     )
     prob.validated = True  # zero drift, nothing to sample
     return prob

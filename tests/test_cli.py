@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import mildbsde.cli
 import mildbsde.config
+import mildbsde.models
 import mildbsde.solver
 import mildbsde.spectral
 import mildbsde.wiener
@@ -223,6 +225,9 @@ class TestConfig:
         cfg = load_config(cfg_file)
         assert cfg.out_dir == "yes"
         assert cfg.validation_suite == ("off",)
+        # nor does the suite take numbers: its entries are names
+        cfg_file.write_text(cfg_file.read_text().replace("suite = off", "suite = 1, 2.50"))
+        assert load_config(cfg_file).validation_suite == ("1", "2.50")
 
 
 class TestSolveCommand:
@@ -688,10 +693,14 @@ class TestSolveCommand:
 
 
 class TestValidateCommand:
-    def test_default_suites_pass(self, tmp_path):
-        out = tmp_path / "v"
-        cfg = write_spin_config(tmp_path, out)
-        assert main(["validate", "--config", str(cfg)]) == 0
+    def test_default_suites_pass(self, tmp_path, capsys):
+        for write in (write_spin_config, write_reaction_diffusion_config):
+            cfg = write(tmp_path, tmp_path / "v")
+            assert main(["validate", "--config", str(cfg)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == len(mildbsde.models.CHECKS)
+            for line, name in zip(lines, mildbsde.models.CHECKS):
+                assert re.match(f"(PASS|SKIP) {name}: ", line)
 
     def test_empty_suite_passes(self, tmp_path):
         out = tmp_path / "v"
@@ -712,8 +721,11 @@ class TestValidateCommand:
         assert "PASS" not in out
         assert f"unknown validation item(s): {name}" in err
 
-    def test_suite_names_every_item(self):
-        assert mildbsde.config.VALIDATION_SUITE == tuple(mildbsde.cli._VALIDATION_ITEMS)
+    def test_numbers_in_the_suite_exit_2(self, tmp_path, capsys):
+        cfg = write_spin_config(tmp_path, tmp_path / "v")
+        cfg.write_text(cfg.read_text() + "\nsuite = 1,2\n")
+        assert main(["validate", "--config", str(cfg)]) == 2
+        assert "unknown validation item(s): 1, 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "preset, exponents",
@@ -769,6 +781,21 @@ class TestValidateCommand:
         monkeypatch.setattr(ExperimentConfig, "make_problem", anti_dissipative)
         with pytest.raises(ValidationError, match="dissipativity"):
             run_validation(cfg)
+
+    def test_nan_driver_fails_as_at_the_gate(self, monkeypatch):
+        # the build gate and the CLI run the same driver-bound check
+        cfg = ExperimentConfig(preset="reaction-diffusion-1d", seed=11, validation_trials=40)
+        make_problem = ExperimentConfig.make_problem
+
+        def nan_driver(self):
+            problem = make_problem(self)
+            problem.f1 = replace(problem.f1, fn=lambda t, y, z: np.full_like(y, np.nan))
+            return problem
+
+        monkeypatch.setattr(ExperimentConfig, "make_problem", nan_driver)
+        with pytest.raises(ValidationError) as err:
+            run_validation(cfg)
+        assert err.value.check == "driver-bound"
 
 
 class TestConvergenceStudy:

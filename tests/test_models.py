@@ -18,10 +18,10 @@ from mildbsde.models import (
     build_spin_system,
     check_dissipativity,
     check_growth_and_lipschitz,
-    sample_growth_and_lipschitz,
     spin_drift_fn,
     validate_problem,
 )
+from mildbsde.models import _ball_samples, _validation_radius
 from mildbsde.solver import DissipativeDrift
 from mildbsde.spectral import h_alpha_norm_batch
 from mildbsde.wiener import RegressionBasis, TimeGrid, sample_ensemble
@@ -385,7 +385,11 @@ class TestGrowthCheck:
         # are taken on rows scaled by their largest entry
         with np.errstate(over="ignore"):  # the dissipativity products overflow
             prob = build_preset("spin-chain", odd_power=50, terminal_amp=170)
-            rep = sample_growth_and_lipschitz(prob, trials=400, rng=0)
+            op, radius = prob.operator, _validation_radius(prob)
+            rep = check_growth_and_lipschitz(
+                prob.f0, lambda rng: _ball_samples(op, 0.0, radius, 200, rng),
+                trials=400, op=op, alpha=0.0, radius=radius, rng=0,
+            )
         assert prob.validated
         assert 0.0 < rep.worst_growth_ratio <= 1.0 and 0.0 < rep.worst_lipschitz_ratio <= 1.0
         assert rep.growth_ok and rep.lipschitz_ok
